@@ -74,7 +74,8 @@ def test_browsing_session(benchmark, experiment, cache):
                    pages=f"{server.graph.materialized_count}/{total} computed",
                    note=f"{server.site.stats['unit_evaluations']} unit "
                         f"evaluations, "
-                        f"{server.site.stats['page_cache_hits']} page hits")
+                        f"{server.site.stats['bindings_cache_hits']} "
+                        f"bindings hits")
 
 
 def test_staleness_tradeoff(experiment, benchmark):

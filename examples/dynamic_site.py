@@ -39,7 +39,7 @@ def main() -> None:
           f"in {build_all * 1000:.1f} ms")
 
     # Click-time: pay per request; first visit computes, revisits hit
-    # the query-result cache.
+    # the rendered-body cache.
     server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
     root = server.roots()[0]
     first = server.request(root)
@@ -56,9 +56,8 @@ def main() -> None:
     print(f"  10-click session: computed {computed} of "
           f"{total_objects} site objects "
           f"({server.log.mean_latency * 1000:.2f} ms/click mean)")
-    print(f"  cache: {server.site.stats['page_cache_hits']} page hits, "
-          f"{server.site.stats['bindings_cache_hits']} bindings hits, "
-          f"{server.site.stats['unit_evaluations']} unit evaluations")
+    print(f"  cache: {server.site.stats['bindings_cache_hits']} bindings "
+          f"hits, {server.site.stats['unit_evaluations']} unit evaluations")
 
 
 if __name__ == "__main__":

@@ -34,20 +34,23 @@ from repro.graph.values import Atom
 from repro.obs.lineage import get_lineage
 from repro.obs.queries import fingerprint, get_query_registry
 from repro.obs.trace import get_recorder
+from repro.repository.indexes import GraphIndex
+from repro.repository.stats import GraphStatistics
 from repro.struql.analysis import ANY_FOOTPRINT, Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
+from repro.struql.matview import ChangeSummary
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
 from repro.struql.skolem import SkolemRegistry
 
 
-#: Default LRU bound for the click-time page and bindings caches: a
-#: long-running ``repro serve`` must not grow memory with the number of
-#: distinct pages ever visited (same discipline as
-#: :class:`~repro.obs.queries.QueryStatsRegistry`).
+#: Default LRU bound for the click-time bindings cache (and, on the
+#: server, the body views): a long-running ``repro serve`` must not grow
+#: memory with the number of distinct pages ever visited (same
+#: discipline as :class:`~repro.obs.queries.QueryStatsRegistry`).
 DEFAULT_MAX_PAGES = 4096
 
 
@@ -64,14 +67,20 @@ class PageView:
 class DynamicSite:
     """Serves site pages computed at click time from the data graph.
 
-    Thread-safe: the page cache, the bindings cache and :attr:`stats`
-    are guarded by one reentrant :attr:`lock`, and
+    :meth:`get_page` computes a page's view on every call; what it
+    caches is the per-unit query result (the bindings cache), keyed by
+    the unit and the page's Skolem arguments, so sibling pages and
+    recomputes after an unrelated change reuse each other's rows.  The
+    per-page store is :class:`LazySiteGraph`'s materialized set.
+
+    Thread-safe: the bindings cache, the graph index and statistics and
+    :attr:`stats` are guarded by one reentrant :attr:`lock`, and
     :meth:`invalidate` is atomic with respect to in-flight
     :meth:`get_page` calls — the threaded HTTP plane
     (:class:`~repro.obs.http.TelemetryHTTPServer`) serves click-time
-    pages from many handler threads at once.  Both caches are LRU
-    rings capped at ``max_pages`` entries (``site.page_cache_evictions``
-    / ``site.bindings_cache_evictions`` count what falls out).
+    pages from many handler threads at once.  The bindings cache is an
+    LRU ring capped at ``max_pages`` entries
+    (``site.bindings_cache_evictions`` counts what falls out).
     """
 
     def __init__(self, query: Query | str, data: Graph,
@@ -98,31 +107,26 @@ class DynamicSite:
         self.fingerprint = fingerprint(query)
         self._cache_enabled = cache
         self.max_pages = max(int(max_pages), 1)
-        self._page_cache: "OrderedDict[Oid, PageView]" = OrderedDict()
         self._bindings_cache: "OrderedDict[tuple, list[Binding]]" = \
             OrderedDict()
+        #: The data graph's index and optimizer statistics, built
+        #: together once per data version and dropped together by
+        #: :meth:`invalidate`.
         self._index = None
-        #: Guards the caches, the index and ``stats``; reentrant so
+        self._stats = None
+        #: Guards the cache, the index and ``stats``; reentrant so
         #: ``get_page`` -> ``_unit_rows`` nests, and exposed so
         #: :class:`LazySiteGraph` can serialize materialization with
         #: cache invalidation.
         self.lock = threading.RLock()
-        #: Click-time statistics for benchmarking.  Hit/miss totals
-        #: reconcile by construction: ``page_cache_hits +
-        #: page_cache_misses`` equals ``get_page`` calls and
-        #: ``pages_computed == page_cache_misses``; the bindings-cache
-        #: counters tally the inner per-unit query cache separately
-        #: (they used to be folded into one ``cache_hits`` number,
-        #: which double-counted bindings hits inside page misses).
+        #: Click-time statistics for benchmarking.  They reconcile by
+        #: construction: ``pages_computed`` equals ``get_page`` calls,
+        #: and ``bindings_cache_misses == unit_evaluations``.
         self.stats = {"pages_computed": 0, "unit_evaluations": 0,
-                      "page_cache_hits": 0, "page_cache_misses": 0,
-                      "page_cache_evictions": 0,
                       "bindings_cache_hits": 0,
                       "bindings_cache_misses": 0,
                       "bindings_cache_evictions": 0,
-                      "full_invalidations": 0,
-                      "partial_invalidations": 0,
-                      "pages_invalidated": 0,
+                      "invalidations": 0,
                       "bindings_invalidated": 0}
 
     def _compute_fn_footprints(self) -> dict[str, Footprint]:
@@ -150,18 +154,20 @@ class DynamicSite:
             out = out.union(self.footprint_for(fn))
         return out
 
-    def affected_fns(self, change) -> set[str] | None:
-        """Skolem functions whose pages ``change`` may affect.
+    def _widen(self, change):
+        """``change`` as the footprints should see it: no change, or one
+        naming this site's data source, becomes a full change (source
+        granularity cannot be narrowed further here)."""
+        if change is None or \
+                self.data.name in getattr(change, "sources", ()):
+            return ChangeSummary.full_change()
+        return change
 
-        ``None`` means "all of them" — returned for a full change, an
-        unknown change, or a change naming this site's data source
-        (source-level granularity cannot be narrowed further here).
-        """
-        if change is None or getattr(change, "full", False):
-            return None
-        sources = getattr(change, "sources", frozenset())
-        if sources and self.data.name in sources:
-            return None
+    def affected_fns(self, change) -> set[str]:
+        """Skolem functions whose pages ``change`` may affect: all of
+        them for a full change, an unknown change, or a change naming
+        this site's data source."""
+        change = self._widen(change)
         return {fn for fn, footprint in self.fn_footprints.items()
                 if footprint.intersects(change)}
 
@@ -184,37 +190,24 @@ class DynamicSite:
     # -- page computation ------------------------------------------------------------
 
     def get_page(self, oid: Oid) -> PageView:
-        """Compute (or fetch from cache) one page's view.
+        """Compute one page's view from the current data.
 
-        Holds :attr:`lock` across lookup *and* compute, so a concurrent
-        :meth:`invalidate` never interleaves with a half-done compute
-        (a page computed from pre-update data can otherwise be cached
-        after the post-update flush).
+        Holds :attr:`lock` across the compute, so a concurrent
+        :meth:`invalidate` never interleaves with it (bindings computed
+        from pre-update data could otherwise be cached after the
+        post-update flush).
         """
+        if oid.skolem_fn is None:
+            raise PageNotFoundError(oid)
         recorder = get_recorder()
         with self.lock:
-            if self._cache_enabled and oid in self._page_cache:
-                self.stats["page_cache_hits"] += 1
-                self._page_cache.move_to_end(oid)
-                recorder.metrics.counter("site.page_cache_hits").inc()
-                return self._page_cache[oid]
-            if oid.skolem_fn is None:
-                raise PageNotFoundError(oid)
             started = time.perf_counter()
             with recorder.span("site.compute_page",
                                page=str(oid)) as span:
                 view = self._compute(oid)
                 span.set(edges=len(view.edges))
             seconds = time.perf_counter() - started
-            if self._cache_enabled:
-                self._page_cache[oid] = view
-                while len(self._page_cache) > self.max_pages:
-                    self._page_cache.popitem(last=False)
-                    self.stats["page_cache_evictions"] += 1
-                    recorder.metrics.counter(
-                        "site.page_cache_evictions").inc()
             self.stats["pages_computed"] += 1
-            self.stats["page_cache_misses"] += 1
         # Click-time computes are partial evaluations of the one site
         # query, so they aggregate under its fingerprint: the registry's
         # p50/p95 become the site's live page-compute latency.
@@ -223,50 +216,36 @@ class DynamicSite:
             rows=len(view.edges),
             optimizer=getattr(self.engine.optimizer, "name",
                               str(self.engine.optimizer)))
-        recorder.metrics.counter("site.page_cache_misses").inc()
         return view
 
-    def invalidate(self, change=None) -> set[str] | None:
+    def invalidate(self, change=None) -> set[str]:
         """Drop cached results affected by a data-graph update.
 
-        With no ``change`` (or a full/unknown one) this flushes
-        everything, exactly as before.  Given a
-        :class:`~repro.struql.matview.ChangeSummary`, only pages whose
-        function footprint intersects the change and bindings whose
-        unit footprint intersects it are dropped; the graph index is
-        always discarded (the data did change).  Returns the affected
-        Skolem functions, or ``None`` for a full flush.
+        Bindings whose unit footprint intersects ``change`` (a
+        :class:`~repro.struql.matview.ChangeSummary`) are dropped —
+        all of them when ``change`` is omitted, full or names this
+        site's data source.  The graph index and statistics are always
+        discarded (the data did change).  Returns :meth:`affected_fns`.
 
         Atomic with in-flight :meth:`get_page` calls: waits for any
         compute holding :attr:`lock`, then flushes at once.
         """
+        change = self._widen(change)
         with self.lock:
-            self._index = None
-            affected = self.affected_fns(change)
-            if affected is None:
-                self._page_cache.clear()
-                self._bindings_cache.clear()
-                self.stats["full_invalidations"] += 1
-                return None
-            pages = [oid for oid in self._page_cache
-                     if oid.skolem_fn in affected]
-            for oid in pages:
-                del self._page_cache[oid]
-            bindings = [key for key in self._bindings_cache
-                        if self.unit_footprints.get(
-                            key[0], ANY_FOOTPRINT).intersects(change)]
-            for key in bindings:
+            self._index = self._stats = None
+            stale = [key for key in self._bindings_cache
+                     if self.unit_footprints.get(
+                         key[0], ANY_FOOTPRINT).intersects(change)]
+            for key in stale:
                 del self._bindings_cache[key]
-            self.stats["partial_invalidations"] += 1
-            self.stats["pages_invalidated"] += len(pages)
-            self.stats["bindings_invalidated"] += len(bindings)
-            return affected
+            self.stats["invalidations"] += 1
+            self.stats["bindings_invalidated"] += len(stale)
+            return self.affected_fns(change)
 
     def stats_snapshot(self) -> dict:
         """A consistent copy of :attr:`stats` plus cache occupancy."""
         with self.lock:
             snapshot = dict(self.stats)
-            snapshot["page_cache_size"] = len(self._page_cache)
             snapshot["bindings_cache_size"] = len(self._bindings_cache)
             snapshot["max_pages"] = self.max_pages
             snapshot["cache_enabled"] = self._cache_enabled
@@ -346,8 +325,8 @@ class DynamicSite:
                 return self._bindings_cache[key]
             self.stats["bindings_cache_misses"] += 1
         if self._index is None or not self._index.fresh:
-            from repro.repository.indexes import GraphIndex
             self._index = GraphIndex.build(self.data)
+            self._stats = GraphStatistics.gather(self.data)
         ctx = ExecutionContext(self.data, index=self._index,
                                predicates=self.engine.predicates)
         # Aggregates partition the FULL binding relation.  Seeding the
@@ -364,7 +343,8 @@ class DynamicSite:
                     seeded, post_filter = {}, seed
                     break
         ordered = self.engine.optimizer.order(
-            unit.conditions, set(seeded), self.data, ctx.predicates, None)
+            unit.conditions, set(seeded), self.data, ctx.predicates,
+            self._stats)
         ordered = _enforce_aggregate_order(ordered)
         rows = Plan.from_conditions(ordered).execute(ctx, [dict(seeded)])
         if post_filter:
@@ -461,19 +441,19 @@ class LazySiteGraph(Graph):
             for name in view.collections:
                 self.add_to_collection(name, oid)
 
-    def unmaterialize(self, fns: set[str] | None = None) -> int:
+    def unmaterialize(self, fns: set[str]) -> int:
         """Forget materialized pages so they recompute on next access.
 
-        ``fns`` restricts the flush to pages minted by those Skolem
-        functions (``None`` flushes every materialized page).  Nodes
-        stay in the graph — links from other pages and the URL map
+        Only pages minted by the Skolem functions ``fns`` are flushed
+        (:meth:`DynamicSite.affected_fns` names them all for a full
+        change).  Nodes stay in the graph — links from other pages and the URL map
         remain valid — but their outgoing edges and collection
         memberships are detached, so the next read recomputes the page
         view against the updated data.
         """
         with self._site.lock:
             victims = [oid for oid in self._materialized
-                       if fns is None or oid.skolem_fn in fns]
+                       if oid.skolem_fn in fns]
             for oid in victims:
                 self._materialized.discard(oid)
                 self.detach_node(oid)

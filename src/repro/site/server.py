@@ -233,6 +233,12 @@ class DynamicSiteServer:
     :meth:`invalidate` with a
     :class:`~repro.struql.matview.ChangeSummary` drops only the
     bodies whose footprint the change intersects.
+
+    Below the body views sit :class:`LazySiteGraph`'s materialized page
+    views and :class:`DynamicSite`'s bindings cache; :attr:`graph` and
+    :attr:`generator` are the same objects for the server's lifetime,
+    and every invalidation, full or selective, takes one path through
+    all three layers.
     """
 
     def __init__(self, query: Query | str, data: Graph,
@@ -247,7 +253,7 @@ class DynamicSiteServer:
         self.matviews = MatViewRegistry(max_views=self.site.max_pages,
                                         max_inflight=max_inflight)
         self._body_cache_enabled = cache
-        self._url_map: dict[str, Oid] | None = None
+        self._url_map: dict[str, Oid] = {}
         self._url_map_size = -1
 
     # -- routing -------------------------------------------------------------
@@ -259,27 +265,19 @@ class DynamicSiteServer:
     def resolve_path(self, path: str) -> Oid | None:
         """Map a URL path back to a page oid (inverse of ``url_for``).
 
-        Backed by a url->oid map rebuilt only when the lazy graph has
-        materialized new nodes, so steady-state resolution is O(1)
-        instead of a linear scan over every page per request.
+        Backed by a url->oid map extended only when the lazy graph has
+        gained nodes, so steady-state resolution is O(1) instead of a
+        linear scan over every page per request.  Invalidation detaches
+        pages but keeps their nodes, so learned routes stay valid.
         """
         wanted = path.lstrip("/")
-        # Rebuild under the site lock: concurrent handler threads must
-        # not iterate the lazy graph while another one materializes.
-        # The map is merged, never rebuilt from scratch: a page's URL
-        # is a pure function of its oid and the data graph is additive,
-        # so routes learned before an invalidation stay valid after it
-        # (the fresh lazy graph re-materializes the page on demand).
-        # Rebuilding from only-materialized nodes would 404 every deep
-        # URL after a full flush until something re-requested it by oid.
+        # Under the site lock: concurrent handler threads must not
+        # iterate the lazy graph while another one materializes.
         with self.site.lock:
-            if self._url_map is None or \
-                    self._url_map_size != self.graph.node_count:
-                url_map: dict[str, Oid] = dict(self._url_map or {})
+            if self._url_map_size != self.graph.node_count:
                 for node in list(self.graph.nodes()):
-                    url_map.setdefault(self.generator.url_for(node),
-                                       node)
-                self._url_map = url_map
+                    self._url_map.setdefault(
+                        self.generator.url_for(node), node)
                 self._url_map_size = self.graph.node_count
             return self._url_map.get(wanted)
 
@@ -289,12 +287,9 @@ class DynamicSiteServer:
         Serving by oid (priming, crawling, link traversal) teaches the
         router the page's URL immediately, so a URL request never
         depends on a prior ``resolve_path`` scan having seen the page
-        materialized — in particular, routes learned here survive a
-        full invalidation that swaps in an empty lazy graph.
+        materialized.
         """
         with self.site.lock:
-            if self._url_map is None:
-                self._url_map = {}
             self._url_map.setdefault(self.generator.url_for(oid), oid)
 
     def warm(self) -> int:
@@ -436,40 +431,25 @@ class DynamicSiteServer:
     def cache_snapshot(self) -> dict:
         """The click-time cache statistics, reconciled.
 
-        One consistent read of :meth:`DynamicSite.stats_snapshot` —
-        page-cache and bindings-cache hit/miss/eviction counters stay
-        distinct so the totals add up (``page_cache_hits +
-        page_cache_misses`` equals page lookups; ``pages_computed ==
-        page_cache_misses``).
+        One consistent read of :meth:`DynamicSite.stats_snapshot`:
+        ``pages_computed`` counts page-view computes and the bindings
+        counters add up (``bindings_cache_misses == unit_evaluations``).
         """
         return self.site.stats_snapshot()
 
     def invalidate(self, change: ChangeSummary | None = None) -> None:
-        """Propagate a data-graph update: drop caches and lazily rebuild.
+        """Propagate a data-graph update: drop what it may affect.
 
-        Without a :class:`~repro.struql.matview.ChangeSummary` this
-        flushes everything — the pre-matview behavior and the sound
-        fallback when the caller cannot describe what changed.  With
-        one, only the page views, bindings and rendered bodies whose
-        footprint intersects the change are dropped: the rest keep
-        serving from cache.
+        Only the bindings, page views and rendered bodies whose
+        footprint intersects the
+        :class:`~repro.struql.matview.ChangeSummary` are dropped: the
+        rest keep serving from cache.  Without one (the sound fallback
+        when the caller cannot describe what changed), or with a full
+        one, every entry's footprint intersects and all are dropped.
         """
         with self.site.lock:
-            affected = self.site.invalidate(change)
-            if affected is None:
-                fresh = LazySiteGraph(self.site)
-                self.graph = fresh
-                self.generator = HtmlGenerator(
-                    fresh, self.generator.templates,
-                    loader=self.generator.loader)
-                # Known routes survive the flush (see resolve_path);
-                # only the size watermark resets so the next resolve
-                # merges whatever the fresh graph has materialized.
-                self._url_map_size = -1
-                self.matviews.invalidate()
-            else:
-                self.graph.unmaterialize(affected)
-                self.matviews.invalidate(change)
+            self.graph.unmaterialize(self.site.invalidate(change))
+            self.matviews.invalidate(change)
 
     def update(self, mutate, change: ChangeSummary | None = None):
         """Apply a data mutation and propagate invalidation atomically.

@@ -297,15 +297,11 @@ class MatViewRegistry:
         """
         with self._lock:
             self._generation += 1
-            if change is None or getattr(change, "full", False):
-                dropped = len(self._views)
-                self._views.clear()
-            else:
-                victims = [k for k, v in self._views.items()
-                           if v.depends_on(change)]
-                for k in victims:
-                    del self._views[k]
-                dropped = len(victims)
+            victims = [k for k, v in self._views.items()
+                       if v.depends_on(change)]
+            for k in victims:
+                del self._views[k]
+            dropped = len(victims)
             self.stats["invalidations"] += 1
             self.stats["views_dropped"] += dropped
         metrics = get_recorder().metrics
@@ -313,15 +309,6 @@ class MatViewRegistry:
         if dropped:
             metrics.counter("matview.views_dropped").inc(dropped)
         return dropped
-
-    def drop(self, key: str) -> bool:
-        """Drop one view by key."""
-        with self._lock:
-            self._generation += 1
-            present = self._views.pop(key, None) is not None
-            if present:
-                self.stats["views_dropped"] += 1
-        return present
 
     # -- introspection ----------------------------------------------------
 

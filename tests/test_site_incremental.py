@@ -43,24 +43,32 @@ class TestDynamicSite:
             assert set(view.edges) == materialized, str(node)
 
     def test_cache_hits_counted(self, fig2_graph):
+        """A recompute of the same page reads every unit's rows from
+        the bindings cache."""
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
         page = Oid.skolem("RootPage", ())
-        site.get_page(page)
-        before = site.stats["page_cache_hits"]
-        site.get_page(page)
-        assert site.stats["page_cache_hits"] == before + 1
+        first = site.get_page(page)
+        before = site.stats_snapshot()
+        assert before["bindings_cache_hits"] == 0
+        again = site.get_page(page)
+        after = site.stats_snapshot()
+        assert again.edges == first.edges
+        assert after["bindings_cache_hits"] == \
+            before["bindings_cache_misses"] > 0
+        assert after["unit_evaluations"] == before["unit_evaluations"]
+        assert after["pages_computed"] == 2
 
     def test_cache_disabled(self, fig2_graph):
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=False)
         page = Oid.skolem("RootPage", ())
         site.get_page(page)
         site.get_page(page)
-        assert site.stats["page_cache_hits"] == 0
+        assert site.stats["bindings_cache_hits"] == 0
         assert site.stats["pages_computed"] == 2
 
     def test_stats_reconcile(self, fig2_graph):
-        """Hits + misses == calls, and computes == misses — the old
-        folded ``cache_hits`` counter double-counted bindings hits."""
+        """Every ``get_page`` computes, and every bindings miss is one
+        unit evaluation."""
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
         root = Oid.skolem("RootPage", ())
         calls = 0
@@ -72,9 +80,9 @@ class TestDynamicSite:
                     site.get_page(target)
                     calls += 1
         stats = site.stats_snapshot()
-        assert (stats["page_cache_hits"]
-                + stats["page_cache_misses"]) == calls
-        assert stats["pages_computed"] == stats["page_cache_misses"]
+        assert stats["pages_computed"] == calls
+        assert stats["bindings_cache_misses"] == stats["unit_evaluations"]
+        assert stats["bindings_cache_hits"] > stats["bindings_cache_misses"]
 
     def test_invalidate_sees_new_data(self, fig2_graph, dynamic):
         root = Oid.skolem("RootPage", ())
@@ -219,7 +227,8 @@ class TestThreadSafety:
         assert not errors, errors[0]
         snapshot = site.stats_snapshot()
         assert snapshot["pages_computed"] > 0
-        assert snapshot["pages_computed"] == snapshot["page_cache_misses"]
+        assert snapshot["bindings_cache_misses"] == \
+            snapshot["unit_evaluations"]
 
     def test_lru_cap_bounds_cache(self, fig2_graph):
         site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True,
@@ -231,10 +240,65 @@ class TestThreadSafety:
         for page in pages:
             site.get_page(page)
         snapshot = site.stats_snapshot()
-        assert snapshot["page_cache_size"] <= 2
-        assert snapshot["page_cache_evictions"] >= 2
+        assert snapshot["bindings_cache_size"] <= 2
+        assert snapshot["bindings_cache_evictions"] >= 2
         assert snapshot["max_pages"] == 2
-        # The two most recent pages are still hits.
-        before = site.stats_snapshot()["page_cache_hits"]
+        # The most recently computed page's rows are still cached.
         site.get_page(pages[-1])
-        assert site.stats_snapshot()["page_cache_hits"] == before + 1
+        after = site.stats_snapshot()
+        assert after["bindings_cache_hits"] > snapshot["bindings_cache_hits"]
+        assert after["unit_evaluations"] == snapshot["unit_evaluations"]
+
+
+class TestOneInvalidationPath:
+    @staticmethod
+    def _server(data):
+        from repro.site import DynamicSiteServer
+        from repro.sites.homepage import fig7_templates
+        return DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
+
+    def test_full_change_keeps_graph_and_serves_fresh(self, fig2_graph):
+        from repro.struql.matview import ChangeSummary
+        server = self._server(fig2_graph)
+        server.crawl()
+        graph, generator = server.graph, server.generator
+
+        def add_pub(data):
+            pub = Oid("pub3")
+            data.add_to_collection("Publications", pub)
+            data.add_edge(pub, "year", Atom.int(2001))
+            data.add_edge(pub, "title", Atom.string("Late Addition"))
+            data.add_edge(pub, "category", Atom.string("Compilers"))
+
+        server.update(add_pub, ChangeSummary.full_change())
+        assert server.graph is graph
+        assert server.generator is generator
+        assert server.graph.materialized_count == 0
+        oracle = self._server(fig2_graph)
+        expected = {r.oid: r.body for r in oracle.crawl()}
+        served = {r.oid: r.body for r in server.crawl()}
+        assert served == expected
+        assert any("2001" in body for body in served.values())
+
+    def test_statistics_gathered_once_per_data_version(self, fig2_graph,
+                                                       monkeypatch):
+        from repro.repository.stats import GraphStatistics
+        from repro.struql.matview import ChangeSummary
+        gather = GraphStatistics.gather
+        versions = []
+
+        def counting(graph):
+            versions.append(graph.edge_count)
+            return gather(graph)
+
+        monkeypatch.setattr(GraphStatistics, "gather",
+                            staticmethod(counting))
+        server = self._server(fig2_graph)
+        assert len(server.crawl()) > 3
+        assert len(versions) == 1
+        server.update(lambda data: data.add_edge(
+            Oid("pub1"), "year", Atom.int(2002)),
+            ChangeSummary.for_labels("year"))
+        assert len(server.crawl()) > 3
+        assert len(versions) == 2
+        assert versions[1] == versions[0] + 1
