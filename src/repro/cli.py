@@ -253,12 +253,10 @@ def _run_build(args: argparse.Namespace) -> int:
             BuildCache,
             DEFAULT_CACHE_DIRNAME,
             cached_generate,
-            resolve_jobs,
         )
         from repro.templates.generator import HtmlGenerator
         templates = load_templates(args.templates)
         generator = HtmlGenerator(site, templates)
-        jobs = resolve_jobs(args.jobs)
         cache = None
         if args.cache_dir or args.incremental:
             cache_dir = args.cache_dir or os.path.join(
@@ -266,7 +264,7 @@ def _run_build(args: argparse.Namespace) -> int:
             cache = BuildCache(cache_dir)
         report = cached_generate(
             site, generator, templates, args.out, cache=cache,
-            jobs=jobs, options={"optimizer": args.optimizer})
+            options={"optimizer": args.optimizer})
         print(f"{report.summary()} to {args.out}")
     return 0
 
@@ -845,9 +843,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="output directory for HTML")
     build.add_argument("--optimizer", default="cost",
                        choices=("naive", "heuristic", "cost"))
-    build.add_argument("--jobs", type=int, default=None,
-                       help="parallel page-render threads "
-                            "(default: one per CPU core)")
     build.add_argument("--cache-dir",
                        help="persistent build-cache directory: "
                             "unchanged pages are skipped on rebuilds")

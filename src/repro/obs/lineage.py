@@ -234,9 +234,8 @@ NULL_LINEAGE = NullLineage()
 class LineageIndex:
     """Bounded, queryable provenance store.
 
-    Thread safe: the site builder renders pages on a thread pool and
-    ``repro serve`` computes pages from request threads, all of which
-    record into one index.
+    Thread safe: ``repro serve`` computes pages from request threads,
+    all of which record into one index.
     """
 
     enabled = True

@@ -9,8 +9,9 @@ manifest.  The layout is deliberately boring:
       manifest.json          {"name": ..., "graphs": [...]}
       graphs/<name>.json     graph_to_json output
 
-Saving is atomic per file (write to a temp name, then rename), so a
-crash mid-save never corrupts a previously saved graph.
+Saving is atomic per file (:func:`write_atomic`: write to a temp
+name, then rename), so a crash mid-save never corrupts a previously
+saved graph.  The site build cache persists through the same helper.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ def save_repository(repo: Repository, root: str) -> None:
     for name in repo.graph_names():
         filename = _safe_filename(name) + ".json"
         manifest["graphs"].append({"name": name, "file": filename})
-        _atomic_write(os.path.join(graph_dir, filename),
-                      graph_to_json(repo.graph(name)))
-    _atomic_write(os.path.join(root, _MANIFEST),
-                  json.dumps(manifest, indent=2))
+        write_atomic(os.path.join(graph_dir, filename),
+                     graph_to_json(repo.graph(name)))
+    write_atomic(os.path.join(root, _MANIFEST),
+                 json.dumps(manifest, indent=2))
 
 
 def load_repository(root: str, indexing: bool = True) -> Repository:
@@ -65,7 +66,10 @@ def load_repository(root: str, indexing: bool = True) -> Repository:
     return repo
 
 
-def _atomic_write(path: str, text: str) -> None:
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see old or new, never
+    a half-written file (temp file in the same directory, then
+    rename)."""
     directory = os.path.dirname(path)
     fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -9,7 +9,7 @@ from repro.site.buildcache import (
     hash_templates,
     page_fingerprint,
 )
-from repro.site.diff import RefreshResult, SiteDiff, diff_graphs, refresh_site
+from repro.site.diff import SiteDiff, diff_graphs
 from repro.site.forms import FormHandler, FormResponse, register_string_predicates
 from repro.site.incremental import DynamicSite, LazySiteGraph, PageView
 from repro.site.schema import NS, SchemaEdge, SiteSchema, build_site_schema
@@ -45,7 +45,6 @@ __all__ = [
     "PageView",
     "PathReachability",
     "ReachableFromRoot",
-    "RefreshResult",
     "RequiredLink",
     "Response",
     "SchemaEdge",
@@ -61,6 +60,5 @@ __all__ = [
     "diff_graphs",
     "hash_templates",
     "page_fingerprint",
-    "refresh_site",
     "register_string_predicates",
 ]

@@ -1,9 +1,11 @@
-"""Content-hash build cache + rebuild planner for site generation.
+"""Content-hash build cache + rebuild planner: the offline incremental
+site update of paper section 6 ([FER 98c]).
 
 STRUDEL's core promise is cheap regeneration: "multiple versions of a
 site can be generated from the same data".  Regenerating a large site
 from scratch on every data edit throws that away, so this module makes
-``Website.build_site`` / ``repro build`` *incremental*:
+``Website.build_site(out, cache_dir=...)`` / ``repro build`` — the one
+offline build path — *incremental*:
 
 * :class:`BuildCache` — a persistent cache directory holding a
   manifest (per-page content fingerprints, the template-set hash, the
@@ -17,9 +19,15 @@ from scratch on every data edit throws that away, so this module makes
   reverse closure); clean pages skip without even being fingerprinted.
 * :func:`cached_generate` — the one-call pipeline used by both
   :meth:`repro.site.builder.Website.build_site` and ``repro build
-  --cache-dir/--incremental``: plan, render only the dirty pages
-  (optionally in parallel), delete removed pages' files, persist the
-  updated manifest.
+  --cache-dir/--incremental``: plan, render only the dirty pages,
+  delete removed pages' files, persist the updated manifest.
+
+Crash safety: before the first page file is written, the manifest is
+atomically rewritten without the fingerprints of the pages about to
+render and without the site hash, so a build killed at any point
+leaves a cache that makes the next build re-render whatever it may
+have half-done.  ``site.json`` and the final manifest are then written
+in that order, each atomically.
 
 Fingerprints are content hashes over a page's *forward-reachable*
 subgraph (its bindings: every node, edge, atom and collection
@@ -45,6 +53,7 @@ from repro.graph.model import Graph, Oid
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs.lineage import get_lineage, lineage_path
 from repro.obs.trace import get_recorder
+from repro.repository.storage import write_atomic
 from repro.site.diff import diff_graphs
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
@@ -252,12 +261,16 @@ class BuildCache:
             plan.reason = "options-changed"
         else:
             plan.reason = "incremental"
+        old_pages: dict[str, dict] = manifest["pages"] if manifest else {}
+        current = {str(page) for page in pages}
+        plan.stale_files = sorted(
+            entry["url"] for key, entry in old_pages.items()
+            if key not in current and entry.get("url"))
         if plan.reason != "incremental":
             plan.render = pages
             return plan
 
         assert manifest is not None
-        old_pages: dict[str, dict] = manifest["pages"]
         local_hashes: dict[Oid, str] = {}
         dirty: set[Oid] | None = None  # None = fingerprint everything
         # Fast path: an identical site hash proves nothing changed
@@ -278,13 +291,13 @@ class BuildCache:
                 # selection without any edge delta; fall back to
                 # fingerprinting every page (dirty = None) — still no
                 # re-render unless content truly changed.
-        current = {str(page) for page in pages}
         for page in pages:
             key = str(page)
             entry = old_pages.get(key)
-            url = generator.url_for(page)
-            out_path = os.path.join(out_dir, url)
-            if entry is None or not os.path.exists(out_path):
+            out_path = os.path.join(out_dir, generator.url_for(page))
+            # No fingerprint: a killed build may have half-rendered it.
+            if entry is None or "fingerprint" not in entry \
+                    or not os.path.exists(out_path):
                 plan.render.append(page)
                 continue
             if dirty is not None and page not in dirty:
@@ -297,20 +310,33 @@ class BuildCache:
                 plan.skipped.append(page)
             else:
                 plan.render.append(page)
-        plan.stale_files = sorted(
-            entry["url"] for key, entry in old_pages.items()
-            if key not in current and entry.get("url"))
         plan.unchanged = (plan.unchanged and not plan.render
                           and not plan.stale_files)
         return plan
 
     # -- recording -------------------------------------------------------------
 
+    def begin(self, generator: HtmlGenerator, templates: TemplateSet,
+              plan: BuildPlan, options: dict | None = None) -> None:
+        """Forget the fingerprints of the pages about to render.
+
+        Called before the first page file is written: until
+        :meth:`record` succeeds, the manifest names every page of
+        ``plan.render`` (so its file is deleted if the page leaves the
+        site) without a fingerprint (so it renders again) and holds no
+        site hash (so the no-change fast path cannot fire).
+        """
+        if not plan.render:
+            return
+        pages = dict(self.manifest["pages"]) if self.manifest else {}
+        for page in plan.render:
+            pages[str(page)] = {"url": generator.url_for(page)}
+        self._write_manifest(templates, options, pages)
+
     def record(self, site: Graph, generator: HtmlGenerator,
                templates: TemplateSet, plan: BuildPlan,
                options: dict | None = None) -> None:
-        """Persist the post-build state: manifest + site graph."""
-        os.makedirs(self.directory, exist_ok=True)
+        """Persist the post-build state: site graph, then manifest."""
         local_hashes: dict[Oid, str] = {}
         entries: dict[str, dict] = {}
         for page in plan.render + plan.skipped:
@@ -320,30 +346,36 @@ class BuildCache:
                 fp = page_fingerprint(site, page, local_hashes)
             entries[key] = {"url": generator.url_for(page),
                             "fingerprint": fp}
+        os.makedirs(self.directory, exist_ok=True)
+        write_atomic(self.site_graph_path, graph_to_json(site))
+        self._old_site = site
+        self._write_manifest(templates, options, entries,
+                             site_content_hash(site, local_hashes))
+
+    def _write_manifest(self, templates: TemplateSet, options: dict | None,
+                        pages: dict[str, dict],
+                        site_hash: str | None = None) -> None:
         manifest = {
             "schema": CACHE_SCHEMA,
             "templates_hash": hash_templates(templates),
             "options_hash": hash_options(options),
-            "site_hash": site_content_hash(site, local_hashes),
-            "pages": entries,
+            "pages": pages,
         }
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-        with open(self.site_graph_path, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_json(site))
+        if site_hash is not None:
+            manifest["site_hash"] = site_hash
+        os.makedirs(self.directory, exist_ok=True)
+        write_atomic(self.manifest_path, json.dumps(manifest, indent=1))
         self.manifest = manifest
-        self._old_site = site
 
 
 @dataclass
 class BuildReport:
-    """The outcome of one (possibly cached, possibly parallel) build."""
+    """The outcome of one (possibly cached) build."""
 
     written: dict[Oid, str]
     skipped: list[Oid] = field(default_factory=list)
     removed_files: list[str] = field(default_factory=list)
     reason: str = "full"
-    jobs: int = 1
     seconds: float = 0.0
 
     @property
@@ -362,23 +394,14 @@ class BuildReport:
     def summary(self) -> str:
         """One-line human summary (the CLI's build report line)."""
         return (f"wrote {self.pages_rendered} pages "
-                f"({self.pages_skipped} cached, jobs={self.jobs}, "
-                f"{self.reason})")
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: ``None``/0 means every core."""
-    if jobs is None or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
+                f"({self.pages_skipped} cached, {self.reason})")
 
 
 def cached_generate(site: Graph, generator: HtmlGenerator,
                     templates: TemplateSet, out_dir: str,
                     cache: BuildCache | str | None = None,
-                    jobs: int | None = 1,
                     options: dict | None = None) -> BuildReport:
-    """Plan, render (in parallel), clean up, and persist one build.
+    """Plan, render, clean up, and persist one build.
 
     Without ``cache`` this is a plain full build through
     :meth:`HtmlGenerator.generate_site`.  With one, only the pages the
@@ -388,21 +411,19 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
     """
     import time
 
-    jobs = resolve_jobs(jobs)
     if isinstance(cache, str):
         cache = BuildCache(cache)
     recorder = get_recorder()
     started = time.perf_counter()
-    with recorder.span("site.generate", out_dir=out_dir,
-                       jobs=jobs) as span:
+    with recorder.span("site.generate", out_dir=out_dir) as span:
         if cache is None:
-            written = generator.generate_site(out_dir, jobs=jobs)
-            report = BuildReport(written, reason="full", jobs=jobs)
+            written = generator.generate_site(out_dir)
+            report = BuildReport(written, reason="full")
         else:
             plan = cache.plan(site, generator, templates, out_dir,
                               options=options)
-            written = generator.generate_site(out_dir, jobs=jobs,
-                                              pages=plan.render)
+            cache.begin(generator, templates, plan, options=options)
+            written = generator.generate_site(out_dir, pages=plan.render)
             removed: list[str] = []
             for name in plan.stale_files:
                 path = os.path.join(out_dir, name)
@@ -414,7 +435,7 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
                              options=options)
             report = BuildReport(written, skipped=list(plan.skipped),
                                  removed_files=removed,
-                                 reason=plan.reason, jobs=jobs)
+                                 reason=plan.reason)
         report.seconds = time.perf_counter() - started
         span.set(pages=report.pages_rendered,
                  skipped=report.pages_skipped, reason=report.reason)
@@ -425,7 +446,6 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
         report.pages_skipped)
     metrics.gauge("site.build.cache_hit_ratio").set(
         report.cache_hit_ratio)
-    metrics.gauge("site.build.jobs").set(jobs)
     metrics.histogram("site.build.seconds").observe(report.seconds)
     metrics.counter("site.pages_built").inc(report.pages_rendered)
     lineage = get_lineage()

@@ -126,7 +126,7 @@ class Website:
                                             loader=self.loader)
         return self._generator
 
-    def generate(self, out_dir: str, jobs: int = 1,
+    def generate(self, out_dir: str,
                  cache_dir: str | None = None) -> dict[Oid, str]:
         """Materialize the browsable site under ``out_dir``.
 
@@ -134,23 +134,21 @@ class Website:
         directory, only the pages that actually re-rendered.  See
         :meth:`build_site` for the full report.
         """
-        return self.build_site(out_dir, jobs=jobs,
-                               cache_dir=cache_dir).written
+        return self.build_site(out_dir, cache_dir=cache_dir).written
 
-    def build_site(self, out_dir: str, jobs: int = 1,
+    def build_site(self, out_dir: str,
                    cache_dir: str | None = None) -> BuildReport:
-        """The parallel, cache-aware build pipeline.
+        """The cache-aware build pipeline.
 
-        ``jobs`` renders pages on that many threads (``None``/0: one
-        per core); ``cache_dir`` enables the persistent build cache —
-        unchanged pages are skipped, pages that left the site have
-        their files deleted, and a rebuild of an unchanged site renders
-        nothing at all.
+        ``cache_dir`` enables the persistent build cache — the
+        incremental update after a data change: unchanged pages are
+        skipped, pages that left the site have their files deleted, and
+        a rebuild of an unchanged site renders nothing at all.
         """
         cache = BuildCache(cache_dir) if cache_dir else None
         return cached_generate(
             self.site_graph, self.generator(), self.templates, out_dir,
-            cache=cache, jobs=jobs, options=self._build_options())
+            cache=cache, options=self._build_options())
 
     def _build_options(self) -> dict:
         """The generator options that key the build cache."""

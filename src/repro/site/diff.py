@@ -11,13 +11,14 @@ This module provides the materialized-site half of that problem:
   with edge deltas, plus every page that *embeds* a dirty page or
   renders an attribute path through one (computed against the template
   set's reference structure, conservatively via reverse reachability
-  over embedding edges);
-* :func:`refresh_site` — rebuild the site graph after a data update and
-  rewrite **only** the affected HTML files, returning the diff and the
-  regenerated page list.
+  over embedding edges).
 
-Benchmark-visible consequence: after a small data change, the number of
-rewritten pages is proportional to the change, not the site.
+The rebuild itself — re-render only the dirty pages, delete removed
+pages' files — is :mod:`repro.site.buildcache`'s planner, reached through
+``Website.build_site(out, cache_dir=...)``; ``repro diff --old-site``
+prints a :class:`SiteDiff` directly.  Benchmark-visible consequence:
+after a small data change, the number of rewritten pages is proportional
+to the change, not the site.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.model import Edge, Graph, GraphObject, Oid
-from repro.struql.ast import Query
-from repro.struql.evaluator import QueryEngine
-from repro.templates.generator import HtmlGenerator, TemplateSet
+from repro.templates.generator import HtmlGenerator
 
 
 @dataclass
@@ -112,56 +111,3 @@ def diff_graphs(old: Graph, new: Graph) -> SiteDiff:
         if added or removed:
             diff.collection_changes[name] = (added, removed)
     return diff
-
-
-@dataclass
-class RefreshResult:
-    """What :func:`refresh_site` did."""
-
-    diff: SiteDiff
-    new_site: Graph
-    regenerated: dict[Oid, str]
-    removed_files: list[str]
-
-    @property
-    def pages_rewritten(self) -> int:
-        """Number of HTML files rewritten."""
-        return len(self.regenerated)
-
-
-def refresh_site(query: Query | str, data: Graph, old_site: Graph,
-                 templates: TemplateSet, out_dir: str,
-                 engine: QueryEngine | None = None,
-                 loader=None) -> RefreshResult:
-    """Incrementally update a generated site after a data change.
-
-    Re-evaluates the site-definition query over the updated ``data``
-    (site-graph recomputation is cheap relative to rendering and I/O for
-    content-heavy sites), diffs against ``old_site``, and rewrites only
-    the dirty pages' HTML files.  Files of removed pages are deleted.
-    """
-    import os
-
-    engine = engine or QueryEngine()
-    new_site = engine.evaluate(query, data).output
-    diff = diff_graphs(old_site, new_site)
-    generator = HtmlGenerator(new_site, templates, loader=loader)
-    regenerated: dict[Oid, str] = {}
-    removed_files: list[str] = []
-    if not diff.empty:
-        for page in sorted(diff.dirty_pages(new_site, generator), key=str):
-            path = os.path.join(out_dir, generator.url_for(page))
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(generator.render(page))
-            regenerated[page] = path
-        old_generator = HtmlGenerator(old_site, templates, loader=loader)
-        for page in sorted(diff.removed_nodes, key=str):
-            if not old_generator.is_page(page):
-                continue
-            path = os.path.join(out_dir, old_generator.url_for(page))
-            if os.path.exists(path):
-                os.unlink(path)
-                removed_files.append(path)
-    return RefreshResult(diff=diff, new_site=new_site,
-                         regenerated=regenerated,
-                         removed_files=removed_files)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import CoercionError, MissingTemplateError, TemplateEvalError
@@ -135,8 +134,10 @@ class HtmlGenerator:
         self.graph = graph
         self.templates = templates
         self.loader = loader
-        # Per-thread render stacks: parallel page rendering must not
-        # see another worker's embedding chain as a cycle.
+        # Per-thread render stacks: the click-time server renders pages
+        # concurrently over one shared generator (outside the site
+        # lock), and a shared stack would report another request's
+        # embedding chain as a cycle.
         self._local = threading.local()
 
     @property
@@ -215,46 +216,32 @@ class HtmlGenerator:
         finally:
             self._render_stack.pop()
 
-    def generate_site(self, out_dir: str, jobs: int = 1,
+    def generate_site(self, out_dir: str,
                       pages: list[Oid] | None = None) -> dict[Oid, str]:
         """Write every page's HTML under ``out_dir``.
 
         Returns the mapping from page oid to written file path, in
-        deterministic (sorted-by-oid) order regardless of parallelism.
-        The result is the paper's "browsable Web site".
-
-        ``jobs`` > 1 renders pages on a thread pool (render stacks are
-        per-thread, so embedding-cycle detection stays per page); pass
-        it only over a fully materialized graph — a
-        :class:`~repro.site.incremental.LazySiteGraph` materializes
-        pages on access and must not be mutated from several threads.
-        ``pages`` restricts the build to a subset (the build cache's
-        dirty set); by default every page renders.
+        deterministic (sorted-by-oid) order.  The result is the paper's
+        "browsable Web site".  ``pages`` restricts the build to a
+        subset (the build cache's dirty set); by default every page
+        renders.
         """
         os.makedirs(out_dir, exist_ok=True)
         targets = sorted(self.pages(), key=str) if pages is None \
             else sorted(pages, key=str)
-
-        def emit(page: Oid) -> tuple[Oid, str]:
-            path = os.path.join(out_dir, self.url_for(page))
-            with get_recorder().span("site.build.page",
-                                     page=str(page)) as page_span:
-                html = self.render(page)
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(html)
-                page_span.set(bytes=len(html))
-            return page, path
-
         self.record_lineage()
-        with get_recorder().span("site.generate_site", out_dir=out_dir,
-                                 jobs=jobs) as span:
-            if jobs > 1 and len(targets) > 1:
-                with ThreadPoolExecutor(
-                        max_workers=jobs,
-                        thread_name_prefix="site-build") as pool:
-                    written = dict(pool.map(emit, targets))
-            else:
-                written = dict(emit(page) for page in targets)
+        written: dict[Oid, str] = {}
+        recorder = get_recorder()
+        with recorder.span("site.generate_site", out_dir=out_dir) as span:
+            for page in targets:
+                path = os.path.join(out_dir, self.url_for(page))
+                with recorder.span("site.build.page",
+                                   page=str(page)) as page_span:
+                    html = self.render(page)
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(html)
+                    page_span.set(bytes=len(html))
+                written[page] = path
             span.set(pages=len(written))
         return written
 

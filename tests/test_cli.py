@@ -114,8 +114,7 @@ class TestCommands:
                 "--query", str(workspace / "site.struql"),
                 "--templates", str(workspace / "templates"),
                 "--out", str(out_dir),
-                "--cache-dir", str(workspace / "cache"),
-                "--jobs", "1"]
+                "--cache-dir", str(workspace / "cache")]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "cold" in first

@@ -1,4 +1,4 @@
-"""The parallel, content-hash-cached build pipeline (PR 7 tentpole).
+"""The content-hash-cached, incremental build pipeline.
 
 Correctness contract: a cached (incremental) build must be
 byte-for-byte identical to a cold build, a rebuild of an unchanged
@@ -8,6 +8,9 @@ must invalidate exactly the affected pages.
 ``TestRandomEditScripts`` turns that contract into a property: random
 edit scripts over the data graph, with the incremental output tree
 compared file-for-file against a cold build after every step.
+``TestKilledBuild`` extends it to failures: a build killed at any
+page render, or between the cache's two writes, must leave a cache the
+next build recovers from.
 """
 
 import os
@@ -16,12 +19,12 @@ import random
 import pytest
 
 from repro.graph import Atom, Oid
+from repro.site import buildcache
 from repro.site.buildcache import (
     BuildCache,
     cached_generate,
     hash_templates,
     page_fingerprint,
-    resolve_jobs,
 )
 from repro.site.builder import Website
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
@@ -170,31 +173,6 @@ class TestBuildCache:
         assert {str(p) for p in report.written} == {"RootPage()"}
 
 
-class TestParallelBuild:
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_parallel_output_identical_to_serial(self, tmp_path, jobs):
-        serial, parallel = str(tmp_path / "s"), str(tmp_path / "p")
-        _site().build_site(serial, jobs=1)
-        report = _site().build_site(parallel, jobs=jobs)
-        assert report.jobs == jobs
-        assert _read_tree(serial) == _read_tree(parallel)
-
-    def test_parallel_with_cache(self, tmp_path):
-        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
-        _site().build_site(out, jobs=4, cache_dir=cache)
-        report = _site().build_site(out, jobs=4, cache_dir=cache)
-        assert report.pages_rendered == 0
-        fresh = str(tmp_path / "fresh")
-        _site().build_site(fresh)
-        assert _read_tree(out) == _read_tree(fresh)
-
-    def test_resolve_jobs(self):
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) >= 1
-        assert resolve_jobs(-2) >= 1
-
-
 class TestRandomEditScripts:
     """Property-based differential check: for ANY additive edit
     script, the incremental rebuild's output directory is
@@ -249,19 +227,73 @@ class TestRandomEditScripts:
         # pages were served from cache rather than re-rendered.
         assert skipped_any > 0
 
-    def test_edit_script_with_parallel_jobs(self, tmp_path):
-        """The same property holds when the incremental rebuild fans
-        out across workers."""
-        rng = random.Random(0xF00D)
-        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+
+class _Killed(Exception):
+    """Stands in for the build process dying."""
+
+
+class TestKilledBuild:
+    """Kill the rebuild after a category edit at every top-level page
+    render, and between ``record``'s ``site.json`` and manifest writes.
+    The next incremental build — back on the original data, or retrying
+    the edit — must equal a cold build file-for-file, which includes
+    deleting the pages the killed build created."""
+
+    #: Top-level renders of the rebuild after the category edit.
+    RENDERS = 7
+
+    @staticmethod
+    def _edited():
         data = fig2_data()
-        _site(data).build_site(out, jobs=4, cache_dir=cache)
-        for step in range(4):
-            self._apply_random_edit(rng, data, step)
-            _site(data).build_site(out, jobs=4, cache_dir=cache)
-            fresh = str(tmp_path / f"fresh{step}")
-            _site(data).build_site(fresh)
-            assert _read_tree(out) == _read_tree(fresh)
+        data.add_edge(Oid("pub1"), "category", Atom.string("New Topic"))
+        return data
+
+    @staticmethod
+    def _kill_at_render(patch, index):
+        real = HtmlGenerator.render
+        started = []
+
+        def render(generator, oid):
+            if not generator._render_stack:
+                started.append(oid)
+                if len(started) > index:
+                    raise _Killed(f"at render {index}")
+            return real(generator, oid)
+
+        patch.setattr(HtmlGenerator, "render", render)
+
+    @staticmethod
+    def _kill_between_writes(patch):
+        real = buildcache.write_atomic
+        written = []
+
+        def write(path, text):
+            if path.endswith(buildcache.MANIFEST_NAME) and written:
+                raise _Killed("after site.json, before manifest.json")
+            if path.endswith(buildcache.SITE_GRAPH_NAME):
+                written.append(path)
+            real(path, text)
+
+        patch.setattr(buildcache, "write_atomic", write)
+
+    @pytest.mark.parametrize("then", ["revert", "retry"])
+    @pytest.mark.parametrize("kill", [*range(RENDERS), "record"])
+    def test_next_build_equals_cold(self, tmp_path, monkeypatch, kill,
+                                    then):
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        _site().build_site(out, cache_dir=cache)
+        with monkeypatch.context() as patch:
+            if kill == "record":
+                self._kill_between_writes(patch)
+            else:
+                self._kill_at_render(patch, kill)
+            with pytest.raises(_Killed):
+                _site(self._edited()).build_site(out, cache_dir=cache)
+        data = fig2_data() if then == "revert" else self._edited()
+        _site(data).build_site(out, cache_dir=cache)
+        cold = str(tmp_path / "cold")
+        _site(data).build_site(cold)
+        assert _read_tree(out) == _read_tree(cold)
 
 
 class TestCachedGenerateFacade:
@@ -300,7 +332,6 @@ class TestCachedGenerateFacade:
                                cache_dir=str(tmp_path / "cache"))
         metrics = rec.metrics
         assert metrics.counter("site.build.pages_rendered").value > 0
-        assert metrics.gauge("site.build.jobs").value == 1
         def walk(span):
             yield span
             for child in span.children:

@@ -1,22 +1,14 @@
-"""Incremental site updates: graph diff and selective regeneration."""
+"""Incremental site updates: graph diff and selective regeneration
+(through the build cache)."""
 
 import os
 
 import pytest
 
 from repro.graph import Atom, Graph, Oid
-from repro.site import diff_graphs, refresh_site
+from repro.site import Website, diff_graphs
 from repro.sites.homepage import FIG3_QUERY, fig7_templates
-from repro.struql import QueryEngine
 from repro.templates import HtmlGenerator
-
-
-@pytest.fixture
-def built(fig2_graph, tmp_path):
-    site = QueryEngine().evaluate(FIG3_QUERY, fig2_graph).output
-    generator = HtmlGenerator(site, fig7_templates())
-    generator.generate_site(str(tmp_path))
-    return fig2_graph, site, tmp_path
 
 
 class TestDiff:
@@ -74,54 +66,58 @@ class TestDirtyPages:
         assert year98 not in dirty          # pub2's year unaffected
 
 
+def _build(data, out, cache):
+    return Website(data, FIG3_QUERY, fig7_templates()).build_site(
+        str(out), cache_dir=str(cache))
+
+
+@pytest.fixture
+def built(fig2_graph, tmp_path):
+    """Fig 2's data built once through a build cache."""
+    out, cache = tmp_path / "www", tmp_path / "cache"
+    _build(fig2_graph, out, cache)
+    return fig2_graph, out, cache
+
+
 class TestRefreshSite:
     def test_no_change_rewrites_nothing(self, built):
-        data, old_site, out = built
-        result = refresh_site(FIG3_QUERY, data, old_site,
-                              fig7_templates(), str(out))
-        assert result.diff.empty
-        assert result.pages_rewritten == 0
-        assert result.removed_files == []
+        data, out, cache = built
+        report = _build(data, out, cache)
+        assert report.pages_rendered == 0
+        assert report.removed_files == []
 
     def test_new_publication_touches_proportional_pages(self, built):
-        data, old_site, out = built
+        data, out, cache = built
         before = len(os.listdir(out))
         pub3 = Oid("pub3")
         data.add_to_collection("Publications", pub3)
         data.add_edge(pub3, "title", Atom.string("Third"))
         data.add_edge(pub3, "year", Atom.int(1999))
         data.add_edge(pub3, "abstract", Atom.file("a/3.txt"))
-        result = refresh_site(FIG3_QUERY, data, old_site,
-                              fig7_templates(), str(out))
-        assert not result.diff.empty
+        report = _build(data, out, cache)
         # New year page + new abstract page + updated root/abstracts.
-        written_fns = {p.skolem_fn for p in result.regenerated}
+        written_fns = {p.skolem_fn for p in report.written}
         assert "YearPage" in written_fns
         assert "RootPage" in written_fns
         # The untouched 1997/1998 year pages were NOT rewritten...
         year97 = Oid.skolem("YearPage", (Atom.int(1997),))
-        assert year97 not in result.regenerated
+        assert year97 not in report.written
         # ...and the new files exist on disk.
         assert len(os.listdir(out)) == before + 2  # year1999 + abstract
 
-    def test_removed_publication_deletes_files(self, built, fig2_graph):
-        data, old_site, out = built
+    def test_removed_publication_deletes_files(self, built):
+        data, out, cache = built
         # Rebuild data without pub2 (remove by filtering into new graph).
         smaller = data.subgraph(lambda oid: oid.name != "pub2",
                                 name="BIBTEX")
-        result = refresh_site(FIG3_QUERY, smaller, old_site,
-                              fig7_templates(), str(out))
-        assert result.removed_files  # 1998 year page, pub2 pages...
-        for path in result.removed_files:
+        report = _build(smaller, out, cache)
+        assert report.removed_files  # 1998 year page, pub2 pages...
+        for path in report.removed_files:
             assert not os.path.exists(path)
 
     def test_rewritten_content_is_correct(self, built):
-        data, old_site, out = built
-        pub1 = Oid("pub1")
-        data.add_edge(pub1, "category", Atom.string("New Topic"))
-        result = refresh_site(FIG3_QUERY, data, old_site,
-                              fig7_templates(), str(out))
-        root_path = os.path.join(
-            str(out), "RootPage__.html")
-        html = open(root_path).read()
+        data, out, cache = built
+        data.add_edge(Oid("pub1"), "category", Atom.string("New Topic"))
+        _build(data, out, cache)
+        html = (out / "RootPage__.html").read_text(encoding="utf-8")
         assert "New Topic" in html

@@ -350,3 +350,58 @@ class TestGeneratorEdgeCases:
         from repro.sites.homepage import fig7_templates
         generator = HtmlGenerator(fig4_site, fig7_templates())
         assert generator.pages() == generator.pages()
+
+
+class TestConcurrentRenders:
+    """The click-time server renders over one shared generator from
+    several request threads at once; each render must see only its own
+    embedding chain, or a shared component reads as a false cycle."""
+
+    THREADS = 8
+    ROUNDS = 15
+
+    def test_threads_never_see_another_render_stack(self):
+        import sys
+        import threading
+
+        from repro.datagen import generate_bibtex
+        from repro.sites.homepage import FIG3_QUERY, fig7_templates
+        from repro.struql import QueryEngine
+        from repro.wrappers import BibTexWrapper
+
+        data = BibTexWrapper().wrap(generate_bibtex(20, seed=6), "BIBTEX")
+        site = QueryEngine().evaluate(FIG3_QUERY, data).output
+        generator = HtmlGenerator(site, fig7_templates())
+        # AbstractsPage embeds every AbstractPage, which is also a page.
+        pages = [Oid.skolem("AbstractsPage", ())] + sorted(
+            (p for p in generator.pages() if p.skolem_fn == "AbstractPage"),
+            key=str)
+        expected = {page: generator.render(page) for page in pages}
+        barrier = threading.Barrier(self.THREADS)
+        errors: list[BaseException] = []
+        mismatches: list[Oid] = []
+
+        def worker(offset: int) -> None:
+            try:
+                barrier.wait(timeout=60)
+                for i in range(self.ROUNDS * len(pages)):
+                    page = pages[(offset + i) % len(pages)]
+                    if generator.render(page) != expected[page]:
+                        mismatches.append(page)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave renders aggressively
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors  # a shared stack raises TemplateEvalError
+        assert not mismatches
