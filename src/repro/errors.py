@@ -133,6 +133,11 @@ class StruQLSemanticError(StruQLError):
     """
 
 
+class UnboundTermError(StruQLSemanticError):
+    """A construction term names a variable its binding row leaves
+    unbound."""
+
+
 class UnknownPredicateError(StruQLError):
     """A query used an external predicate that is not registered."""
 

@@ -79,9 +79,13 @@ class Atom:
     comparisons.  Values that cannot be coerced to a common type are
     simply unequal (and ordering between them raises
     :class:`~repro.errors.CoercionError`).
+
+    The hash is computed on first use and kept in the ``_hash`` slot:
+    most atoms built for comparisons are never hashed, while an atom in
+    a Skolem argument or an index key is hashed many times.
     """
 
-    __slots__ = ("type", "value")
+    __slots__ = ("type", "value", "_hash")
 
     def __init__(self, type: AtomType, value: Any) -> None:
         object.__setattr__(self, "type", type)
@@ -169,17 +173,13 @@ class Atom:
         return left < right
 
     def __hash__(self) -> int:
-        # Atoms that compare equal under coercion must hash equal: hash the
-        # canonical coerced form (numbers by numeric value, the rest by the
-        # string payload).
-        if self.type.is_numeric:
-            return hash(float(self.value))
-        text = str(self.value)
-        # A string that looks numeric can equal a numeric atom.
         try:
-            return hash(float(text))
-        except ValueError:
-            return hash(text)
+            return self._hash
+        except AttributeError:
+            pass
+        value = _hash_atom(self)
+        object.__setattr__(self, "_hash", value)
+        return value
 
     # -- presentation --------------------------------------------------------
 
@@ -192,6 +192,23 @@ class Atom:
     def to_python(self) -> Any:
         """Return the underlying Python payload."""
         return self.value
+
+
+def _hash_atom(atom: Atom) -> int:
+    """Hash an atom so that atoms equal under coercion hash equal.
+
+    Numbers hash by numeric value (Python hashes equal ints and floats
+    alike); string-like payloads hash by the number they coerce to when
+    they look numeric, else by their text.  A NaN-looking string hashes
+    by its text: it equals only string-like atoms with the same text.
+    """
+    if atom.type.is_numeric:
+        return hash(atom.value)
+    text = str(atom.value)
+    number = _text_number(text)
+    if number is None or number != number:
+        return hash(text)
+    return hash(number)
 
 
 def _validate(type: AtomType, value: Any) -> Any:
@@ -226,16 +243,21 @@ def _coerce_numeric(atom: Atom) -> float | int | None:
     if atom.type is AtomType.BOOL:
         return int(atom.value)
     if atom.type is AtomType.STRING:
-        text = atom.value.strip()
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return None
+        return _text_number(atom.value)
     return None
+
+
+def _text_number(text: str) -> float | int | None:
+    """The number a numeric-looking string coerces to, else ``None``."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def _try_coerce_pair(a: Atom, b: Atom) -> tuple[Any, Any] | None:

@@ -524,8 +524,11 @@ class LineageIndex:
                     self._pages.setdefault(record.url, record)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
+        """Write the index to ``path`` atomically: a save that dies
+        midway leaves the previous file intact."""
+        # Imported here: repro.repository imports repro.obs.
+        from repro.repository.storage import write_atomic
+        write_atomic(path, json.dumps(self.to_dict(), indent=1))
 
     def load(self, path: str) -> bool:
         """Merge a previously saved index; False when absent/corrupt."""

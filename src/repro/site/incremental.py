@@ -28,7 +28,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.errors import PageNotFoundError
+from repro.errors import PageNotFoundError, UnboundTermError
 from repro.graph.model import Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.lineage import get_lineage
@@ -39,6 +39,7 @@ from repro.repository.stats import GraphStatistics
 from repro.struql.analysis import ANY_FOOTPRINT, Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label
+from repro.struql.construction import TermFn, compile_term
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
 from repro.struql.matview import ChangeSummary
 from repro.struql.parser import parse_query
@@ -102,6 +103,14 @@ class DynamicSite:
         #: a page of that function may read when computed.
         self.fn_footprints = self._compute_fn_footprints()
         self.skolem = SkolemRegistry()
+        #: Each unit's links, parallel to :attr:`units`, with their
+        #: label and target terms compiled once into the closures the
+        #: construction stage uses.
+        self._unit_links = [
+            [(link, compile_term(link.label, self.skolem),
+              compile_term(link.target, self.skolem))
+             for link in unit.links]
+            for unit in self.units]
         #: The site query's fingerprint, also used as the lineage query
         #: context for click-time Skolem mints.
         self.fingerprint = fingerprint(query)
@@ -258,8 +267,7 @@ class DynamicSite:
         assert fn is not None
         view = PageView(oid)
         seen_edges: set[tuple[str, GraphObject]] = set()
-        for unit in self.units:
-            initial = None
+        for unit, unit_links in zip(self.units, self._unit_links):
             relevant = False
             for link in unit.links:
                 if link.source.fn == fn and \
@@ -275,15 +283,15 @@ class DynamicSite:
             with lineage.query_context(fingerprint=self.fingerprint,
                                        block=unit.label,
                                        input=self.data.name):
-                for link in unit.links:
+                for link, label_of, target_of in unit_links:
                     if link.source.fn != fn or \
                             len(link.source.args) != len(oid.skolem_args):
                         continue
                     for row in self._unit_rows(unit, link.source, oid):
-                        label_value = self._resolve(link.label, row)
+                        label_value = _resolve(label_of, row)
                         label = as_label(label_value) \
                             if label_value is not None else None
-                        target = self._resolve(link.target, row)
+                        target = _resolve(target_of, row)
                         if label is None or target is None:
                             continue
                         if isinstance(target, str):
@@ -364,20 +372,14 @@ class DynamicSite:
         get_recorder().metrics.counter("site.unit_evaluations").inc()
         return rows
 
-    def _resolve(self, term, row: Binding) -> RuntimeValue | None:
-        if isinstance(term, Const):
-            return term.value
-        if isinstance(term, Var):
-            return row.get(term.name)
-        if isinstance(term, SkolemTerm):
-            args = []
-            for arg in term.args:
-                value = self._resolve(arg, row)
-                if value is None:
-                    return None
-                args.append(value)
-            return self.skolem.apply(term.fn, args)
-        raise TypeError(f"not a term: {term!r}")
+
+def _resolve(term_of: TermFn, row: Binding) -> RuntimeValue | None:
+    """A compiled term's value under ``row``; ``None`` when it needs a
+    variable the row leaves unbound (the row contributes no edge)."""
+    try:
+        return term_of(row)
+    except UnboundTermError:
+        return None
 
 
 class LazySiteGraph(Graph):

@@ -32,8 +32,6 @@ def as_label(value: RuntimeValue) -> str | None:
     """View a runtime value as an edge label, if it can be one."""
     if isinstance(value, str):
         return value
-    if isinstance(value, Atom) and not value.type.is_numeric:
-        return str(value.value)
     if isinstance(value, Atom):
         return str(value.value)
     return None

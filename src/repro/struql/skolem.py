@@ -10,16 +10,19 @@ convention, so two applications with coercion-equal arguments unify even
 across separately evaluated blocks or separately run queries that share
 a registry (the multi-query site-building pattern of section 5.1).
 
-The registry additionally remembers which oids each function produced,
-which the site layer uses to map site-schema nodes to concrete pages.
+The registry mints each oid once: it keys every oid by its function and
+*canonical* arguments, and a repeat application returns the oid object
+already minted instead of rendering a new one.  The same table tells
+which oids each function produced, which the site layer uses to map
+site-schema nodes to concrete pages.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.graph.model import GraphObject, Oid
-from repro.graph.values import Atom
+from repro.graph.model import Oid
+from repro.graph.values import Atom, AtomType, _coerce_numeric
 from repro.obs.lineage import get_lineage
 
 
@@ -34,14 +37,13 @@ def _canonical(value: object) -> object:
     """
     if isinstance(value, str):
         value = Atom.string(value)
-    if isinstance(value, Atom):
-        from repro.graph.values import _coerce_numeric
+    if isinstance(value, Atom) and value.type is not AtomType.INT:
         number = _coerce_numeric(value)
-        if number is not None:
-            if isinstance(number, float) and number.is_integer():
-                return Atom.int(int(number))
-            if isinstance(number, int):
-                return Atom.int(number)
+        if number is None:
+            return value
+        if isinstance(number, int) or number.is_integer():
+            return Atom.int(int(number))
+        if value.type is not AtomType.FLOAT:
             return Atom.float(number)
     return value
 
@@ -50,19 +52,26 @@ class SkolemRegistry:
     """Mints and remembers Skolem-created oids."""
 
     def __init__(self) -> None:
-        self._created: dict[str, dict[Oid, None]] = {}
+        #: fn -> canonical args -> oid, in first-mint order.
+        self._created: dict[str, dict[tuple, Oid]] = {}
 
     def apply(self, fn: str, args: Iterable[object]) -> Oid:
-        """The oid of ``fn`` applied to ``args`` (created on first use)."""
+        """The oid of ``fn`` applied to ``args`` (minted on first use).
+
+        Keyed on the canonical arguments, not the raw ones: a URL
+        ``" 3 "`` equals a string ``" 3 "`` as an atom, yet only the
+        string canonicalizes to ``3``, so the two mint different oids.
+        """
         canonical = tuple(_canonical(a) for a in args)
-        oid = Oid.skolem(fn, canonical)
         bucket = self._created.setdefault(fn, {})
-        if oid not in bucket:
-            bucket[oid] = None
+        oid = bucket.get(canonical)
+        if oid is None:
+            minted = Oid.skolem(fn, canonical)
+            oid = bucket.setdefault(canonical, minted)
             # Provenance only on first mint: repeat applications (one
             # per binding row referencing the node) change nothing.
             lineage = get_lineage()
-            if lineage.enabled:
+            if oid is minted and lineage.enabled:
                 lineage.record_node(oid, fn, canonical)
         return oid
 
@@ -72,13 +81,13 @@ class SkolemRegistry:
 
     def created_by(self, fn: str) -> list[Oid]:
         """All oids minted by function ``fn``, in creation order."""
-        return list(self._created.get(fn, ()))
+        return list(self._created.get(fn, {}).values())
 
     def all_created(self) -> set[Oid]:
         """Every oid this registry has minted."""
         out: set[Oid] = set()
         for oids in self._created.values():
-            out.update(oids)
+            out.update(oids.values())
         return out
 
     def __len__(self) -> int:

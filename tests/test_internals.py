@@ -29,6 +29,7 @@ from repro.struql import (
 )
 from repro.struql.construction import GraphBuilder
 from repro.struql.ast import (
+    Block,
     CollectSpec,
     Const,
     LinkSpec,
@@ -80,6 +81,39 @@ class TestSkolemRegistry:
     def test_unknown_function_empty(self):
         assert SkolemRegistry().created_by("nope") == []
 
+    def test_coercion_equal_args_share_one_oid(self):
+        registry = SkolemRegistry()
+        oid = registry.apply("F", [Atom.int(3)])
+        assert registry.apply("F", [Atom.string("3")]) is oid
+        assert registry.apply("F", [Atom.float(3.0)]) is oid
+        assert len(registry) == 1
+
+    def test_memo_keys_on_canonical_args(self):
+        # Equal as atoms, yet only the string canonicalizes to 3.
+        assert Atom.url(" 3 ") == Atom.string(" 3 ")
+        registry = SkolemRegistry()
+        url = registry.apply("F", [Atom.url(" 3 ")])
+        string = registry.apply("F", [Atom.string(" 3 ")])
+        assert url != string
+        assert string is registry.apply("F", [Atom.int(3)])
+        assert len(registry) == 2
+
+    def test_repeat_applications_mint_and_record_once(self, monkeypatch):
+        from repro.obs.lineage import LineageIndex, lineage_recording
+        index = LineageIndex()
+        recorded = []
+        record_node = index.record_node
+        monkeypatch.setattr(index, "record_node", lambda oid, fn, args: (
+            recorded.append(oid), record_node(oid, fn, args)))
+        registry = SkolemRegistry()
+        with lineage_recording(index):
+            for _ in range(3):
+                a = registry.apply("F", [Atom.int(1)])
+                b = registry.apply("F", ["x"])
+                root = registry.apply("Root", ())
+        assert len(registry) == 3
+        assert recorded == [a, b, root]
+
 
 class TestPredicateRegistry:
     def test_copy_is_independent(self):
@@ -113,26 +147,40 @@ class TestGraphBuilder:
         output = Graph("out")
         return GraphBuilder(output, data, SkolemRegistry()), data, output
 
+    F_X = SkolemTerm("F", (Var("x"),))
+
     def test_resolve_const_var_skolem(self):
-        builder, _, _ = self.make()
+        builder, _, output = self.make()
         row = {"x": Oid("d"), "l": "label"}
-        assert builder.resolve(Const(Atom.int(3)), row) == Atom.int(3)
-        assert builder.resolve(Var("x"), row) == Oid("d")
-        term = SkolemTerm("F", (Var("x"),))
-        assert builder.resolve(term, row) == Oid.skolem("F", (Oid("d"),))
+        block = Block(creates=[self.F_X], links=[
+            LinkSpec(self.F_X, Const(Atom.string("c")), Const(Atom.int(3))),
+            LinkSpec(self.F_X, Const(Atom.string("v")), Var("x")),
+            LinkSpec(self.F_X, Const(Atom.string("s")),
+                     SkolemTerm("G", (Var("x"), Const(Atom.int(1))))),
+        ])
+        builder.apply_block_row(block, row)
+        f = Oid.skolem("F", (Oid("d"),))
+        g = Oid.skolem("G", (Oid("d"), Atom.int(1)))
+        assert output.has_node(f)
+        assert output.get(f, "c") == [Atom.int(3)]
+        assert output.get(f, "v") == [Oid("d")]
+        assert output.get(f, "s") == [g]
 
     def test_unbound_variable_raises(self):
         from repro.errors import StruQLSemanticError
         builder, _, _ = self.make()
-        with pytest.raises(StruQLSemanticError):
-            builder.resolve(Var("missing"), {})
+        block = Block(creates=[SkolemTerm("F", ())], links=[
+            LinkSpec(SkolemTerm("F", ()), Const(Atom.string("a")),
+                     Var("missing"))])
+        with pytest.raises(StruQLSemanticError, match="missing"):
+            builder.apply_block_row(block, {})
 
     def test_link_label_from_arc_variable(self):
         builder, _, output = self.make()
         row = {"x": Oid("d"), "l": "attr"}
-        builder.apply_creates([SkolemTerm("F", (Var("x"),))], row)
-        builder.apply_links([LinkSpec(SkolemTerm("F", (Var("x"),)),
-                                      Var("l"), Var("x"))], row)
+        block = Block(creates=[self.F_X],
+                      links=[LinkSpec(self.F_X, Var("l"), Var("x"))])
+        builder.apply_block_row(block, row)
         f = Oid.skolem("F", (Oid("d"),))
         assert output.has_edge(f, "attr", Oid("d"))
 
@@ -140,16 +188,30 @@ class TestGraphBuilder:
         from repro.errors import StruQLSemanticError
         builder, _, _ = self.make()
         row = {"x": Oid("d"), "l": Oid("d")}  # an oid can't be a label
-        builder.apply_creates([SkolemTerm("F", (Var("x"),))], row)
-        with pytest.raises(StruQLSemanticError):
-            builder.apply_links([LinkSpec(SkolemTerm("F", (Var("x"),)),
-                                          Var("l"), Var("x"))], row)
+        block = Block(creates=[self.F_X],
+                      links=[LinkSpec(self.F_X, Var("l"), Var("x"))])
+        with pytest.raises(StruQLSemanticError, match="label"):
+            builder.apply_block_row(block, row)
 
     def test_collect_string_becomes_atom(self):
         builder, _, output = self.make()
-        builder.apply_collects([CollectSpec("Labels", Var("l"))],
-                               {"l": "year"})
+        block = Block(collects=[CollectSpec("Labels", Var("l"))])
+        builder.apply_block_row(block, {"l": "year"})
         assert output.collection("Labels") == [Atom.string("year")]
+
+    def test_link_out_of_input_node_raises(self):
+        from repro.errors import StruQLSemanticError
+        # A composed query's input graph can hold an earlier query's
+        # Skolem nodes; they are as immutable as any other input node.
+        data = Graph("in")
+        data.add_node(Oid.skolem("F", (Oid("d"),)))
+        output = Graph("out")
+        builder = GraphBuilder(output, data, SkolemRegistry())
+        block = Block(links=[LinkSpec(self.F_X, Const(Atom.string("a")),
+                                      Var("x"))])
+        with pytest.raises(StruQLSemanticError, match="immutable"):
+            builder.apply_block_row(block, {"x": Oid("d")})
+        assert output.edge_count == 0
 
 
 class TestPlanInternals:

@@ -196,6 +196,38 @@ class TestIndexPersistence:
         assert doc["derivation"]["fn"] == "Page"
         assert [s["source"] for s in doc["sources"]] == ["feed"]
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        from repro.repository import storage
+        index = LineageIndex()
+        index.record_page("a.html", Oid("a"), "Tmpl")
+        path = tmp_path / "lineage.json"
+        index.save(str(path))
+        saved = path.read_text()
+
+        # Serialization dies partway through the document (a streamed
+        # dump would already have truncated the file) ...
+        good = index.to_dict()
+        monkeypatch.setattr(index, "to_dict",
+                            lambda: {**good, "pages": [object()]})
+        with pytest.raises(TypeError):
+            index.save(str(path))
+        assert path.read_text() == saved
+        monkeypatch.undo()
+
+        # ... or the new file is written but never put in place.
+        index.record_page("b.html", Oid("b"), "Tmpl")
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(storage.os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            index.save(str(path))
+        assert path.read_text() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["lineage.json"]
+        fresh = LineageIndex()
+        assert fresh.load(str(path))
+        assert fresh.to_dict()["pages"] == good["pages"]
+
     def test_load_missing_or_corrupt_is_harmless(self, tmp_path):
         index = LineageIndex()
         assert not index.load(str(tmp_path / "absent.json"))

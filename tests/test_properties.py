@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ddl import parse_ddl, write_ddl
@@ -118,6 +119,55 @@ class TestAtomProperties:
             return
         assert (result == 0) == (a == b)
         assert result == -compare(b, a)
+
+
+#: Texts that sit on the numeric/string boundary of atom coercion.
+_edge_texts = st.sampled_from(
+    ["3", " 3 ", "3.0", "-0", "1e3", "1_000", "nan", " NaN ", "inf",
+     "-inf", "0x10", "True", ""])
+
+_numeric_texts = st.one_of(
+    st.integers().map(str),
+    st.floats().map(str),
+    st.integers(-50, 50).map(lambda n: f" {n} "),
+    _edge_texts,
+)
+
+#: Every kind of atom whose hash depends on coercion: numbers, numeric
+#: and plain strings, and URLs (string-like, never numeric).
+_hashed_atoms = st.one_of(
+    st.integers().map(Atom.int),
+    st.floats().map(Atom.float),
+    st.booleans().map(Atom.bool),
+    _numeric_texts.map(Atom.string),
+    st.text(max_size=4).map(Atom.string),
+    st.one_of(_numeric_texts, st.text(max_size=4)).map(Atom.url),
+)
+
+
+class TestAtomHashCache:
+    @given(_hashed_atoms, _hashed_atoms, st.sampled_from(
+        ["none", "a", "b", "both"]))
+    def test_equal_implies_hash_equal_around_caching(self, a, b, hashed):
+        # Fresh copies, so no hash is cached before the chosen ones.
+        a, b = Atom(a.type, a.value), Atom(b.type, b.value)
+        equal = a == b
+        if hashed in ("a", "both"):
+            hash(a)
+        if hashed in ("b", "both"):
+            hash(b)
+        assert (a == b) == equal
+        if equal:
+            assert hash(a) == hash(b)
+        assert hash(a) == hash(Atom(a.type, a.value))
+        assert hash(b) == hash(Atom(b.type, b.value))
+
+    @given(_hashed_atoms)
+    def test_stays_immutable_after_hashing(self, atom):
+        hash(atom)
+        for name in ("type", "value", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(atom, name, None)
 
 
 # --------------------------------------------------------------------------

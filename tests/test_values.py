@@ -128,6 +128,16 @@ class TestCoercion:
         assert hash(Atom.int(3)) == hash(Atom.float(3.0))
         assert hash(Atom.string("x.ps")) == hash(Atom.file("x.ps"))
 
+    def test_nan_text_hashes_stably(self):
+        # float("nan") hashes by its address, so a NaN-looking string
+        # must hash by its text.  The held floats take the address the
+        # first hash's NaN was freed from.
+        members = {Atom.string(" NaN ")}
+        held = [float(text) for text in ("1", "2")]
+        assert Atom.string(" NaN ") in members
+        assert Atom.url(" NaN ") in members
+        assert held
+
     def test_usable_in_sets(self):
         values = {Atom.int(3), Atom.string("3"), Atom.float(3.0)}
         assert len(values) == 1
