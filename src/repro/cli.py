@@ -595,7 +595,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         site_server = DynamicSiteServer(
             query, data, templates,
             engine=QueryEngine(optimizer=build_args.optimizer))
-        site_server.log.slow_warn_seconds = args.slow_ms / 1000.0
         plane.mount(site_server)
         roots = site_server.warm()
         plane.set_ready()
@@ -976,10 +975,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-dir", default="serve-snapshot",
                        help="where the final metrics/events snapshot "
                             "is flushed on shutdown")
-    serve.add_argument("--slow-ms", type=float, default=0.0,
-                       help="server.slow_request warn threshold in "
-                            "milliseconds (default 0: warn on every "
-                            "slowest-heap entry)")
     serve.add_argument("--max-age", type=float, default=None,
                        help="freshness threshold in seconds for "
                             "lineage.pages_stale_total on /metrics")

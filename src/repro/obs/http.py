@@ -50,7 +50,6 @@ disk.  ``repro serve <command> --port N`` is the CLI front end.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import signal
@@ -70,6 +69,7 @@ from repro.obs.trace import (
     TailSampler,
     TraceRecorder,
     aggregate_profile,
+    next_request_id,
 )
 
 #: Content types served by the plane.
@@ -184,7 +184,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             # Mounting the plane turns tail sampling on.
             self.tail = recorder.tail = TailSampler()
         self._ready = threading.Event()
-        self._request_ids = itertools.count(1)
         self._serve_thread: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -244,10 +243,11 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         """Flush the final telemetry state to ``directory``.
 
         Writes ``metrics.prom`` (Prometheus exposition),
-        ``events.jsonl`` (the event ring) and ``snapshot.json`` (server
-        log, hotspot profile, tail-sampled trace summaries, SLO and
-        alert state, uptime); returns ``{name: path}`` for what was
-        written.
+        ``events.jsonl`` (the event ring) and ``snapshot.json`` (hotspot
+        profile, tail-sampled trace summaries, SLO and alert state,
+        uptime); returns ``{name: path}`` for what was written.  Request
+        counts live in ``metrics.prom``; the slowest requests are the
+        ``traces`` section's ``slowest`` roots.
         """
         os.makedirs(directory, exist_ok=True)
         paths = {
@@ -272,8 +272,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "traces": self._traces_payload(DEBUG_TRACE_DEPTH),
             "queries": get_query_registry().snapshot(
                 limit=DEBUG_QUERY_LIMIT),
-            "server": (site.log.snapshot() if site is not None
-                       else None),
             # Click-time cache counters, split page/bindings so the
             # hit/miss totals reconcile with pages_computed.
             "site_cache": (cache_snapshot()
@@ -310,7 +308,7 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
 
     def dispatch(self, handler: _Handler) -> None:
         """Answer one request (called on the handler's thread)."""
-        request_id = f"req-{next(self._request_ids)}"
+        request_id = next_request_id()
         recorder = self.recorder
         method = handler.command
         split = urlsplit(handler.path)

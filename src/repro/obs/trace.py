@@ -366,6 +366,18 @@ class TraceRecorder:
             self.tail.clear()
 
 
+# -- process-wide request ids --------------------------------------------------
+
+# One counter for every front end (HTTP plane, canary, direct calls), so
+# no two requests of one process share an id.
+_request_ids = itertools.count(1)
+
+
+def next_request_id() -> str:
+    """A fresh process-unique request id (``req-1``, ``req-2``, ...)."""
+    return f"req-{next(_request_ids)}"
+
+
 # -- the process-global recorder ---------------------------------------------
 
 _recorder: NullRecorder | TraceRecorder = NULL_RECORDER

@@ -13,7 +13,7 @@ from repro.site.diff import SiteDiff, diff_graphs
 from repro.site.forms import FormHandler, FormResponse, register_string_predicates
 from repro.site.incremental import DynamicSite, LazySiteGraph, PageView
 from repro.site.schema import NS, SchemaEdge, SiteSchema, build_site_schema
-from repro.site.server import DynamicSiteServer, Response, ServerLog
+from repro.site.server import DynamicSiteServer, Response
 from repro.site.verify import (
     Connected,
     PathReachability,
@@ -48,7 +48,6 @@ __all__ = [
     "RequiredLink",
     "Response",
     "SchemaEdge",
-    "ServerLog",
     "SiteDiff",
     "SiteMetrics",
     "SiteSchema",

@@ -7,51 +7,34 @@ effort"; this module provides the in-process equivalent: a
 requested page's query at click time (through
 :class:`~repro.site.incremental.DynamicSite` /
 :class:`~repro.site.incremental.LazySiteGraph`) and rendering it with
-the ordinary HTML generator.  Request latencies are recorded through
-the shared observability layer (:mod:`repro.obs`), so the
-materialized-vs-dynamic trade-off of benchmark A3 can be measured and
-long crawls no longer grow an unbounded latency list.
+the ordinary HTML generator.  Each request is recorded once, through
+the shared observability layer (:mod:`repro.obs`): one
+``server.request`` span, one ``server.request_seconds`` observation
+and one ``server.requests`` count, so the materialized-vs-dynamic
+trade-off of benchmark A3 can be measured in bounded memory.  With
+observability off, :attr:`Response.seconds` still carries each
+request's latency.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import random
-import threading
 from dataclasses import dataclass
 
 from repro.errors import PageNotFoundError, StrudelError
 from repro.graph.model import Graph, Oid
 from repro.obs.lineage import get_lineage
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
-from repro.obs.trace import TimedResult, emit_event, get_recorder, timed
+from repro.obs.trace import (
+    TimedResult,
+    emit_event,
+    get_recorder,
+    next_request_id,
+    timed,
+)
 from repro.site.incremental import DynamicSite, LazySiteGraph
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine
 from repro.struql.matview import ChangeSummary, MatViewRegistry
 from repro.templates.generator import HtmlGenerator, TemplateSet
-
-#: Histogram bucket bounds (seconds) for request latencies — the shared
-#: per-request defaults (100 µs .. 10 s, roughly geometric).
-SERVER_LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
-
-#: Reservoir size for the raw-latency sample: large enough for stable
-#: percentile sanity checks, small enough to stay O(1) per crawl.
-SERVER_RESERVOIR_SIZE = 512
-
-#: Fixed seed for the reservoir's RNG so crawls sample reproducibly.
-SERVER_RESERVOIR_SEED = 0x5EED
-
-#: How many slowest requests the log keeps for the dashboard.
-SERVER_SLOWEST_KEPT = 16
-
-#: Default ``server.slow_request`` warn threshold, in seconds.  At 0
-#: every request that enters the slowest-requests heap emits the WARN
-#: event, so the event log and the heap tell the same story; raise it
-#: (``ServerLog.slow_warn_seconds``, or ``repro serve --slow-ms``) to
-#: warn only on genuinely slow requests.
-SERVER_SLOW_WARN_SECONDS = 0.0
 
 
 def classify_error(exc: BaseException) -> tuple[int, str]:
@@ -76,143 +59,6 @@ class Response(TimedResult):
     status: int
     body: str
     request_id: str = ""
-
-
-class ServerLog:
-    """Aggregated request statistics.
-
-    Latencies feed a fixed-bucket :class:`~repro.obs.metrics.Histogram`
-    (bounded memory, percentile summaries) plus a small reservoir
-    sample.  The old unbounded ``latencies`` list is deprecated: the
-    property now exposes the reservoir as a read-only tuple, capped at
-    :data:`SERVER_RESERVOIR_SIZE` entries however long the crawl.  The
-    log also keeps the :data:`SERVER_SLOWEST_KEPT` slowest requests
-    (id, page, status, seconds) for the monitoring dashboard, and
-    :meth:`snapshot` returns the whole picture as a plain dict.
-    """
-
-    #: Back-compat alias of :data:`SERVER_RESERVOIR_SIZE`.
-    MAX_SAMPLES = SERVER_RESERVOIR_SIZE
-
-    def __init__(self,
-                 slow_warn_seconds: float = SERVER_SLOW_WARN_SECONDS
-                 ) -> None:
-        self.requests = 0
-        self.errors = 0
-        self.total_seconds = 0.0
-        self.slow_warn_seconds = slow_warn_seconds
-        self.histogram = Histogram("server.request_seconds",
-                                   SERVER_LATENCY_BUCKETS)
-        self._samples: list[float] = []
-        self._rng = random.Random(SERVER_RESERVOIR_SEED)
-        self._request_ids = itertools.count(1)
-        # Min-heap of (seconds, tiebreak, entry) keeping the slowest.
-        self._slowest: list[tuple[float, int, dict]] = []
-        self._slowest_seq = itertools.count()
-        # Guards requests/errors/total_seconds/samples/slowest so the
-        # threaded HTTP front end never loses an update; the histogram
-        # and the metrics registry carry their own locks.
-        self._lock = threading.Lock()
-
-    def next_request_id(self) -> str:
-        """A fresh stable request id (``req-1``, ``req-2``, ...)."""
-        return f"req-{next(self._request_ids)}"
-
-    def count_request(self) -> None:
-        """Account one request arrival (atomic under concurrency)."""
-        with self._lock:
-            self.requests += 1
-
-    def count_error(self) -> None:
-        """Account one failed request (atomic under concurrency)."""
-        with self._lock:
-            self.errors += 1
-
-    def record(self, seconds: float, request_id: str = "",
-               page: str = "", status: int | None = None) -> None:
-        """Account one served request's latency.
-
-        ``request_id``/``page``/``status`` are optional context; when
-        given, the request competes for the slowest-requests table, and
-        landing there at or above :attr:`slow_warn_seconds` emits a
-        ``server.slow_request`` WARN event — the event log and the heap
-        tell the same story.
-        """
-        self.histogram.observe(seconds)
-        get_recorder().metrics.histogram(
-            "server.request_seconds").observe(seconds)
-        entered_slowest = False
-        with self._lock:
-            self.total_seconds += seconds
-            if len(self._samples) < self.MAX_SAMPLES:
-                self._samples.append(seconds)
-            else:
-                slot = self._rng.randrange(self.histogram.count)
-                if slot < self.MAX_SAMPLES:
-                    self._samples[slot] = seconds
-            if request_id or page:
-                entry = {"id": request_id, "page": page,
-                         "status": status, "seconds": seconds}
-                item = (seconds, next(self._slowest_seq), entry)
-                if len(self._slowest) < SERVER_SLOWEST_KEPT:
-                    heapq.heappush(self._slowest, item)
-                    entered_slowest = True
-                elif seconds > self._slowest[0][0]:
-                    heapq.heapreplace(self._slowest, item)
-                    entered_slowest = True
-        if entered_slowest and seconds >= self.slow_warn_seconds:
-            get_recorder().metrics.counter("server.slow_requests").inc()
-            emit_event("warning", "server.slow_request",
-                       f"{request_id or page} took "
-                       f"{seconds * 1000:.1f} ms",
-                       request=request_id, page=page, status=status,
-                       ms=round(seconds * 1000, 3))
-
-    @property
-    def slowest(self) -> list[dict]:
-        """The slowest recorded requests, slowest first."""
-        with self._lock:
-            items = list(self._slowest)
-        return [entry for _, _, entry in sorted(items, reverse=True)]
-
-    def snapshot(self) -> dict:
-        """The full request-log state as a plain dict (dashboard food)."""
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "total_seconds": self.total_seconds,
-            "mean_latency": self.mean_latency,
-            "p50_latency": self.p50_latency,
-            "p95_latency": self.p95_latency,
-            "histogram": self.histogram.summary(),
-            "samples": list(self.latencies),
-            "slowest": self.slowest,
-        }
-
-    @property
-    def latencies(self) -> tuple[float, ...]:
-        """A bounded reservoir sample of per-request seconds.
-
-        Deprecated as a mutable list; kept as a read-only view for
-        existing consumers.
-        """
-        with self._lock:
-            return tuple(self._samples)
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean per-request seconds (0 when nothing served)."""
-        return self.total_seconds / self.requests if self.requests else 0.0
-
-    @property
-    def p50_latency(self) -> float:
-        """Median request seconds, from the histogram."""
-        return self.histogram.percentile(0.50)
-
-    @property
-    def p95_latency(self) -> float:
-        """95th-percentile request seconds, from the histogram."""
-        return self.histogram.percentile(0.95)
 
 
 #: Default bound on concurrent page computations per server (the
@@ -249,7 +95,6 @@ class DynamicSiteServer:
         self.site = DynamicSite(query, data, engine=engine, cache=cache)
         self.graph = LazySiteGraph(self.site)
         self.generator = HtmlGenerator(self.graph, templates, loader=loader)
-        self.log = ServerLog()
         self.matviews = MatViewRegistry(max_views=self.site.max_pages,
                                         max_inflight=max_inflight)
         self._body_cache_enabled = cache
@@ -340,10 +185,10 @@ class DynamicSiteServer:
                 request_id: str | None = None) -> Response:
         """Serve one page by oid or URL path.
 
-        Every request gets a stable id (``req-N``) stamped onto its
-        span, its :class:`Response`, and the events it emits, so one
+        Every request gets a process-unique id (``req-N``) stamped onto
+        its span, its :class:`Response`, and the events it emits, so one
         request's records correlate across the span tree, the event
-        log and the slowest-requests table.  A front end that already
+        log and the tail sampler's slowest traces.  A front end that already
         assigned an id (the HTTP plane's ``X-Request-Id``) passes it as
         ``request_id`` so all layers tell one story.
 
@@ -352,9 +197,8 @@ class DynamicSiteServer:
         an ``error`` attribute, which keeps the trace in the tail
         sampler's error ring.
         """
-        self.log.count_request()
         if request_id is None:
-            request_id = self.log.next_request_id()
+            request_id = next_request_id()
         with timed("server.request", request=request_id) as span:
             oid = page if isinstance(page, Oid) else self.resolve_path(page)
             try:
@@ -373,10 +217,9 @@ class DynamicSiteServer:
                         self.generator.template_for(oid) or "")
             except Exception as exc:
                 status, kind = classify_error(exc)
-                self.log.count_error()
-                get_recorder().metrics.counter("server.errors").inc()
-                get_recorder().metrics.counter(
-                    f"server.errors.{kind}").inc()
+                metrics = get_recorder().metrics
+                metrics.counter("server.errors").inc()
+                metrics.counter(f"server.errors.{kind}").inc()
                 if status == 404:
                     body = "<h1>404 Not Found</h1>"
                     emit_event("warning", "server.not_found",
@@ -394,9 +237,9 @@ class DynamicSiteServer:
             emit_event("info", "server.request", request=request_id,
                        page=str(page), status=status,
                        ms=round(span.seconds * 1000, 3))
-        self.log.record(span.seconds, request_id=request_id,
-                        page=str(page), status=status)
-        get_recorder().metrics.counter("server.requests").inc()
+        metrics = get_recorder().metrics
+        metrics.histogram("server.request_seconds").observe(span.seconds)
+        metrics.counter("server.requests").inc()
         return Response(oid if isinstance(oid, Oid) else Oid("<unknown>"),
                         status, body, span=span, request_id=request_id)
 

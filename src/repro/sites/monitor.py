@@ -4,7 +4,7 @@ The paper's thesis is that *any* data graph can be published as a
 browsable site through a StruQL site-definition query plus HTML
 templates.  This module applies that thesis to STRUDEL's own
 observability data: :func:`telemetry_graph` converts a trace recorder
-(spans, metrics, events) and an optional server request log into an
+(spans, metrics, events, tail-sampled slowest requests) into an
 ordinary STRUDEL data graph, :data:`MONITOR_QUERY` restructures it into
 a site graph, and :func:`monitor_templates` renders the result — an
 overview page linking to per-stage hotspot pages, span-tree trace
@@ -118,7 +118,6 @@ LIVE_ENDPOINTS = ("/metrics", "/healthz", "/readyz", "/debug/traces",
 
 
 def telemetry_graph(recorder: TraceRecorder | NullRecorder,
-                    server_log=None,
                     max_spans: int = MAX_SPAN_NODES,
                     live_url: str | None = None,
                     queries=None,
@@ -126,9 +125,10 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
                     slo=None) -> Graph:
     """A recorder's telemetry as an ordinary STRUDEL data graph.
 
-    ``server_log`` is an optional :class:`~repro.site.server.ServerLog`
-    (or its :meth:`~repro.site.server.ServerLog.snapshot` dict) whose
-    slowest-requests table becomes the ``Requests`` collection.
+    The recorder's tail sampler feeds the ``Requests`` collection: each
+    of its slowest traces that contains a ``server.request`` span
+    becomes one row (request id, page, status, seconds), slowest first;
+    without a tail the collection stays empty.
     ``live_url`` is the base URL of a running ``repro serve`` process;
     when given, the summary node carries it plus the endpoint list, so
     the generated dashboard links to the live telemetry plane instead
@@ -180,19 +180,20 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
                                for k, v in event.attributes.items())
             graph.add_edge(oid, "detail", Atom.string(detail))
 
-    if server_log is not None:
-        snapshot = server_log if isinstance(server_log, dict) \
-            else server_log.snapshot()
-        for rank, entry in enumerate(snapshot.get("slowest", ()), 1):
-            oid = graph.add_node(Oid(f"request-{rank}"))
-            graph.add_to_collection("Requests", oid)
-            graph.add_edge(oid, "rank", Atom.int(rank))
-            graph.add_edge(oid, "id", Atom.string(entry.get("id") or "-"))
-            graph.add_edge(oid, "page",
-                           Atom.string(entry.get("page") or "-"))
-            graph.add_edge(oid, "status",
-                           Atom.int(entry.get("status") or 0))
-            graph.add_edge(oid, "ms", _ms(entry.get("seconds", 0.0)))
+    tail = recorder.tail
+    served = [span for span in (root.find("server.request")
+                                for root in (tail.slowest if tail else ()))
+              if span is not None]
+    served.sort(key=lambda span: span.seconds, reverse=True)
+    for rank, span in enumerate(served, 1):
+        attrs = span.attributes
+        oid = graph.add_node(Oid(f"request-{rank}"))
+        graph.add_to_collection("Requests", oid)
+        graph.add_edge(oid, "rank", Atom.int(rank))
+        graph.add_edge(oid, "id", Atom.string(attrs.get("request") or "-"))
+        graph.add_edge(oid, "page", Atom.string(attrs.get("page") or "-"))
+        graph.add_edge(oid, "status", Atom.int(attrs.get("status") or 0))
+        graph.add_edge(oid, "ms", _ms(span.seconds))
 
     if queries is None:
         queries = get_query_registry()
@@ -601,14 +602,12 @@ multi-window burn-rate alert rules (the live counterparts are
 
 
 def build_monitor_site(recorder: TraceRecorder | NullRecorder,
-                       server_log=None,
                        max_spans: int = MAX_SPAN_NODES,
                        live_url: str | None = None,
                        queries=None,
                        max_age: float | None = None,
                        slo=None) -> Website:
     """The monitoring dashboard over one recorder's telemetry."""
-    data = telemetry_graph(recorder, server_log=server_log,
-                           max_spans=max_spans, live_url=live_url,
+    data = telemetry_graph(recorder, max_spans=max_spans, live_url=live_url,
                            queries=queries, max_age=max_age, slo=slo)
     return Website(data, MONITOR_QUERY, monitor_templates())

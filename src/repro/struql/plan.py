@@ -78,7 +78,9 @@ class ExecutionContext:
                  predicates: PredicateRegistry | None = None,
                  stats: GraphStatistics | None = None) -> None:
         self.graph = graph
-        self.index = index if (index is not None and index.fresh) else index
+        # A stale index would miss edges added since it was built, so
+        # the context falls back to graph scans until it is refreshed.
+        self.index = index if (index is not None and index.fresh) else None
         self.predicates = predicates or default_registry()
         self.stats = stats
         self._path_evaluators: dict[RegularPath, PathEvaluator] = {}

@@ -334,6 +334,26 @@ class TestEndpoints:
         assert json.loads(text)["errors"], "error trace tail-sampled"
 
 
+def _served_total(path) -> float:
+    """``strudel_server_requests_total`` from a flushed metrics.prom."""
+    with open(path, encoding="utf-8") as handle:
+        parsed = obs.parse_prometheus(handle.read())
+    return next(v for n, _, v in parsed["samples"]
+                if n == "strudel_server_requests_total")
+
+
+class TestRequestIds:
+    def test_plane_and_canary_ids_differ(self, plane):
+        """The HTTP plane and the canary mint from one counter."""
+        _get(plane.url + "/")
+        CanaryProber(plane.site_server, plane.recorder).probe()
+        ids = [e.attributes["request"]
+               for e in plane.recorder.events.records()
+               if e.name == "server.request"]
+        assert len(ids) == 2
+        assert ids[0] != ids[1]
+
+
 class _Exploder:
     def roots(self):
         raise RuntimeError("boom")
@@ -351,7 +371,8 @@ class TestSnapshot:
         with open(paths["snapshot"], encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["uptime_seconds"] > 0
-        assert doc["server"]["requests"] >= 1
+        assert "server" not in doc
+        assert _served_total(paths["metrics"]) >= 1
         assert doc["traces"]["offered"] >= 1
         assert any(e["name"] == "http.request" for e in doc["profile"])
 
@@ -390,10 +411,10 @@ class TestConcurrency:
                                        self.PER_THREAD // 2)
         metrics = plane.recorder.metrics
         assert metrics.counter("http.requests").value == total
-        log = plane.site_server.log
-        assert log.requests == page_fetches
-        assert log.errors == 0
         assert metrics.counter("server.requests").value == page_fetches
+        assert metrics.histogram(
+            "server.request_seconds").count == page_fetches
+        assert metrics.counter("server.errors").value == 0
         # A mid-load exposition parsed cleanly.
         assert metrics_bodies
         obs.parse_prometheus(metrics_bodies[0])
@@ -489,8 +510,7 @@ class TestServeCLI:
         assert (snap / "metrics.prom").is_file()
         assert (snap / "events.jsonl").is_file()
         assert (snap / "snapshot.json").is_file()
-        doc = json.loads((snap / "snapshot.json").read_text())
-        assert doc["server"]["requests"] >= 1
+        assert _served_total(snap / "metrics.prom") >= 1
 
 
 class TestDebugQueries:

@@ -66,6 +66,26 @@ class TestGraphIndex:
         assert index.fresh
         assert index.label_cardinality("note") == 1
 
+    def test_stale_index_falls_back_to_scans(self):
+        from repro.struql import QueryEngine
+        graph = Graph("G")
+        graph.add_edge(Oid("a"), "x", Atom.int(1))
+        index = GraphIndex.build(graph)
+        graph.add_edge(Oid("a"), "x", Atom.int(2))
+        assert not index.fresh
+        query = """
+            input G
+            where p -> "x" -> v
+            create N(v)
+            output O
+        """
+        scanned = QueryEngine(indexing=False).evaluate(query, graph)
+        stale = QueryEngine().evaluate(query, graph, index=index)
+        expected = {Oid.skolem("N", (Atom.int(1),)),
+                    Oid.skolem("N", (Atom.int(2),))}
+        assert set(scanned.output.nodes()) == expected
+        assert set(stale.output.nodes()) == expected
+
 
 class TestStatistics:
     def test_counts(self, fig2_graph):

@@ -30,34 +30,36 @@ class TestRequests:
         assert "Specifying Representations" in response.body
 
     def test_unknown_page_404(self, server):
-        response = server.request("nope.html")
+        from repro import obs
+        with obs.recording() as rec:
+            response = server.request("nope.html")
         assert response.status == 404
-        assert server.log.errors == 1
+        assert rec.metrics.counter("server.errors").value == 1
 
     def test_latencies_recorded(self, server):
-        server.request(server.roots()[0])
-        server.request(server.roots()[0])
-        assert server.log.requests == 2
-        assert len(server.log.latencies) == 2
-        assert server.log.mean_latency > 0
+        from repro import obs
+        with obs.recording() as rec:
+            first = server.request(server.roots()[0])
+            second = server.request(server.roots()[0])
+        assert rec.metrics.counter("server.requests").value == 2
+        latency = rec.metrics.histogram("server.request_seconds")
+        assert latency.count == 2
+        assert latency.total == pytest.approx(first.seconds + second.seconds)
+
+    def test_seconds_without_recorder(self, server):
+        """With obs off each response still carries its span's time."""
+        response = server.request(server.roots()[0])
+        assert response.seconds > 0
 
     def test_percentile_latencies(self, server):
-        for _ in range(20):
-            server.request(server.roots()[0])
-        log = server.log
-        assert log.p50_latency > 0
-        assert log.p95_latency >= log.p50_latency
-        assert log.histogram.count == 20
-
-    def test_latency_samples_are_bounded(self):
-        from repro.site.server import ServerLog
-        log = ServerLog()
-        for i in range(ServerLog.MAX_SAMPLES * 4):
-            log.record(0.001 * (i % 10 + 1))
-        assert len(log.latencies) == ServerLog.MAX_SAMPLES
-        assert isinstance(log.latencies, tuple)
-        assert log.requests == 0  # record() only accounts latency
-        assert log.histogram.count == ServerLog.MAX_SAMPLES * 4
+        from repro import obs
+        with obs.recording() as rec:
+            for _ in range(20):
+                server.request(server.roots()[0])
+        latency = rec.metrics.histogram("server.request_seconds")
+        assert latency.percentile(0.50) > 0
+        assert latency.percentile(0.95) >= latency.percentile(0.50)
+        assert latency.count == 20
 
     def test_rendered_equals_materialized(self, server, fig4_site,
                                           fig2_graph):
@@ -138,51 +140,77 @@ class TestStaleness:
         assert "2001" in fresh
 
 
-class TestServerLogSnapshot:
+class TestRequestRecords:
+    """Each served request is recorded once: one span, one latency
+    observation, one request count."""
+
     def test_request_ids_are_stable(self, server):
         first = server.request(server.roots()[0])
         second = server.request(server.roots()[0])
-        assert first.request_id == "req-1"
-        assert second.request_id == "req-2"
+        first_n = int(first.request_id.removeprefix("req-"))
+        assert first.request_id == f"req-{first_n}"
+        assert second.request_id == f"req-{first_n + 1}"
 
-    def test_snapshot_plain_dict(self, server):
-        for _ in range(3):
-            server.request(server.roots()[0])
-        server.request("nope.html")
-        snapshot = server.log.snapshot()
-        assert isinstance(snapshot, dict)
-        assert snapshot["requests"] == 4
-        assert snapshot["errors"] == 1
-        assert snapshot["p95_latency"] >= snapshot["p50_latency"] > 0
-        assert snapshot["histogram"]["count"] == 4
-        assert len(snapshot["samples"]) == 4
+    def test_one_record_per_request(self, server):
+        from repro import obs
+        with obs.recording() as rec:
+            for _ in range(3):
+                server.request(server.roots()[0])
+            server.request("nope.html")
+        metrics = rec.metrics
+        assert metrics.counter("server.requests").value == 4
+        assert metrics.histogram("server.request_seconds").count == 4
+        assert metrics.counter("server.errors").value == 1
+        spans = [root for root in rec.roots if root.name == "server.request"]
+        assert len(spans) == 4
 
     def test_slowest_requests_ranked(self, server):
-        from repro.site.server import SERVER_SLOWEST_KEPT, ServerLog
-        log = ServerLog()
-        for i in range(SERVER_SLOWEST_KEPT * 2):
-            log.record(0.001 * (i + 1), request_id=f"req-{i + 1}",
-                       page=f"p{i + 1}", status=200)
-        slowest = log.slowest
-        assert len(slowest) == SERVER_SLOWEST_KEPT
-        seconds = [entry["seconds"] for entry in slowest]
+        from repro import obs
+        from repro.obs.trace import TailSampler, TraceRecorder
+        recorder = TraceRecorder(tail=TailSampler())
+        with obs.recording(recorder):
+            responses = server.crawl()
+        slowest = recorder.tail.slowest
+        assert slowest
+        seconds = [root.seconds for root in slowest]
         assert seconds == sorted(seconds, reverse=True)
-        assert slowest[0]["id"] == f"req-{SERVER_SLOWEST_KEPT * 2}"
-        assert slowest[0]["page"] == f"p{SERVER_SLOWEST_KEPT * 2}"
+        ids = {response.request_id for response in responses}
+        for root in slowest:
+            assert root.attributes["request"] in ids
+            assert root.attributes["status"] == 200
+            assert root.attributes["page"]
 
-    def test_record_without_context_skips_slowest(self):
-        from repro.site.server import ServerLog
-        log = ServerLog()
-        log.record(0.5)
-        assert log.slowest == []
-        assert log.histogram.count == 1
+    def test_counts_exact_under_threads(self, server):
+        """8 threads x 100 requests: no count, observation or id lost."""
+        import sys
+        import threading
+        from repro import obs
+        root = server.roots()[0]
+        ids = []
 
-    def test_constants_documented(self):
-        from repro.site import server as server_mod
-        assert server_mod.ServerLog.MAX_SAMPLES == \
-            server_mod.SERVER_RESERVOIR_SIZE
-        assert server_mod.SERVER_SLOWEST_KEPT > 0
-        assert server_mod.SERVER_LATENCY_BUCKETS
+        def worker():
+            for _ in range(50):
+                ids.append(server.request(root).request_id)
+                ids.append(server.request("nope.html").request_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with obs.recording() as rec:
+                threads = [threading.Thread(target=worker)
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        metrics = rec.metrics
+        assert metrics.counter("server.requests").value == 8 * 100
+        assert metrics.histogram("server.request_seconds").count == 8 * 100
+        assert metrics.counter("server.errors").value == 8 * 50
+        assert len(set(ids)) == len(ids) == 8 * 100
 
     def test_request_events_carry_request_id(self, server):
         from repro import obs
@@ -201,7 +229,7 @@ class TestRequestIdPassThrough:
     def test_front_end_id_wins(self, server):
         response = server.request(server.roots()[0], request_id="req-77")
         assert response.request_id == "req-77"
-        assert server.log.slowest[0]["id"] == "req-77"
+        assert response.span.attributes["request"] == "req-77"
 
     def test_passed_id_reaches_span_and_events(self, server):
         from repro import obs
@@ -238,7 +266,6 @@ class TestErrorClassification:
         assert "500 Internal Server Error" in response.body
         assert "internal" in response.body
         assert response.span.attributes["error"] == "internal"
-        assert server.log.errors == 1
         assert rec.metrics.counter("server.errors").value == 1
         assert rec.metrics.counter("server.errors.internal").value == 1
         errors = [e for e in rec.events.records()
@@ -254,56 +281,3 @@ class TestErrorClassification:
         assert "error" not in response.span.attributes
         assert rec.metrics.counter(
             "server.errors.not_found").value == 1
-
-
-class TestSlowRequestWarning:
-    def test_slowest_heap_entry_warns(self):
-        from repro import obs
-        from repro.site.server import ServerLog
-        with obs.recording() as rec:
-            log = ServerLog()
-            log.record(0.25, request_id="req-1", page="p", status=200)
-        warns = [e for e in rec.events.records()
-                 if e.name == "server.slow_request"]
-        assert len(warns) == 1
-        assert warns[0].level == "warning"
-        assert warns[0].attributes["request"] == "req-1"
-        assert rec.metrics.counter("server.slow_requests").value == 1
-
-    def test_threshold_suppresses_fast_requests(self):
-        from repro import obs
-        from repro.site.server import ServerLog
-        with obs.recording() as rec:
-            log = ServerLog(slow_warn_seconds=0.1)
-            log.record(0.001, request_id="req-1", page="p", status=200)
-            log.record(0.5, request_id="req-2", page="p", status=200)
-        warns = [e for e in rec.events.records()
-                 if e.name == "server.slow_request"]
-        assert [e.attributes["request"] for e in warns] == ["req-2"]
-
-    def test_no_warning_without_heap_entry(self):
-        from repro import obs
-        from repro.site.server import ServerLog
-        with obs.recording() as rec:
-            log = ServerLog()
-            log.record(0.5)  # no id/page: never enters the heap
-        assert not [e for e in rec.events.records()
-                    if e.name == "server.slow_request"]
-
-    def test_counts_are_lock_guarded(self):
-        import threading
-        from repro.site.server import ServerLog
-        log = ServerLog()
-
-        def worker():
-            for _ in range(500):
-                log.count_request()
-                log.count_error()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert log.requests == 8 * 500
-        assert log.errors == 8 * 500

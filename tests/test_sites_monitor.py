@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.graph import Oid
+from repro.obs.trace import TailSampler, TraceRecorder
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
 from repro.sites.monitor import (
@@ -23,13 +24,13 @@ def _clean_recorder():
 
 @pytest.fixture
 def busy_recorder():
-    """A recorder with real pipeline telemetry plus a server log."""
-    with obs.recording() as rec:
+    """A recorder with real pipeline telemetry and tail-sampled traces."""
+    with obs.recording(TraceRecorder(tail=TailSampler())) as rec:
         server = DynamicSiteServer(FIG3_QUERY, fig2_data(),
                                    fig7_templates())
         server.crawl()
         server.request("missing.html")
-    return rec, server.log
+    return rec
 
 
 class TestTelemetryGraph:
@@ -41,8 +42,8 @@ class TestTelemetryGraph:
         assert len(graph.collection("Summary")) == 1
 
     def test_spans_and_stages_converted(self, busy_recorder):
-        recorder, log = busy_recorder
-        graph = telemetry_graph(recorder, server_log=log)
+        recorder = busy_recorder
+        graph = telemetry_graph(recorder)
         assert graph.collection("Spans")
         assert graph.collection("Traces")
         stage_names = {
@@ -56,20 +57,42 @@ class TestTelemetryGraph:
         assert "server.requests" in counters
 
     def test_span_budget_respected(self, busy_recorder):
-        recorder, _ = busy_recorder
+        recorder = busy_recorder
         graph = telemetry_graph(recorder, max_spans=5)
         assert len(graph.collection("Spans")) == 5
 
-    def test_accepts_snapshot_dict(self, busy_recorder):
-        recorder, log = busy_recorder
-        graph = telemetry_graph(recorder, server_log=log.snapshot())
-        assert graph.collection("Requests")
+    def test_requests_from_tail_sampler(self, busy_recorder):
+        graph = telemetry_graph(busy_recorder)
+        rows = graph.collection("Requests")
+        assert rows
+        by_rank = sorted(rows, key=lambda oid: graph.get_one(
+            oid, "rank").value)
+        ms = [graph.get_one(oid, "ms").value for oid in by_rank]
+        assert ms == sorted(ms, reverse=True)
+        statuses = {graph.get_one(oid, "status").value for oid in rows}
+        assert 200 in statuses
+        for oid in rows:
+            assert str(graph.get_one(oid, "id").value).startswith("req-")
+            assert graph.get_one(oid, "page").value != "-"
+
+    def test_roots_without_server_request_skipped(self):
+        recorder = TraceRecorder(tail=TailSampler())
+        with recorder.span("site.build"):
+            pass
+        assert recorder.tail.slowest
+        graph = telemetry_graph(recorder)
+        assert graph.collection("Requests") == []
+
+    def test_no_tail_no_requests(self, busy_recorder):
+        busy_recorder.tail = None
+        graph = telemetry_graph(busy_recorder)
+        assert graph.collection("Requests") == []
 
 
 class TestDashboardSite:
     def test_generates_browsable_site(self, busy_recorder, tmp_path):
-        recorder, log = busy_recorder
-        site = build_monitor_site(recorder, server_log=log)
+        recorder = busy_recorder
+        site = build_monitor_site(recorder)
         out = tmp_path / "dash"
         out.mkdir()
         pages = site.generate(str(out))
@@ -86,7 +109,7 @@ class TestDashboardSite:
         assert stage_pages
         server_stage = next(p for p in stage_pages
                             if "server_request" in p.name)
-        assert "req-1" in server_stage.read_text()
+        assert "request=req-" in server_stage.read_text()
         # Trace pages embed the recursive span tree.
         trace_pages = [p for p in out.iterdir()
                        if p.name.startswith("TracePage_")]
@@ -140,7 +163,7 @@ class TestLiveEndpoints:
     def test_summary_carries_live_links(self, busy_recorder):
         from repro.graph import Atom
         from repro.sites.monitor import LIVE_ENDPOINTS
-        recorder, _ = busy_recorder
+        recorder = busy_recorder
         graph = telemetry_graph(recorder,
                                 live_url="http://127.0.0.1:8080/")
         summary = graph.collection("Summary")[0]
@@ -153,7 +176,7 @@ class TestLiveEndpoints:
                              for p in LIVE_ENDPOINTS}
 
     def test_no_live_url_no_edges(self, busy_recorder):
-        recorder, _ = busy_recorder
+        recorder = busy_recorder
         graph = telemetry_graph(recorder)
         summary = graph.collection("Summary")[0]
         assert graph.get_one(summary, "live") is None
@@ -161,8 +184,8 @@ class TestLiveEndpoints:
 
     def test_dashboard_renders_live_section(self, busy_recorder,
                                             tmp_path):
-        recorder, log = busy_recorder
-        site = build_monitor_site(recorder, server_log=log,
+        recorder = busy_recorder
+        site = build_monitor_site(recorder,
                                   live_url="http://127.0.0.1:9999")
         out = tmp_path / "live"
         out.mkdir()
@@ -175,8 +198,8 @@ class TestLiveEndpoints:
     def test_dashboard_omits_live_section_by_default(self,
                                                      busy_recorder,
                                                      tmp_path):
-        recorder, log = busy_recorder
-        site = build_monitor_site(recorder, server_log=log)
+        recorder = busy_recorder
+        site = build_monitor_site(recorder)
         out = tmp_path / "nolive"
         out.mkdir()
         site.generate(str(out))
