@@ -5,157 +5,19 @@ paper-vs-measured rows through the ``experiment`` fixture; a terminal
 summary prints them as tables at the end of the run, which is the
 console form of EXPERIMENTS.md.
 
-Every benchmark session also runs with the observability layer
-(:mod:`repro.obs`) enabled: each test body becomes a top-level span.
-``BENCH_obs.json`` gets per-span-name aggregates (count / total / p50 /
-p95 / max seconds) plus the metric registry and per-test phase timings
-— NOT the raw span forest, which for a benchmark session runs to tens
-of MB and has no business in git (CI enforces a 256 KB cap on committed
-``BENCH_*.json``).  A second, even smaller ``BENCH_core.json`` is
-written in a committed format — a handful of stable metric names with
-p50 seconds — so regression tracking across PRs diffs one tiny file.
+These tests check the shapes of the paper's results.  Timings that
+gate a change come from ``bench/run.py`` and ``bench.compare``, which
+run with observability off and report their spread.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import statistics
 from collections import OrderedDict
 
 import pytest
 
-from repro import obs
-
-#: Stable metric name -> the span name whose durations define it.
-CORE_SPAN_METRICS = {
-    "index_build_p50_s": "index.build",
-    "struql_eval_p50_s": "struql.query",
-    "struql_opt_p50_s": "struql.optimize",
-    "full_build_p50_s": "site.build",
-    "site_build_p50_s": "site.build_cold",
-    "site_rebuild_p50_s": "site.build_warm",
-    "lineage_off_p50_s": "site.build_lineage_off",
-    "lineage_on_p50_s": "site.build_lineage_on",
-    "slo_off_p50_s": "site.build_slo_off",
-    "slo_on_p50_s": "site.build_slo_on",
-    "site_cold_serve_p50_s": "site.serve_cold",
-    "site_hot_serve_p50_s": "site.serve_hot",
-}
-
-#: Stable metric name -> the histogram whose p50 defines it.
-CORE_HISTOGRAM_METRICS = {
-    "page_render_p50_s": "templates.render_seconds",
-}
-
-
-def _core_document(recorder: obs.TraceRecorder) -> dict:
-    """The committed-format regression metrics for one session."""
-    durations: dict[str, list[float]] = {n: [] for n in CORE_SPAN_METRICS}
-    for root in recorder.roots:
-        for span in root.walk():
-            for metric, span_name in CORE_SPAN_METRICS.items():
-                if span.name == span_name:
-                    durations[metric].append(span.seconds)
-    metrics: dict[str, float | int] = {}
-    for metric, values in durations.items():
-        metrics[metric] = statistics.median(values) if values else 0.0
-        metrics[metric.replace("_p50_s", "_count")] = len(values)
-    histograms = recorder.metrics.as_dict()["histograms"]
-    for metric, hist_name in CORE_HISTOGRAM_METRICS.items():
-        summary = histograms.get(hist_name, {})
-        metrics[metric] = summary.get("p50", 0.0)
-        metrics[metric.replace("_p50_s", "_count")] = summary.get(
-            "count", 0)
-    # A10: lineage recording overhead as a percentage.  Informational
-    # (only *_p50_s names gate regressions in ``repro bench compare``);
-    # the acceptance bar is <= 10%.
-    off = metrics.get("lineage_off_p50_s", 0.0)
-    on = metrics.get("lineage_on_p50_s", 0.0)
-    if off:
-        metrics["lineage_overhead_pct"] = round((on - off) / off * 100, 2)
-    # A8 rider: windowed SLO sampling overhead (acceptance: under 5%).
-    slo_off = metrics.get("slo_off_p50_s", 0.0)
-    slo_on = metrics.get("slo_on_p50_s", 0.0)
-    if slo_off:
-        metrics["slo_overhead_pct"] = round(
-            (slo_on - slo_off) / slo_off * 100, 2)
-    return {"bench": "core", "schema": 1, "metrics": metrics}
-
-
-def _span_aggregates(recorder: obs.TraceRecorder) -> dict:
-    """Per-span-name duration aggregates over the whole span forest."""
-    durations: dict[str, list[float]] = {}
-    for root in recorder.roots:
-        for span in root.walk():
-            durations.setdefault(span.name, []).append(span.seconds)
-    aggregates: dict[str, dict] = {}
-    for name in sorted(durations):
-        values = sorted(durations[name])
-        rank95 = min(len(values) - 1, round(0.95 * (len(values) - 1)))
-        aggregates[name] = {
-            "count": len(values),
-            "total_s": round(sum(values), 6),
-            "p50_s": round(statistics.median(values), 6),
-            "p95_s": round(values[rank95], 6),
-            "max_s": round(values[-1], 6),
-        }
-    return aggregates
-
-
-def _obs_document(recorder: obs.TraceRecorder) -> dict:
-    """The compact observability summary committed as BENCH_obs.json."""
-    metrics = recorder.metrics.as_dict()
-    histograms = {
-        name: {key: summary.get(key) for key in
-               ("count", "mean", "p50", "p90", "p95", "p99", "max", "sum")}
-        for name, summary in metrics.get("histograms", {}).items()}
-    return {
-        "bench": "obs",
-        "schema": 2,
-        "spans": _span_aggregates(recorder),
-        "counters": metrics.get("counters", {}),
-        "gauges": metrics.get("gauges", {}),
-        "histograms": histograms,
-        "phases": [
-            {"phase": root.name, "seconds": round(root.seconds, 6),
-             **root.attributes}
-            for root in recorder.roots],
-    }
-
 #: experiment id -> list of row dicts, in insertion order.
 _REPORT: "OrderedDict[str, list[dict]]" = OrderedDict()
-
-_RECORDER: obs.TraceRecorder | None = None
-
-
-def pytest_configure(config):
-    global _RECORDER
-    _RECORDER = obs.enable()
-
-
-@pytest.fixture(autouse=True)
-def _obs_phase(request):
-    """Wrap each benchmark test in a span named after it."""
-    with obs.timed(request.node.name, module=request.module.__name__):
-        yield
-
-
-def pytest_sessionfinish(session):
-    global _RECORDER
-    if _RECORDER is None:
-        return
-    path = os.path.join(str(session.config.rootpath), "BENCH_obs.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_obs_document(_RECORDER), handle, indent=2)
-        handle.write("\n")
-    core_path = os.path.join(str(session.config.rootpath),
-                             "BENCH_core.json")
-    with open(core_path, "w", encoding="utf-8") as handle:
-        json.dump(_core_document(_RECORDER), handle, indent=2)
-        handle.write("\n")
-    obs.disable()
-    _RECORDER = None
 
 
 class ExperimentRecorder:

@@ -2,11 +2,9 @@
 
 The serving-path half of the paper's caching story: once a page body
 is a materialized view, a warm request is a dictionary lookup instead
-of a click-time query evaluation plus render.  ``site_hot_serve_p50_s``
-and ``site_cold_serve_p50_s`` (spans ``site.serve_hot`` /
-``site.serve_cold``) land in BENCH_core.json so ``repro bench
-compare`` gates the hot path across PRs; the acceptance bar is hot
-serving at least 5x faster than cold.
+of a click-time query evaluation plus render.  Each request is timed
+by its own span (``site.serve_cold`` / ``site.serve_hot``); the
+acceptance bar is hot serving at least 5x faster than cold.
 """
 
 import random
@@ -85,9 +83,8 @@ def test_selective_invalidation_preserves_hot_path(experiment):
     # A change confined to a collection nothing reads: every body view
     # survives, so every request below is a view hit.
     server.invalidate(ChangeSummary.for_collections("Unrelated"))
-    with obs.timed("site.serve_after_narrow_change"):
-        for page in pages:
-            assert server.request(page).status == 200
+    for page in pages:
+        assert server.request(page).status == 200
     hits = server.matviews.stats["hits"] - hits_before
     experiment.row(mode="after narrow change", pages=len(pages),
                    note=f"{hits}/{len(pages)} served from views")

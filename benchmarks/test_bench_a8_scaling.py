@@ -25,9 +25,8 @@ EXPERIMENT = "A8 (extension): end-to-end scaling"
 SLO_ROUNDS = 5
 SLO_PEOPLE = 80
 
-#: Generous in-test bar — the honest number is ``slo_overhead_pct`` in
-#: BENCH_core.json (acceptance: under 5%); a handful of runs has to
-#: survive CI jitter.
+#: Generous in-test bar (the acceptance target is under 5%); a handful
+#: of runs has to survive CI jitter.
 MAX_SLO_OVERHEAD_FACTOR = 1.5
 
 
@@ -63,10 +62,10 @@ def test_windowed_sampling_overhead(experiment, tmp_path):
     a full site build measurably.
 
     Off and on rounds are interleaved so both p50s see the same machine
-    state; the conftest turns the span medians into the committed
-    ``slo_overhead_pct`` metric (acceptance bar: under 5%).  The
-    evaluator ticks every 20 ms here — 250x the production 5 s step —
-    so the committed number is a hard upper bound on real overhead.
+    state (acceptance bar: under 5%).  Both run under a live recorder,
+    the one the evaluator samples.  The evaluator ticks every 20 ms
+    here — 250x the production 5 s step — so the measured overhead is
+    a hard upper bound on the real one.
     """
 
     def build(out_dir: str) -> None:
@@ -78,25 +77,23 @@ def test_windowed_sampling_overhead(experiment, tmp_path):
     off_dir, on_dir = str(tmp_path / "off"), str(tmp_path / "on")
     build(off_dir)  # warm-up outside the timed spans
 
-    recorder = obs.get_recorder()
     off_seconds, on_seconds = [], []
     ticks = 0
-    for _ in range(SLO_ROUNDS):
-        start = time.perf_counter()
-        with obs.timed("site.build_slo_off"):
-            build(off_dir)
-        off_seconds.append(time.perf_counter() - start)
-
-        evaluator = SLOEvaluator(recorder, step=0.02, retention=120.0)
-        evaluator.start_background(interval=0.02)
-        try:
+    with obs.recording() as recorder:
+        for _ in range(SLO_ROUNDS):
             start = time.perf_counter()
-            with obs.timed("site.build_slo_on"):
+            build(off_dir)
+            off_seconds.append(time.perf_counter() - start)
+
+            evaluator = SLOEvaluator(recorder, step=0.02, retention=120.0)
+            evaluator.start_background(interval=0.02)
+            try:
+                start = time.perf_counter()
                 build(on_dir)
-            on_seconds.append(time.perf_counter() - start)
-        finally:
-            evaluator.stop()
-        ticks += evaluator.ticks
+                on_seconds.append(time.perf_counter() - start)
+            finally:
+                evaluator.stop()
+            ticks += evaluator.ticks
 
     assert ticks > 0, "the background evaluator never sampled"
     off_p50, on_p50 = _median(off_seconds), _median(on_seconds)

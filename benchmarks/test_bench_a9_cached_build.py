@@ -2,16 +2,12 @@
 
 The build pipeline renders serially and skips pages the persistent
 build cache proves unchanged (``--cache-dir``/``--incremental``).  This
-benchmark measures cold and cached builds on the CNN example site and
-feeds the committed regression file:
-``site_build_p50_s`` is the cold-build p50 (span ``site.build_cold``)
-and ``site_rebuild_p50_s`` the warm no-op rebuild p50 (span
-``site.build_warm``), which must render zero pages.
+benchmark measures cold and cached builds on the CNN example site; the
+warm no-op rebuild must render zero pages.
 """
 
 import shutil
 
-from repro import obs
 from repro.sites.cnn import build_cnn_site
 
 EXPERIMENT = "A9 (extension): cached builds"
@@ -31,14 +27,12 @@ def test_cold_vs_warm_rebuild(benchmark, experiment, tmp_path):
     out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
     website = _website()
 
-    with obs.timed("site.build_cold"):
-        cold = website.build_site(out, cache_dir=cache)
+    cold = website.build_site(out, cache_dir=cache)
     assert cold.pages_rendered > 0
 
     def warm_rebuild():
         rebuilt = _website()  # query evaluation is not build time
-        with obs.timed("site.build_warm"):
-            return rebuilt.build_site(out, cache_dir=cache)
+        return rebuilt.build_site(out, cache_dir=cache)
 
     warm = benchmark(warm_rebuild)
     assert warm.pages_rendered == 0, warm.summary()
@@ -71,9 +65,8 @@ def test_incremental_after_data_change(experiment, tmp_path):
     pub = next(o for o in data.collection("Publications")
                if isinstance(o, Oid))
     data.add_edge(pub, "note", Atom.string("errata"))
-    with obs.timed("site.build_warm"):
-        report = Website(data, FIG3_QUERY, fig7_templates()).build_site(
-            out, cache_dir=cache)
+    report = Website(data, FIG3_QUERY, fig7_templates()).build_site(
+        out, cache_dir=cache)
     assert 0 < report.pages_rendered < cold.pages_rendered
     experiment.row(mode="1 publication edited",
                    pages=f"{report.pages_rendered}/{cold.pages_rendered}",
@@ -88,8 +81,7 @@ def test_serial_cold_build(benchmark, experiment, tmp_path):
     def cold_build():
         shutil.rmtree(out, ignore_errors=True)
         website = _website()  # query evaluation is not build time
-        with obs.timed("site.build_cold"):
-            return website.build_site(out)
+        return website.build_site(out)
 
     cold = benchmark(cold_build)
     assert cold.pages_rendered == len(_website().generator().pages())

@@ -20,7 +20,6 @@ without writing Python:
           --query site.struql --templates templates/
     $ python -m repro why PersonPage_p1_.html --data pubs.bib \\
           --query site.struql --templates templates/
-    $ python -m repro bench compare OLD.json NEW.json
     $ python -m repro slo check serve-snapshot/snapshot.json \\
           [--config slo.toml] [--window 3600]
 
@@ -403,8 +402,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     printed after the wrapped command's own output — holding the
     profile, plus metrics and events unless ``--profile`` narrows it).
     ``--metrics-out`` additionally writes the full JSON document
-    (bench-compatible: the same shape ``BENCH_obs.json`` uses).  The
-    wrapped command's exit code is propagated.
+    (``{"spans": [...], "metrics": {...}}``).  The wrapped command's
+    exit code is propagated.
     """
     from repro.obs.export import (
         render_metrics,
@@ -806,25 +805,6 @@ def _report_slo_status(status: list[dict]) -> int:
     return 0
 
 
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Diff two committed benchmark documents; non-zero on regression.
-
-    Compares every ``*_p50_s`` metric of two ``BENCH_core.json``-format
-    files and fails (exit 1) when any grew more than
-    ``--max-regress-pct`` percent — the CI perf gate.
-    """
-    from repro.obs.benchdiff import compare_documents, load_document
-    try:
-        old = load_document(args.old)
-        new = load_document(args.new)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_documents(old, new, args.max_regress_pct)
-    print(comparison.render())
-    return 0 if comparison.ok else 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -990,18 +970,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="build arguments naming the site, e.g. "
                             "build --data ... --query ... --templates ...")
     serve.set_defaults(fn=cmd_serve)
-
-    bench = sub.add_parser("bench", help="benchmark utilities")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    compare = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH_core.json documents; exit 1 on regression")
-    compare.add_argument("old", help="baseline BENCH_core.json")
-    compare.add_argument("new", help="candidate BENCH_core.json")
-    compare.add_argument("--max-regress-pct", type=float, default=25.0,
-                         help="fail when a p50 metric grows more than "
-                              "this percentage (default 25)")
-    compare.set_defaults(fn=cmd_bench_compare)
 
     slo = sub.add_parser("slo", help="service-level-objective tools")
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)

@@ -31,7 +31,10 @@ from __future__ import annotations
 from repro.errors import DDLError
 from repro.graph.model import Graph, GraphObject, Oid
 from repro.graph.values import Atom, AtomType
-from repro.lexutil import EOF, FLOAT, IDENT, INT, PUNCT, STRING, ScanError, Token, scan
+from repro.lexutil import (
+    EOF, FLOAT, IDENT, INT, MAX_NESTING, PUNCT, STRING, ScanError, Token,
+    scan,
+)
 
 _PUNCTUATION = ("{", "}", "&", ",")
 
@@ -74,6 +77,7 @@ class DDLParser:
         self._pending: list[tuple[Oid, str, str, int]] = []
         self._declared: dict[str, Oid] = {}
         self._anon_counter = 0
+        self._depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -188,9 +192,14 @@ class DDLParser:
             ref = self._expect(IDENT).text
             self._pending.append((oid, attr, ref, line))
         elif self._at_punct("{"):
+            if self._depth == MAX_NESTING:
+                raise DDLError(f"objects nested deeper than {MAX_NESTING}",
+                               token.line)
             nested = self._fresh_anonymous(oid, attr)
             self._graph.add_edge(oid, attr, nested)
+            self._depth += 1
             self._parse_body(nested, [])
+            self._depth -= 1
         else:
             raise DDLError(f"expected a value after attribute {attr!r}, "
                            f"found {token.text!r}", token.line)

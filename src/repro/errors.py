@@ -92,6 +92,18 @@ class MediatorError(StrudelError):
     """A data-integration failure (bad mapping, unknown source)."""
 
 
+class SourceLoadError(MediatorError):
+    """A source raised while the mediator loaded it.
+
+    Carries the source's name; the source's own exception is the
+    ``__cause__``.
+    """
+
+    def __init__(self, source: str, cause: BaseException) -> None:
+        super().__init__(f"source {source!r} failed to load: {cause}")
+        self.source = source
+
+
 class AccessPatternError(MediatorError):
     """A source was accessed without supplying its required inputs.
 

@@ -3,7 +3,8 @@
 Both languages tokenize the same lexeme families — identifiers, numbers,
 quoted strings, punctuation, ``//``/``#`` comments — and differ only in
 keyword sets and punctuation tables, so the character-level machinery
-lives here once.
+lives here once, as does the nesting limit all three parsers (DDL,
+StruQL, templates) share.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ class Token:
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
+
+
+#: Deepest nesting a recursive-descent parser accepts: blocks, objects,
+#: directive tags, parentheses and ``not``.  Past it the parser raises
+#: its own syntax error, with a position, rather than running out of
+#: interpreter stack; hand-written sites nest a few levels deep.
+MAX_NESTING = 64
 
 
 #: Token kind constants shared by the language front ends.

@@ -17,7 +17,10 @@ are resolved exactly as the paper resolves them:
   object-fusion idiom).
 
 :meth:`Mediator.warehouse` loads every source, runs every mapping, and
-caches the mediated graph until :meth:`Mediator.refresh`.
+caches the mediated graph until :meth:`Mediator.refresh`.  A source
+that raises while loading surfaces as a
+:class:`~repro.errors.SourceLoadError`; a failed refresh keeps the
+previous warehouse.
 :meth:`Mediator.virtual_view` recomputes from live sources on every
 call — always fresh, always paying the integration cost.
 :meth:`Mediator.staleness` reports how many source updates the current
@@ -26,7 +29,7 @@ warehouse has not seen (benchmark A4's staleness measure).
 
 from __future__ import annotations
 
-from repro.errors import MediatorError
+from repro.errors import MediatorError, SourceLoadError
 from repro.graph.model import Graph
 from repro.obs.queries import fingerprint
 from repro.obs.trace import emit_event, get_recorder
@@ -103,7 +106,11 @@ class Mediator:
             for mapping in self._mappings:
                 with recorder.span("mediator.fetch",
                                    source=mapping.input_name) as span:
-                    source_graph = self.source(mapping.input_name).load()
+                    source = self.source(mapping.input_name)
+                    try:
+                        source_graph = source.load()
+                    except Exception as exc:
+                        raise SourceLoadError(source.name, exc) from exc
                     span.set(nodes=source_graph.node_count,
                              edges=source_graph.edge_count)
                     emit_event("info", "mediator.fetch",
@@ -124,16 +131,22 @@ class Mediator:
     def warehouse(self) -> Graph:
         """The warehoused mediated graph (built once, then cached)."""
         if self._warehouse is None:
-            self._warehouse = self._integrate()
-            self._warehouse_versions = {
-                name: src.version for name, src in self._sources.items()}
-            self._count_build("warehouse_builds")
+            self.refresh()
         return self._warehouse
 
     def refresh(self) -> Graph:
-        """Rebuild the warehouse from current source contents."""
-        self._warehouse = None
-        return self.warehouse()
+        """Rebuild the warehouse from current source contents.
+
+        The new graph replaces the old one only once integration has
+        succeeded: when a source fails, the previous warehouse and its
+        staleness count stay as they were.
+        """
+        mediated = self._integrate()
+        self._warehouse = mediated
+        self._warehouse_versions = {
+            name: src.version for name, src in self._sources.items()}
+        self._count_build("warehouse_builds")
+        return mediated
 
     def staleness(self) -> int:
         """Source updates the warehouse has not incorporated."""

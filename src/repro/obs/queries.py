@@ -175,13 +175,15 @@ class QueryStatsRegistry:
 
     def observe(self, query, seconds: float, rows: int = 0,
                 plan: str = "", optimizer: str = "",
-                misestimates: int = 0) -> QueryStats:
+                misestimates: int = 0, fp: str | None = None) -> QueryStats:
         """Record one evaluation; returns the (updated) entry.
 
-        Emits ``struql.slow_query`` at WARN and bumps ``struql.*``
-        metrics on the active recorder (no-ops while disabled).
+        ``fp`` is the query's fingerprint when the caller already has
+        it; otherwise it is computed from the query text.  Emits
+        ``struql.slow_query`` at WARN and bumps ``struql.*`` metrics on
+        the active recorder (no-ops while disabled).
         """
-        fp = fingerprint(query)
+        fp = fp or fingerprint(query)
         text = getattr(query, "text", None) or str(query)
         with self._lock:
             entry = self._entries.get(fp)

@@ -224,7 +224,8 @@ class DynamicSite:
             self.query, seconds=seconds,
             rows=len(view.edges),
             optimizer=getattr(self.engine.optimizer, "name",
-                              str(self.engine.optimizer)))
+                              str(self.engine.optimizer)),
+            fp=self.fingerprint)
         return view
 
     def invalidate(self, change=None) -> set[str]:

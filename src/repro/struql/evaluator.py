@@ -191,7 +191,8 @@ class QueryEngine:
             misestimates=sum(
                 1 for t in result.traces
                 if t.estimated_rows is not None and misestimate_ratio(
-                    t.estimated_rows, t.binding_rows) > MISESTIMATE_RATIO))
+                    t.estimated_rows, t.binding_rows) > MISESTIMATE_RATIO),
+            fp=result.fingerprint)
         return result
 
     def evaluate_materialized(self, query: Query | str, graph: Graph,

@@ -47,7 +47,8 @@ from __future__ import annotations
 from repro.errors import StruQLSemanticError, StruQLSyntaxError
 from repro.graph.values import Atom
 from repro.lexutil import (
-    EOF, FLOAT, IDENT, INT, PUNCT, STRING, ScanError, Token, scan,
+    EOF, FLOAT, IDENT, INT, MAX_NESTING, PUNCT, STRING, ScanError, Token,
+    scan,
 )
 from repro.struql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -108,6 +109,7 @@ class StruQLParser:
             raise StruQLSyntaxError(str(exc), exc.line, exc.column) from exc
         self._pos = 0
         self._block_counter = 0
+        self._depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -124,6 +126,14 @@ class StruQLParser:
     def _error(self, message: str, token: Token | None = None) -> StruQLSyntaxError:
         token = token or self._peek()
         return StruQLSyntaxError(message, token.line, token.column)
+
+    def _descend(self) -> None:
+        """Enter one more level of nesting: a block, ``not(...)`` or a
+        parenthesized path.  The caller steps back out by decrementing
+        ``_depth``."""
+        if self._depth == MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
+        self._depth += 1
 
     def _at_punct(self, text: str) -> bool:
         token = self._peek()
@@ -194,14 +204,16 @@ class StruQLParser:
         """
         root = Block()
         current = root
+        depth = self._depth
         while True:
             if self._at_keyword("where"):
-                self._next()
                 if current.creates or current.links or current.collects \
                         or current.children:
+                    self._descend()
                     child = Block()
                     current.children.append(child)
                     current = child
+                self._next()
                 current.conditions.extend(self._parse_conditions())
                 if not current.label:
                     self._block_counter += 1
@@ -216,13 +228,16 @@ class StruQLParser:
                 self._next()
                 current.collects.extend(self._parse_collect_list())
             elif self._at_punct("{"):
+                self._descend()
                 self._next()
                 child = self._parse_body()
+                self._depth -= 1
                 self._expect_punct("}")
                 current.children.append(child)
                 self._eat_punct(",")  # blocks may be comma-separated
             else:
                 break
+        self._depth = depth  # leave the implicit nested blocks
         return root
 
     # -- where conditions ----------------------------------------------------------
@@ -255,9 +270,11 @@ class StruQLParser:
     def _parse_condition_group(self) -> list[Condition]:
         """One condition; path chains expand to several PathConds."""
         if self._at_keyword("not"):
+            self._descend()
             self._next()
             self._expect_punct("(")
             inner = self._parse_condition_group()
+            self._depth -= 1
             self._expect_punct(")")
             if len(inner) == 1:
                 return [NotCond(inner[0])]
@@ -427,8 +444,10 @@ class StruQLParser:
             self._next()
             return ANY_PATH
         if self._at_punct("("):
+            self._descend()
             self._next()
             inner = self._parse_rpe_alt()
+            self._depth -= 1
             self._expect_punct(")")
             return inner
         if token.kind == IDENT:

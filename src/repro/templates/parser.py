@@ -25,6 +25,7 @@ import re
 
 from repro.errors import TemplateSyntaxError
 from repro.graph.values import Atom
+from repro.lexutil import MAX_NESTING
 from repro.templates.ast import (
     AndCond,
     AttrExpr,
@@ -115,6 +116,7 @@ class TemplateParser:
         self._source = text
         self._pieces = _scan(text)
         self._pos = 0
+        self._depth = 0
 
     def parse(self) -> Template:
         nodes = self._parse_nodes(stop=None)
@@ -156,6 +158,16 @@ class TemplateParser:
                     f"unexpected directive {piece.kind}", piece.line)
         return nodes
 
+    def _parse_block(self, tag: _Tag) -> list[TemplateNode]:
+        """The nodes inside a ``SIF``/``SFOR`` block, one level deeper."""
+        if self._depth == MAX_NESTING:
+            raise TemplateSyntaxError(
+                f"<{tag.kind}> nested deeper than {MAX_NESTING}", tag.line)
+        self._depth += 1
+        nodes = self._parse_nodes(stop=tag.kind)
+        self._depth -= 1
+        return nodes
+
     # -- block closers ------------------------------------------------------------
 
     def _consume_closer(self, kind: str, line: int) -> None:
@@ -169,14 +181,14 @@ class TemplateParser:
 
     def _parse_sif(self, tag: _Tag) -> IfExpr:
         cond = _CondParser(tag.body, tag.line).parse()
-        then = self._parse_nodes(stop="SIF")
+        then = self._parse_block(tag)
         orelse: list[TemplateNode] = []
         if self._pos < len(self._pieces):
             piece = self._pieces[self._pos]
             if isinstance(piece, _Tag) and piece.kind == "SELSE" \
                     and not piece.closing:
                 self._pos += 1
-                orelse = self._parse_nodes(stop="SIF")
+                orelse = self._parse_block(tag)
         self._consume_closer("SIF", tag.line)
         return IfExpr(cond, then, orelse)
 
@@ -189,7 +201,7 @@ class TemplateParser:
         expr = words.take_attr_expr()
         options = words.take_options(("ORDER", "KEY", "DELIM"))
         words.finish()
-        body = self._parse_nodes(stop="SFOR")
+        body = self._parse_block(tag)
         self._consume_closer("SFOR", tag.line)
         return ForExpr(var=var, expr=expr, body=body,
                        order=_order(options, tag.line),
@@ -351,6 +363,7 @@ class _CondParser:
     def __init__(self, body: str, line: int) -> None:
         self._words = _Words(body, line)
         self.line = line
+        self._depth = 0
 
     def parse(self) -> Cond:
         cond = self._parse_or()
@@ -376,15 +389,23 @@ class _CondParser:
         return peeked is not None and peeked.upper() == word
 
     def _parse_unary(self) -> Cond:
+        if self._depth == MAX_NESTING:
+            raise TemplateSyntaxError(
+                f"condition nested deeper than {MAX_NESTING}", self.line)
         if self._at_keyword("NOT"):
             self._words.take_word()
-            return NotCondT(self._parse_unary())
+            self._depth += 1
+            cond = NotCondT(self._parse_unary())
+            self._depth -= 1
+            return cond
         match = self._words._match()
         if match is None:
             raise TemplateSyntaxError("expected a condition", self.line)
         if match.group(5):  # '('
             self._words.pos = match.end()
+            self._depth += 1
             inner = self._parse_or()
+            self._depth -= 1
             closer = self._words._match()
             if closer is None or not closer.group(6):
                 raise TemplateSyntaxError("missing ')'", self.line)

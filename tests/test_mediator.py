@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AccessPatternError, MediatorError
+from repro.errors import AccessPatternError, MediatorError, SourceLoadError
 from repro.graph import Atom, Graph, Oid
 from repro.mediator import DataSource, LimitedAccessSource, Mediator
 from repro.repository import Repository
@@ -74,6 +74,33 @@ class TestMediator:
         before = mediator.stats["warehouse_builds"]
         mediator.refresh()
         assert mediator.stats["warehouse_builds"] == before + 1
+
+    def test_failed_refresh_keeps_the_warehouse(self, mediator):
+        """A source that raises mid-refresh leaves the previous
+        warehouse in place, still counted as stale."""
+        before = mediator.warehouse()
+        failing = [True]
+        beta = mediator.source("beta")
+        load = beta.load
+
+        def flaky_load(**parameters):
+            if failing[0]:
+                raise OSError("connection reset")
+            return load(**parameters)
+
+        beta.load = flaky_load
+        mediator.source("alpha").touch()
+        beta.touch()
+        with pytest.raises(SourceLoadError, match="'beta'") as info:
+            mediator.refresh()
+        assert info.value.source == "beta"
+        assert isinstance(info.value.__cause__, OSError)
+        assert mediator.warehouse() is before
+        assert mediator.staleness() == 2
+        assert mediator.stats["warehouse_builds"] == 1
+        failing[0] = False
+        assert mediator.refresh() is not before
+        assert mediator.staleness() == 0
 
     def test_store_warehouse(self, mediator):
         repo = Repository()

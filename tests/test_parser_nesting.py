@@ -1,0 +1,79 @@
+"""Deep nesting ends in each parser's own syntax error.
+
+The DDL, StruQL and template parsers are recursive descent.  Past
+``MAX_NESTING`` levels each raises its own classified error, with a
+position, instead of letting ``RecursionError`` escape.
+"""
+
+import pytest
+
+from repro.ddl.parser import parse_ddl
+from repro.errors import DDLError, StruQLSyntaxError, TemplateSyntaxError
+from repro.lexutil import MAX_NESTING
+from repro.struql.parser import parse_query
+from repro.templates.parser import parse_template
+
+
+def _query(body: str) -> str:
+    return f"INPUT DATA {body} OUTPUT SITE"
+
+
+DEEP = {
+    "template nested SIF": (
+        lambda: parse_template(
+            "t", "<SIF @a>" * 1200 + "x" + "</SIF>" * 1200),
+        TemplateSyntaxError),
+    "template unclosed SIF": (
+        lambda: parse_template("t", "<SIF @a>" * 3000),
+        TemplateSyntaxError),
+    "template unclosed SFOR": (
+        lambda: parse_template("t", "<SFOR x IN @a>" * 3000),
+        TemplateSyntaxError),
+    "template condition parentheses": (
+        lambda: parse_template(
+            "t", "<SIF " + "(" * 1000 + "@a" + ")" * 1000 + ">x</SIF>"),
+        TemplateSyntaxError),
+    "query nested blocks": (
+        lambda: parse_query(_query(
+            "{ WHERE C(x) CREATE F(x) " * 1000 + "}" * 1000)),
+        StruQLSyntaxError),
+    "query where chain": (
+        lambda: parse_query(_query("".join(
+            f"WHERE C(x{i}) CREATE F{i}(x{i}) " for i in range(1000)))),
+        StruQLSyntaxError),
+    "query path parentheses": (
+        lambda: parse_query(_query(
+            'WHERE C(x), x -> ' + "(" * 1000 + '"a"' + ")" * 1000
+            + " -> y CREATE F(y)")),
+        StruQLSyntaxError),
+    "query nested not": (
+        lambda: parse_query(_query(
+            "WHERE C(x), " + "not(" * 1000 + "D(x)" + ")" * 1000
+            + " CREATE F(x)")),
+        StruQLSyntaxError),
+    "ddl nested objects": (
+        lambda: parse_ddl(
+            "object o { a " + "{ a " * 1000 + "1" + " }" * 1000 + " }"),
+        DDLError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+def test_deep_nesting_is_a_syntax_error(case):
+    parse, error = DEEP[case]
+    with pytest.raises(error, match="deeper than") as info:
+        parse()
+    assert info.value.line == 1
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING
+    template = parse_template(
+        "t", "<SIF @a>" * depth + "x" + "</SIF>" * depth)
+    assert len(template.nodes) == 1
+    query = parse_query(_query(
+        "{ WHERE C(x) CREATE F(x) " * depth + "}" * depth))
+    assert len(list(query.blocks())) > depth
+    graph = parse_ddl(
+        "object o { a " + "{ a " * depth + "1" + " }" * depth + " }")
+    assert len(list(graph.nodes())) == depth + 1

@@ -42,6 +42,32 @@ class TestDynamicSite:
                             for e in fig4_site.out_edges(node)}
             assert set(view.edges) == materialized, str(node)
 
+    def test_get_page_reuses_the_site_fingerprint(self, fig2_graph,
+                                                  monkeypatch):
+        """A page compute feeds the query registry under the site
+        query's fingerprint without hashing the query text again."""
+        from repro.obs import queries
+        from repro.site import incremental
+
+        site = DynamicSite(FIG3_QUERY, fig2_graph)
+        calls = []
+
+        def counting(query):
+            calls.append(query)
+            return "rehashed"
+
+        monkeypatch.setattr(queries, "fingerprint", counting)
+        monkeypatch.setattr(incremental, "fingerprint", counting)
+        previous = queries.get_query_registry()
+        registry = queries.set_query_registry(queries.QueryStatsRegistry())
+        try:
+            site.get_page(Oid.skolem("RootPage", ()))
+            site.get_page(Oid.skolem("RootPage", ()))
+        finally:
+            queries.set_query_registry(previous)
+        assert calls == []
+        assert registry.get(site.fingerprint).count == 2
+
     def test_cache_hits_counted(self, fig2_graph):
         """A recompute of the same page reads every unit's rows from
         the bindings cache."""
