@@ -2,14 +2,14 @@
 
     python3 .github/bench_gate.py PARENT_CHECKOUT HEAD_CHECKOUT
 
-For each seed in ``SEEDS`` and each workload in ``WORKLOADS`` (one
-build, one serving mix) it runs ``bench/run.py --workload W --seed i
---repeat 1 --out FILE`` in both checkouts, each with its own ``src/``.
-The side that goes first alternates by seed, so a slow spell of the
-host lands on both sides.  Each side's runs are concatenated into one
-document, and the script exits with the status of ``python3 -m
-bench.compare parent.json head.json``: 1 when a metric a user sees
-regressed, 0 otherwise.  The comparison runs in the parent checkout,
+For each seed in ``SEEDS`` and each workload in ``WORKLOADS`` (a cold
+build, a cached rebuild after a one-edge edit, one serving mix) it
+runs ``bench/run.py --workload W --seed i --repeat 1 --out FILE`` in
+both checkouts, each with its own ``src/``.  The side that goes first
+alternates by seed, so a slow spell of the host lands on both sides.
+Each side's runs are concatenated into one document, and the script
+exits with the status of ``python3 -m bench.compare parent.json
+head.json``: 1 when a metric a user sees regressed, 0 otherwise.  The comparison runs in the parent checkout,
 so a change cannot loosen the rules it is judged by.
 """
 
@@ -21,7 +21,7 @@ import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ("org_build_cold", "bib_serve_update")
+WORKLOADS = ("org_build_cold", "org_build_edit", "bib_serve_update")
 
 #: Ten pairs: the fewest for which ``bench.compare`` judges per-layer
 #: metrics (the operation latencies) at all.

@@ -7,7 +7,6 @@ from repro.site.buildcache import (
     BuildReport,
     cached_generate,
     hash_templates,
-    page_fingerprint,
 )
 from repro.site.diff import SiteDiff, diff_graphs
 from repro.site.forms import FormHandler, FormResponse, register_string_predicates
@@ -58,6 +57,5 @@ __all__ = [
     "cached_generate",
     "diff_graphs",
     "hash_templates",
-    "page_fingerprint",
     "register_string_predicates",
 ]

@@ -1,4 +1,4 @@
-"""Content-hash build cache + rebuild planner: the offline incremental
+"""Read-set build cache + rebuild planner: the offline incremental
 site update of paper section 6 ([FER 98c]).
 
 STRUDEL's core promise is cheap regeneration: "multiple versions of a
@@ -7,34 +7,39 @@ from scratch on every data edit throws that away, so this module makes
 ``Website.build_site(out, cache_dir=...)`` / ``repro build`` — the one
 offline build path — *incremental*:
 
-* :class:`BuildCache` — a persistent cache directory holding a
-  manifest (per-page content fingerprints, the template-set hash, the
-  generator options) plus the previous build's site graph.  A page is
-  skipped when its fingerprint, the templates, the options **and** its
-  output file are all unchanged.
-* the **rebuild planner** (:meth:`BuildCache.plan`) — diffs the old
-  site graph against the new one (:func:`repro.site.diff.diff_graphs`)
-  and invalidates only the pages reachable from changed data-graph
-  nodes (:meth:`~repro.site.diff.SiteDiff.dirty_pages`'s conservative
-  reverse closure); clean pages skip without even being fingerprinted.
+* :class:`BuildCache` — a persistent cache directory holding one
+  manifest: the template-set hash, the generator-options hash, per page
+  its URL and the names of the site-graph nodes its last render read,
+  and a ``nodes`` table with the content hash of every node read.
+* the **rebuild planner** (:meth:`BuildCache.plan`) — rehashes the
+  table's nodes on the new site graph.  A page renders when it has no
+  entry, its output file is missing, or it read a node that changed;
+  every other page is skipped.
 * :func:`cached_generate` — the one-call pipeline used by both
   :meth:`repro.site.builder.Website.build_site` and ``repro build
-  --cache-dir/--incremental``: plan, render only the dirty pages,
-  delete removed pages' files, persist the updated manifest.
+  --cache-dir/--incremental``: plan, render only the dirty pages while
+  recording what each one reads, delete removed pages' files, persist
+  the updated manifest.
+
+Read sets are sound because the generator reads its graph only through
+``get``, ``get_one`` and ``collections_of``, and each answer is a
+function of one node's out-edges (in edge order) or collection
+memberships — exactly what :func:`_local_hash` covers.  A page whose
+read nodes all hash as before reads the same answers, takes the same
+path through its templates and writes the same bytes.  The record is
+per node, not per (node, label), and includes reads that found nothing
+(an absent ``@office`` tested by ``SIF``) and reads of linked pages
+(their page-ness and link text).
 
 Crash safety: before the first page file is written, the manifest is
-atomically rewritten without the fingerprints of the pages about to
-render and without the site hash, so a build killed at any point
-leaves a cache that makes the next build re-render whatever it may
-have half-done.  ``site.json`` and the final manifest are then written
-in that order, each atomically.
+atomically rewritten without the read sets of the pages about to
+render, so a build killed at any point leaves a cache that makes the
+next build re-render whatever it may have half-done.  The final
+manifest is one more atomic write.
 
-Fingerprints are content hashes over a page's *forward-reachable*
-subgraph (its bindings: every node, edge, atom and collection
-membership its template can possibly traverse), so they are sound for
-the template language's forward-only attribute paths.  Template edits
-hash into ``templates_hash`` and invalidate everything — the safe
-interpretation of "the same templates are used in both sites".
+Template edits hash into ``templates_hash`` and invalidate everything —
+the safe interpretation of "the same templates are used in both
+sites".
 
 Known limitation: external file contents referenced through
 ``Atom.file`` and resolved by a :class:`~repro.templates.formats
@@ -50,19 +55,16 @@ import os
 from dataclasses import dataclass, field
 
 from repro.graph.model import Graph, Oid
-from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs.lineage import get_lineage, lineage_path
 from repro.obs.trace import get_recorder
 from repro.repository.storage import write_atomic
-from repro.site.diff import diff_graphs
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
 #: Manifest schema version; bump on incompatible layout changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
-#: File names inside a cache directory.
+#: File name of the manifest inside a cache directory.
 MANIFEST_NAME = "manifest.json"
-SITE_GRAPH_NAME = "site.json"
 
 #: Default cache directory name when ``--incremental`` is given
 #: without ``--cache-dir`` (created inside the output directory).
@@ -105,62 +107,26 @@ def _object_key(obj) -> str:
 
 
 def _local_hash(graph: Graph, node: Oid) -> str:
-    """Hash of one node's own content: identity, out-edges, collections."""
-    edges = sorted((edge.label, _object_key(edge.target))
-                   for edge in graph.out_edges(node))
-    return _sha(_object_key(node),
-                *(f"{label}\x01{target}" for label, target in edges),
-                *sorted(graph.collections_of(node)))
+    """Hash of one node's own content: identity, out-edges, collections.
 
-
-def site_content_hash(graph: Graph,
-                      local_hashes: dict[Oid, str] | None = None) -> str:
-    """One hash over the whole site graph's content.
-
-    A warm rebuild whose site hash matches the manifest skips every
-    page immediately — no old-graph deserialization, no diff, no
-    per-page fingerprints.  Combines every node's local hash (which
-    already covers out-edges and collection memberships).
+    Identity includes the Skolem function name, which template
+    selection reads.  Out-edges hash in edge order: ``SFOR`` and
+    ``SFMTLIST`` without ``ORDER`` render a multi-valued attribute in
+    that order, so reordering it must dirty the pages that read the
+    node.
     """
-    if local_hashes is None:
-        local_hashes = {}
-    parts = []
+    return _sha(_object_key(node), node.skolem_fn or "",
+                *(f"{edge.label}\x01{_object_key(edge.target)}"
+                  for edge in graph.out_edges(node)),
+                *graph.collections_of(node))
+
+
+def _nodes_by_name(graph: Graph) -> dict[str, Oid | None]:
+    """Each node name's node; ``None`` for a name several nodes share."""
+    by_name: dict[str, Oid | None] = {}
     for node in graph.nodes():
-        cached = local_hashes.get(node)
-        if cached is None:
-            cached = local_hashes[node] = _local_hash(graph, node)
-        parts.append(cached)
-    return _sha(*sorted(parts))
-
-
-def page_fingerprint(graph: Graph, page: Oid,
-                     local_hashes: dict[Oid, str] | None = None) -> str:
-    """Content fingerprint of everything ``page``'s HTML can depend on.
-
-    The rendered page is a function of the forward-reachable subgraph
-    (templates only traverse outgoing attribute paths, embed successors,
-    and select on collections), so the fingerprint combines the *local*
-    hashes — node identity, out-edges, atom values, collection
-    memberships — of every node reachable from the page.  ``local_hashes``
-    memoizes per-node work across the pages of one build.
-    """
-    if local_hashes is None:
-        local_hashes = {}
-    reached: list[str] = []
-    frontier = [page]
-    seen = {page}
-    while frontier:
-        node = frontier.pop()
-        cached = local_hashes.get(node)
-        if cached is None:
-            cached = local_hashes[node] = _local_hash(graph, node)
-        reached.append(cached)
-        for edge in graph.out_edges(node):
-            target = edge.target
-            if isinstance(target, Oid) and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return _sha(*sorted(reached))
+        by_name[node.name] = None if node.name in by_name else node
+    return by_name
 
 
 @dataclass
@@ -169,17 +135,19 @@ class BuildPlan:
 
     #: Pages to render, in deterministic (sorted) order.
     render: list[Oid] = field(default_factory=list)
-    #: Pages skipped because cache + diff prove them unchanged.
+    #: Pages skipped because none of the nodes they read changed.
     skipped: list[Oid] = field(default_factory=list)
     #: Output file names (relative to ``out_dir``) of removed pages.
     stale_files: list[str] = field(default_factory=list)
     #: Why the plan shaped up this way: ``cold``, ``templates-changed``,
-    #: ``options-changed``, ``schema-changed`` or ``incremental``.
+    #: ``options-changed`` or ``incremental``.
     reason: str = "cold"
-    #: Fingerprints already computed while planning (reused by record).
-    fingerprints: dict[str, str] = field(default_factory=dict)
-    #: True when the site-hash fast path proved the cache state is
-    #: already exact — recording would rewrite identical files.
+    #: Hashes on the new site graph of the manifest's nodes that still
+    #: name exactly one node (reused by record).
+    node_hashes: dict[str, str] = field(default_factory=dict)
+    #: True when no page renders, no file is stale and no read node
+    #: changed: the cache state is already exact, and recording would
+    #: rewrite an identical manifest.
     unchanged: bool = False
 
     @property
@@ -194,21 +162,19 @@ class BuildPlan:
 
 
 class BuildCache:
-    """A persistent, content-hash-keyed site build cache.
+    """A persistent, read-set-keyed site build cache.
 
-    One directory holds a JSON manifest — per-page fingerprints keyed
-    by oid, the template-set hash and the generator-options hash — and
-    the previous build's site graph for the diff-based rebuild planner.
-    Corrupt or mismatched state degrades to a cold build, never to a
-    wrong one.
+    One directory holds a JSON manifest: the template-set hash, the
+    generator-options hash, per page (keyed by oid) its URL and the
+    sorted names of the nodes its render read, and the ``nodes`` table
+    of their content hashes.  Corrupt or mismatched state degrades to
+    a cold build, never to a wrong one.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.manifest_path = os.path.join(directory, MANIFEST_NAME)
-        self.site_graph_path = os.path.join(directory, SITE_GRAPH_NAME)
         self.manifest: dict | None = None
-        self._old_site: Graph | None = None
 
     # -- persistence -----------------------------------------------------------
 
@@ -222,23 +188,12 @@ class BuildCache:
             return False
         if not isinstance(manifest, dict) \
                 or manifest.get("schema") != CACHE_SCHEMA \
-                or not isinstance(manifest.get("pages"), dict):
+                or not isinstance(manifest.get("pages"), dict) \
+                or not isinstance(manifest.get("nodes"), dict):
             self.manifest = None
             return False
         self.manifest = manifest
         return True
-
-    def old_site_graph(self) -> Graph | None:
-        """The previous build's site graph, if it deserializes."""
-        if self._old_site is None:
-            try:
-                with open(self.site_graph_path,
-                          encoding="utf-8") as handle:
-                    self._old_site = graph_from_json(handle.read())
-            except (OSError, ValueError, KeyError,
-                    json.JSONDecodeError):
-                return None
-        return self._old_site
 
     # -- planning --------------------------------------------------------------
 
@@ -271,100 +226,94 @@ class BuildCache:
             return plan
 
         assert manifest is not None
-        local_hashes: dict[Oid, str] = {}
-        dirty: set[Oid] | None = None  # None = fingerprint everything
-        # Fast path: an identical site hash proves nothing changed
-        # without loading the old graph or diffing at all.
-        if manifest.get("site_hash") == site_content_hash(site,
-                                                          local_hashes):
-            dirty = set()
-            plan.unchanged = True
-        else:
-            old_site = self.old_site_graph()
-            if old_site is not None:
-                diff = diff_graphs(old_site, site)
-                if diff.empty:
-                    dirty = set()
-                elif not diff.collection_changes:
-                    dirty = diff.dirty_pages(site, generator)
-                # Collection-membership changes can affect template
-                # selection without any edge delta; fall back to
-                # fingerprinting every page (dirty = None) — still no
-                # re-render unless content truly changed.
+        # A node is clean when its name still names exactly one node
+        # and that node hashes as before; a vanished or ambiguous name
+        # counts as changed.
+        by_name = _nodes_by_name(site)
+        clean: set[str] = set()
+        for name, old_hash in manifest["nodes"].items():
+            node = by_name.get(name)
+            if node is None:
+                continue
+            new_hash = plan.node_hashes[name] = _local_hash(site, node)
+            if new_hash == old_hash:
+                clean.add(name)
         for page in pages:
-            key = str(page)
-            entry = old_pages.get(key)
+            entry = old_pages.get(str(page))
             out_path = os.path.join(out_dir, generator.url_for(page))
-            # No fingerprint: a killed build may have half-rendered it.
-            if entry is None or "fingerprint" not in entry \
-                    or not os.path.exists(out_path):
+            # No read set: a killed build may have half-rendered it.
+            if entry is None or "reads" not in entry \
+                    or not os.path.exists(out_path) \
+                    or not clean.issuperset(entry["reads"]):
                 plan.render.append(page)
-                continue
-            if dirty is not None and page not in dirty:
-                plan.skipped.append(page)
-                plan.fingerprints[key] = entry["fingerprint"]
-                continue
-            fp = page_fingerprint(site, page, local_hashes)
-            plan.fingerprints[key] = fp
-            if fp == entry["fingerprint"]:
-                plan.skipped.append(page)
             else:
-                plan.render.append(page)
-        plan.unchanged = (plan.unchanged and not plan.render
-                          and not plan.stale_files)
+                plan.skipped.append(page)
+        plan.unchanged = not plan.render and not plan.stale_files \
+            and len(clean) == len(manifest["nodes"])
         return plan
 
     # -- recording -------------------------------------------------------------
 
     def begin(self, generator: HtmlGenerator, templates: TemplateSet,
               plan: BuildPlan, options: dict | None = None) -> None:
-        """Forget the fingerprints of the pages about to render.
+        """Forget the read sets of the pages about to render.
 
         Called before the first page file is written: until
         :meth:`record` succeeds, the manifest names every page of
         ``plan.render`` (so its file is deleted if the page leaves the
-        site) without a fingerprint (so it renders again) and holds no
-        site hash (so the no-change fast path cannot fire).
+        site) without a read set (so it renders again).
         """
         if not plan.render:
             return
-        pages = dict(self.manifest["pages"]) if self.manifest else {}
+        manifest = self.manifest or {}
+        pages = dict(manifest.get("pages", {}))
         for page in plan.render:
             pages[str(page)] = {"url": generator.url_for(page)}
-        self._write_manifest(templates, options, pages)
+        self._write_manifest(templates, options, pages,
+                             manifest.get("nodes", {}))
 
     def record(self, site: Graph, generator: HtmlGenerator,
                templates: TemplateSet, plan: BuildPlan,
+               reads: dict[Oid, set[Oid]],
                options: dict | None = None) -> None:
-        """Persist the post-build state: site graph, then manifest."""
-        local_hashes: dict[Oid, str] = {}
+        """Persist the post-build state in one manifest write.
+
+        Rendered pages get the read sets their renders recorded
+        (``reads``, from :meth:`HtmlGenerator.generate_site`); skipped
+        pages keep their entries; every node read is hashed on ``site``.
+        """
+        old_pages = self.manifest["pages"] if self.manifest else {}
+        hashes = plan.node_hashes
         entries: dict[str, dict] = {}
-        for page in plan.render + plan.skipped:
+        nodes: dict[str, str] = {}
+        for page in plan.skipped:
             key = str(page)
-            fp = plan.fingerprints.get(key)
-            if fp is None:
-                fp = page_fingerprint(site, page, local_hashes)
-            entries[key] = {"url": generator.url_for(page),
-                            "fingerprint": fp}
-        os.makedirs(self.directory, exist_ok=True)
-        write_atomic(self.site_graph_path, graph_to_json(site))
-        self._old_site = site
-        self._write_manifest(templates, options, entries,
-                             site_content_hash(site, local_hashes))
+            entry = entries[key] = old_pages[key]
+            for name in entry["reads"]:
+                nodes[name] = hashes[name]
+        for page in plan.render:
+            read = {node.name: node for node in reads[page]}
+            for name, node in read.items():
+                if name not in nodes:
+                    nodes[name] = hashes.get(name) \
+                        or _local_hash(site, node)
+            entries[str(page)] = {"url": generator.url_for(page),
+                                  "reads": sorted(read)}
+        self._write_manifest(templates, options, entries, nodes)
 
     def _write_manifest(self, templates: TemplateSet, options: dict | None,
                         pages: dict[str, dict],
-                        site_hash: str | None = None) -> None:
+                        nodes: dict[str, str]) -> None:
         manifest = {
             "schema": CACHE_SCHEMA,
             "templates_hash": hash_templates(templates),
             "options_hash": hash_options(options),
             "pages": pages,
+            "nodes": nodes,
         }
-        if site_hash is not None:
-            manifest["site_hash"] = site_hash
         os.makedirs(self.directory, exist_ok=True)
-        write_atomic(self.manifest_path, json.dumps(manifest, indent=1))
+        write_atomic(self.manifest_path,
+                     json.dumps(manifest, separators=(",", ":")))
         self.manifest = manifest
 
 
@@ -405,8 +354,9 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
 
     Without ``cache`` this is a plain full build through
     :meth:`HtmlGenerator.generate_site`.  With one, only the pages the
-    planner proves dirty are rendered, files of pages that left the
-    site are deleted, and the manifest is updated for the next run.
+    planner proves dirty are rendered (recording what each one reads),
+    files of pages that left the site are deleted, and the manifest is
+    updated for the next run.
     Emits the ``site.build.*`` metrics either way.
     """
     import time
@@ -423,7 +373,9 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
             plan = cache.plan(site, generator, templates, out_dir,
                               options=options)
             cache.begin(generator, templates, plan, options=options)
-            written = generator.generate_site(out_dir, pages=plan.render)
+            reads: dict[Oid, set[Oid]] = {}
+            written = generator.generate_site(out_dir, pages=plan.render,
+                                              reads=reads)
             removed: list[str] = []
             for name in plan.stale_files:
                 path = os.path.join(out_dir, name)
@@ -431,7 +383,7 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
                     os.unlink(path)
                     removed.append(path)
             if not plan.unchanged:  # a no-op plan leaves the exact state
-                cache.record(site, generator, templates, plan,
+                cache.record(site, generator, templates, plan, reads,
                              options=options)
             report = BuildReport(written, skipped=list(plan.skipped),
                                  removed_files=removed,

@@ -68,6 +68,22 @@ class _Entry:
     as_page: bool
 
 
+class _RenderState(threading.local):
+    """One thread's render state.
+
+    ``stack`` is the embedding chain of the render in progress.
+    ``reads`` is the read log of the top-level page render being
+    recorded: every node passed to the graph's ``get``, ``get_one`` or
+    ``collections_of``.  It is ``None`` whenever no render is recorded,
+    so other renders neither see it nor grow it.
+    """
+
+    reads: set[Oid] | None = None
+
+    def __init__(self) -> None:
+        self.stack: list[Oid] = []
+
+
 class TemplateSet:
     """A named library of compiled templates.
 
@@ -134,24 +150,31 @@ class HtmlGenerator:
         self.graph = graph
         self.templates = templates
         self.loader = loader
-        # Per-thread render stacks: the click-time server renders pages
+        # Per-thread render state: the click-time server renders pages
         # concurrently over one shared generator (outside the site
         # lock), and a shared stack would report another request's
         # embedding chain as a cycle.
-        self._local = threading.local()
+        self._state = _RenderState()
 
     @property
     def _render_stack(self) -> list[Oid]:
-        stack = getattr(self._local, "render_stack", None)
-        if stack is None:
-            stack = self._local.render_stack = []
-        return stack
+        return self._state.stack
+
+    def _read(self, oid: Oid) -> None:
+        """Log a graph read of ``oid`` into the recorded render, if any."""
+        reads = self._state.reads
+        if reads is not None:
+            reads.add(oid)
+
+    def _select(self, oid: Oid) -> tuple[Template, bool] | None:
+        self._read(oid)
+        return self.templates.select(self.graph, oid)
 
     # -- page bookkeeping ----------------------------------------------------------
 
     def is_page(self, oid: Oid) -> bool:
         """Whether ``oid`` is realized as a separate page by default."""
-        selected = self.templates.select(self.graph, oid)
+        selected = self._select(oid)
         return selected is not None and selected[1]
 
     def pages(self) -> list[Oid]:
@@ -166,7 +189,7 @@ class HtmlGenerator:
 
     def template_for(self, oid: Oid) -> str | None:
         """The name of the template that would render ``oid``."""
-        selected = self.templates.select(self.graph, oid)
+        selected = self._select(oid)
         return selected[0].name if selected else None
 
     def record_lineage(self, pages: list[Oid] | None = None) -> int:
@@ -202,7 +225,7 @@ class HtmlGenerator:
         return html
 
     def _do_render(self, oid: Oid) -> str:
-        selected = self.templates.select(self.graph, oid)
+        selected = self._select(oid)
         if selected is None:
             raise MissingTemplateError(oid)
         template, _ = selected
@@ -217,14 +240,18 @@ class HtmlGenerator:
             self._render_stack.pop()
 
     def generate_site(self, out_dir: str,
-                      pages: list[Oid] | None = None) -> dict[Oid, str]:
+                      pages: list[Oid] | None = None,
+                      reads: dict[Oid, set[Oid]] | None = None
+                      ) -> dict[Oid, str]:
         """Write every page's HTML under ``out_dir``.
 
         Returns the mapping from page oid to written file path, in
         deterministic (sorted-by-oid) order.  The result is the paper's
         "browsable Web site".  ``pages`` restricts the build to a
         subset (the build cache's dirty set); by default every page
-        renders.
+        renders.  With ``reads``, each page's render is recorded into
+        ``reads[page]``: the set of site-graph nodes it read, the page
+        itself included (the build cache's dependency record).
         """
         os.makedirs(out_dir, exist_ok=True)
         targets = sorted(self.pages(), key=str) if pages is None \
@@ -237,7 +264,12 @@ class HtmlGenerator:
                 path = os.path.join(out_dir, self.url_for(page))
                 with recorder.span("site.build.page",
                                    page=str(page)) as page_span:
-                    html = self.render(page)
+                    if reads is not None:
+                        self._state.reads = reads[page] = set()
+                    try:
+                        html = self.render(page)
+                    finally:
+                        self._state.reads = None
                     with open(path, "w", encoding="utf-8") as handle:
                         handle.write(html)
                     page_span.set(bytes=len(html))
@@ -273,15 +305,20 @@ class HtmlGenerator:
                 env: dict[str, GraphObject]) -> list[GraphObject]:
         """All values of an attribute expression, in edge order."""
         first, *rest = expr.segments
+        reads = self._state.reads
         values: list[GraphObject]
         if first in env:
             values = [env[first]]
         else:
+            if reads is not None:
+                reads.add(obj)
             values = self.graph.get(obj, first)
         for segment in rest:
             next_values: list[GraphObject] = []
             for value in values:
                 if isinstance(value, Oid):
+                    if reads is not None:
+                        reads.add(value)
                     next_values.extend(self.graph.get(value, segment))
             values = next_values
         return values
@@ -307,6 +344,7 @@ class HtmlGenerator:
         return self._default_title(value)
 
     def _default_title(self, oid: Oid) -> str:
+        self._read(oid)
         for attribute in _TITLE_ATTRIBUTES:
             value = self.graph.get_one(oid, attribute)
             if isinstance(value, Atom):
@@ -332,7 +370,7 @@ class HtmlGenerator:
         if format == "LINK" or self.is_page(value):
             return anchor(self.url_for(value),
                           tag or self._default_title(value))
-        if self.templates.select(self.graph, value) is not None:
+        if self._select(value) is not None:
             return self.render(value)
         # No template at all: fall back to its title text.
         return escape(tag or self._default_title(value))
@@ -347,6 +385,7 @@ class HtmlGenerator:
         def sort_key(value: GraphObject):
             probe: GraphObject | None = value
             if isinstance(value, Oid) and key is not None:
+                self._read(value)
                 probe = self.graph.get_one(value, key)
             if isinstance(probe, Atom):
                 return str(probe.value)

@@ -1,16 +1,18 @@
-"""The content-hash-cached, incremental build pipeline.
+"""The read-set-cached, incremental build pipeline.
 
 Correctness contract: a cached (incremental) build must be
 byte-for-byte identical to a cold build, a rebuild of an unchanged
-site must render nothing, and any template or reachable-data change
-must invalidate exactly the affected pages.
+site must render nothing, and any template change, or any change to a
+node a page read, must re-render that page.
 
 ``TestRandomEditScripts`` turns that contract into a property: random
-edit scripts over the data graph, with the incremental output tree
-compared file-for-file against a cold build after every step.
+edit scripts over the data graph — adding, removing and reordering
+attributes, and adding and removing collection members that template
+selection reads — with the incremental output tree compared
+file-for-file against a cold build after every step.
 ``TestKilledBuild`` extends it to failures: a build killed at any
-page render, or between the cache's two writes, must leave a cache the
-next build recovers from.
+page render, or inside the cache's final manifest write, must leave a
+cache the next build recovers from.
 """
 
 import os
@@ -18,22 +20,76 @@ import random
 
 import pytest
 
-from repro.graph import Atom, Oid
+from repro.graph import Atom, Graph, Oid
 from repro.site import buildcache
-from repro.site.buildcache import (
-    BuildCache,
-    cached_generate,
-    hash_templates,
-    page_fingerprint,
-)
+from repro.site.buildcache import BuildCache, cached_generate, hash_templates
 from repro.site.builder import Website
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
 from repro.templates.generator import HtmlGenerator
 
 
-def _site(data=None, templates=None):
-    return Website(data or fig2_data(), FIG3_QUERY,
+def _site(data=None, templates=None, query=FIG3_QUERY):
+    return Website(data or fig2_data(), query,
                    templates=templates or fig7_templates())
+
+
+#: Fig 3 plus a ``Badge(x)`` per publication, shown on its presentation
+#: and collected into ``Starred`` when the data stars the publication.
+#: ``Badge`` has no template of its own, so its template is selected by
+#: collection: a ``Starred`` membership edit changes what renders.
+BADGE_QUERY = FIG3_QUERY.replace("OUTPUT HomePage", """
+WHERE Publications(x)
+CREATE Badge(x)
+LINK PaperPresentation(x) -> "Badge" -> Badge(x)
+WHERE Starred(x)
+COLLECT Starred(Badge(x))
+OUTPUT HomePage""")
+
+
+def _badge_templates():
+    templates = fig7_templates()
+    presentation = templates.get("PaperPresentation")
+    templates.add("PaperPresentation",
+                  presentation.source + "<SFMT @Badge>",
+                  as_page=templates.is_page_template("PaperPresentation"))
+    templates.add("Starred", "<B>starred</B>", as_page=False)
+    return templates
+
+
+def _badge_site(data):
+    return _site(data, _badge_templates(), BADGE_QUERY)
+
+
+def _badge_data():
+    data = fig2_data()
+    data.declare_collection("Starred")
+    return data
+
+
+def _copy(data, drop=lambda edge: False, unlist=(), reverse=None):
+    """A copy of ``data`` (``Graph`` removes neither edges nor members)
+    without the edges ``drop`` selects and the ``(collection, member)``
+    pairs in ``unlist``, and with the edges of the ``(node, label)``
+    pair ``reverse`` in reverse order."""
+    copy = Graph(data.name)
+    for node in data.nodes():
+        copy.add_node(node)
+    for node in data.nodes():
+        edges = [edge for edge in data.out_edges(node) if not drop(edge)]
+        if reverse is not None and reverse[0] == node:
+            slots = [i for i, edge in enumerate(edges)
+                     if edge.label == reverse[1]]
+            moved = [edges[i] for i in reversed(slots)]
+            for i, edge in zip(slots, moved):
+                edges[i] = edge
+        for edge in edges:
+            copy.add_edge(edge.source, edge.label, edge.target)
+    for name in data.collection_names():
+        copy.declare_collection(name)
+        for member in data.collection(name):
+            if (name, member) not in unlist:
+                copy.add_to_collection(name, member)
+    return copy
 
 
 def _read_tree(root):
@@ -47,23 +103,46 @@ def _read_tree(root):
 
 
 class TestFingerprints:
-    def test_stable_across_rebuilds(self):
-        a, b = _site(), _site()
-        page = Oid.skolem("RootPage", ())
-        assert page_fingerprint(a.site_graph, page) == \
-            page_fingerprint(b.site_graph, page)
+    """A page's fingerprint is the set of nodes its render read, each
+    hashed; the planner skips a page whose read nodes all hash as
+    before."""
 
-    def test_sensitive_to_reachable_change(self):
+    YEAR97 = Oid.skolem("YearPage", (Atom.int(1997),))
+    YEAR98 = Oid.skolem("YearPage", (Atom.int(1998),))
+
+    def test_stable_across_rebuilds(self, tmp_path):
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        _site().build_site(out, cache_dir=cache)
+        report = _site().build_site(out, cache_dir=cache)
+        assert Oid.skolem("RootPage", ()) in report.skipped
+
+    def test_sensitive_to_reachable_change(self, tmp_path):
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        _site().build_site(out, cache_dir=cache)
         changed = fig2_data()
         changed.add_edge(Oid("pub1"), "note", Atom.string("errata"))
-        a, b = _site(), _site(changed)
-        # pub1 is reachable from the 1997 YearPage but not the 1998 one.
-        year97 = Oid.skolem("YearPage", (Atom.int(1997),))
-        year98 = Oid.skolem("YearPage", (Atom.int(1998),))
-        assert page_fingerprint(a.site_graph, year97) != \
-            page_fingerprint(b.site_graph, year97)
-        assert page_fingerprint(a.site_graph, year98) == \
-            page_fingerprint(b.site_graph, year98)
+        report = _site(changed).build_site(out, cache_dir=cache)
+        # The 1997 YearPage embeds pub1's presentation; the 1998 one
+        # reads nothing of pub1.
+        assert self.YEAR97 in report.written
+        assert self.YEAR98 in report.skipped
+
+    def test_edge_order_change_rerenders(self, tmp_path):
+        """``SFOR`` without ``ORDER`` renders authors in edge order, so
+        reversing pub1's two ``author`` edges must re-render the pages
+        that print them."""
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        data = fig2_data()
+        _site(data).build_site(out, cache_dir=cache)
+        reordered = _copy(data, reverse=(Oid("pub1"), "author"))
+        assert reordered.get(Oid("pub1"), "author") == \
+            data.get(Oid("pub1"), "author")[::-1]
+        report = _site(reordered).build_site(out, cache_dir=cache)
+        assert self.YEAR97 in report.written
+        assert self.YEAR98 in report.skipped
+        cold = str(tmp_path / "cold")
+        _site(reordered).build_site(cold)
+        assert _read_tree(out) == _read_tree(cold)
 
     def test_template_hash_covers_source_and_pageness(self):
         base = fig7_templates()
@@ -140,18 +219,26 @@ class TestBuildCache:
         _site().build_site(fresh)
         assert _read_tree(out) == _read_tree(fresh)
 
-    def test_collection_only_change_falls_back_soundly(self, tmp_path):
-        """Collection-membership deltas have no edge diff; the planner
-        must fingerprint rather than trust ``dirty_pages``."""
+    def test_collection_membership_edit_equals_cold(self, tmp_path):
+        """Starring pub1 puts ``Badge(pub1)`` into ``Starred``, which
+        selects its template: the pages that embed pub1's presentation
+        re-render, the rest stay cached, and unstarring reverts."""
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
-        site = _site()
-        site.build_site(out, cache_dir=cache)
-        # Tag an existing site-graph node into a new collection in the
-        # cached old graph via a direct manifest replay: simulate by
-        # rebuilding with identical data — the diff is empty and the
-        # planner must still render nothing.
-        report = _site().build_site(out, cache_dir=cache)
-        assert report.pages_rendered == 0
+        data = _badge_data()
+        _badge_site(data).build_site(out, cache_dir=cache)
+        starred = _badge_data()
+        starred.add_to_collection("Starred", Oid("pub1"))
+        for step, edited in enumerate([starred, data]):
+            report = _badge_site(edited).build_site(out, cache_dir=cache)
+            written = {str(page) for page in report.written}
+            assert "YearPage(1997)" in written
+            assert "YearPage(1998)" not in written
+            cold = str(tmp_path / f"cold{step}")
+            _badge_site(edited).build_site(cold)
+            assert _read_tree(out) == _read_tree(cold)
+        with open(os.path.join(out, "YearPage_1997_.html"),
+                  encoding="utf-8") as handle:
+            assert "starred" not in handle.read()
 
     def test_corrupt_manifest_degrades_to_cold(self, tmp_path):
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
@@ -162,6 +249,18 @@ class TestBuildCache:
         report = _site().build_site(out, cache_dir=cache)
         assert report.reason == "cold"
         assert report.pages_rendered > 0
+
+    def test_schema_1_manifest_degrades_to_cold(self, tmp_path):
+        """A manifest of the fingerprint cache (schema 1, no read sets)
+        is not trusted."""
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        _site().build_site(out, cache_dir=cache)
+        with open(os.path.join(cache, "manifest.json"), "w",
+                  encoding="utf-8") as handle:
+            handle.write('{"schema": 1, "pages": {}}')
+        report = _site().build_site(out, cache_dir=cache)
+        assert report.reason == "cold"
+        assert report.pages_skipped == 0
 
     def test_deleted_output_file_rerendered(self, tmp_path):
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
@@ -174,20 +273,29 @@ class TestBuildCache:
 
 
 class TestRandomEditScripts:
-    """Property-based differential check: for ANY additive edit
-    script, the incremental rebuild's output directory is
-    file-identical to a cold build of the same data.  Randomness is
-    stdlib ``random`` with pinned seeds, so failures replay exactly.
+    """Property-based differential check: for ANY edit script, the
+    incremental rebuild's output directory is file-identical to a cold
+    build of the same data.  Edits add attributes and publications,
+    remove attributes the presentation template tests with ``SIF``,
+    reorder multi-valued attributes, and star or unstar publications
+    (a ``Starred`` membership that selects the badge template; see
+    :data:`BADGE_QUERY`).  Randomness is stdlib ``random`` with pinned
+    seeds, so failures replay exactly.
     """
 
-    STEPS = 10
+    STEPS = 16
     YEARS = list(range(1995, 2003))
     CATEGORIES = ["Semistructured Data", "Compilers", "Networking"]
     LABELS = ["note", "keyword", "doi"]
+    #: Attributes Fig 7's presentation template tests with ``SIF``.
+    SIF_LABELS = ["journal", "volume", "booktitle", "month"]
+    KINDS = ["attribute", "year", "category", "new_pub", "drop_sif",
+             "reorder", "star", "unstar"]
 
     def _apply_random_edit(self, rng, data, step):
+        """Edit ``data``; returns the edited graph (maybe a copy)."""
         pubs = list(data.collection("Publications"))
-        kind = rng.choice(["attribute", "year", "category", "new_pub"])
+        kind = rng.choice(self.KINDS)
         if kind == "attribute":
             data.add_edge(rng.choice(pubs), rng.choice(self.LABELS),
                           Atom.string(f"v{rng.randrange(10_000)}"))
@@ -197,30 +305,51 @@ class TestRandomEditScripts:
         elif kind == "category":
             data.add_edge(rng.choice(pubs), "category",
                           Atom.string(rng.choice(self.CATEGORIES)))
-        else:
+        elif kind == "new_pub":
             pub = Oid(f"edit-pub{step}")
             data.add_to_collection("Publications", pub)
             data.add_edge(pub, "title", Atom.string(f"Edit Paper {step}"))
             data.add_edge(pub, "year", Atom.int(rng.choice(self.YEARS)))
             data.add_edge(pub, "category",
                           Atom.string(rng.choice(self.CATEGORIES)))
+        elif kind == "drop_sif":
+            present = [(pub, label) for pub in pubs
+                       for label in self.SIF_LABELS if data.get(pub, label)]
+            if present:
+                pub, label = rng.choice(present)
+                return _copy(data, drop=lambda edge: edge.source == pub
+                             and edge.label == label)
+        elif kind == "reorder":
+            multi = [(pub, label) for pub in pubs
+                     for label in data.labels_of(pub)
+                     if len(data.get(pub, label)) > 1]
+            if multi:
+                return _copy(data, reverse=rng.choice(multi))
+        elif kind == "star":
+            data.add_to_collection("Starred", rng.choice(pubs))
+        else:
+            starred = data.collection("Starred")
+            if starred:
+                return _copy(data,
+                             unlist={("Starred", rng.choice(starred))})
+        return data
 
     @pytest.mark.parametrize("seed", [0xBEEF, 0xCAFE])
     def test_incremental_equals_cold_after_every_edit(self, tmp_path,
                                                       seed):
         rng = random.Random(seed)
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
-        data = fig2_data()
-        _site(data).build_site(out, cache_dir=cache)
+        data = _badge_data()
+        _badge_site(data).build_site(out, cache_dir=cache)
         skipped_any = 0
         for step in range(self.STEPS):
-            self._apply_random_edit(rng, data, step)
-            report = _site(data).build_site(out, cache_dir=cache)
+            data = self._apply_random_edit(rng, data, step)
+            report = _badge_site(data).build_site(out, cache_dir=cache)
             assert report.reason == "incremental", \
                 f"seed={seed:#x} step={step}: {report.reason}"
             skipped_any += report.pages_skipped
             fresh = str(tmp_path / f"fresh{step}")
-            _site(data).build_site(fresh)
+            _badge_site(data).build_site(fresh)
             assert _read_tree(out) == _read_tree(fresh), \
                 f"seed={seed:#x} step={step}: trees diverged"
         # The cache earned its keep: across the script, at least some
@@ -234,7 +363,7 @@ class _Killed(Exception):
 
 class TestKilledBuild:
     """Kill the rebuild after a category edit at every top-level page
-    render, and between ``record``'s ``site.json`` and manifest writes.
+    render, and inside ``record``'s manifest write.
     The next incremental build — back on the original data, or retrying
     the edit — must equal a cold build file-for-file, which includes
     deleting the pages the killed build created."""
@@ -263,18 +392,20 @@ class TestKilledBuild:
         patch.setattr(HtmlGenerator, "render", render)
 
     @staticmethod
-    def _kill_between_writes(patch):
-        real = buildcache.write_atomic
-        written = []
+    def _kill_in_record(patch):
+        """Die in ``record``'s manifest write, before it lands: the
+        pages are written, the manifest is still ``begin``'s."""
+        real = BuildCache.record
 
         def write(path, text):
-            if path.endswith(buildcache.MANIFEST_NAME) and written:
-                raise _Killed("after site.json, before manifest.json")
-            if path.endswith(buildcache.SITE_GRAPH_NAME):
-                written.append(path)
-            real(path, text)
+            assert path.endswith(buildcache.MANIFEST_NAME)
+            raise _Killed("inside record's manifest write")
 
-        patch.setattr(buildcache, "write_atomic", write)
+        def record(cache, *args, **kwargs):
+            patch.setattr(buildcache, "write_atomic", write)
+            return real(cache, *args, **kwargs)
+
+        patch.setattr(BuildCache, "record", record)
 
     @pytest.mark.parametrize("then", ["revert", "retry"])
     @pytest.mark.parametrize("kill", [*range(RENDERS), "record"])
@@ -284,7 +415,7 @@ class TestKilledBuild:
         _site().build_site(out, cache_dir=cache)
         with monkeypatch.context() as patch:
             if kill == "record":
-                self._kill_between_writes(patch)
+                self._kill_in_record(patch)
             else:
                 self._kill_at_render(patch, kill)
             with pytest.raises(_Killed):

@@ -1,5 +1,5 @@
-"""Incremental site updates: graph diff and selective regeneration
-(through the build cache)."""
+"""Site-graph diffs (``repro diff``) and selective regeneration through
+the build cache."""
 
 import os
 
@@ -8,7 +8,6 @@ import pytest
 from repro.graph import Atom, Graph, Oid
 from repro.site import Website, diff_graphs
 from repro.sites.homepage import FIG3_QUERY, fig7_templates
-from repro.templates import HtmlGenerator
 
 
 class TestDiff:
@@ -40,30 +39,6 @@ class TestDiff:
         diff = diff_graphs(tiny_graph, new)
         added, removed = diff.collection_changes["Root"]
         assert added == {Oid("a")} and removed == set()
-
-    def test_touched_sources(self, tiny_graph):
-        new = tiny_graph.copy()
-        new.add_edge(Oid("a"), "txt", Atom.string("more"))
-        diff = diff_graphs(tiny_graph, new)
-        assert diff.touched_sources() == {Oid("a")}
-
-
-class TestDirtyPages:
-    def test_dirty_closes_backwards_over_embedding(self, fig2_graph,
-                                                   fig4_site):
-        """Adding an attribute to a presentation dirties the pages that
-        embed it (year/category/abstracts), not unrelated pages."""
-        new_site = fig4_site.copy()
-        pres = Oid.skolem("PaperPresentation", (Oid("pub1"),))
-        new_site.add_edge(pres, "note", Atom.string("updated"))
-        diff = diff_graphs(fig4_site, new_site)
-        generator = HtmlGenerator(new_site, fig7_templates())
-        dirty = diff.dirty_pages(new_site, generator)
-        names = {n.skolem_fn for n in dirty}
-        assert "YearPage" in names          # embeds the presentation
-        assert "RootPage" in names          # links to the year page
-        year98 = Oid.skolem("YearPage", (Atom.int(1998),))
-        assert year98 not in dirty          # pub2's year unaffected
 
 
 def _build(data, out, cache):

@@ -405,3 +405,87 @@ class TestConcurrentRenders:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors  # a shared stack raises TemplateEvalError
         assert not mismatches
+
+    def test_recorded_reads_stay_on_their_thread(self, tmp_path):
+        """A cached build records each page's reads while click-time
+        renders run on other threads over the same generator: the
+        recording must equal one made alone, and the other threads
+        must never see a read log."""
+        import sys
+        import threading
+
+        from repro.datagen import generate_bibtex
+        from repro.sites.homepage import FIG3_QUERY, fig7_templates
+        from repro.struql import QueryEngine
+        from repro.wrappers import BibTexWrapper
+
+        data = BibTexWrapper().wrap(generate_bibtex(20, seed=6), "BIBTEX")
+        site = QueryEngine().evaluate(FIG3_QUERY, data).output
+        generator = HtmlGenerator(site, fig7_templates())
+        pages = sorted(generator.pages(), key=str)
+        expected: dict = {}
+        generator.generate_site(str(tmp_path / "alone"), reads=expected)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        seen_logs: list[object] = []
+
+        def worker() -> None:
+            try:
+                while not stop.is_set():
+                    for page in pages:
+                        generator.render(page)
+                        if generator._state.reads is not None:
+                            seen_logs.append(generator._state.reads)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=worker)
+                   for _ in range(self.THREADS)]
+        try:
+            for thread in threads:
+                thread.start()
+            for round_ in range(3):
+                reads: dict = {}
+                generator.generate_site(str(tmp_path / f"r{round_}"),
+                                        reads=reads)
+                assert reads == expected
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert not seen_logs
+
+
+class TestReadRecording:
+    """``generate_site(reads=...)`` logs every node a page's render
+    passed to ``get``, ``get_one`` or ``collections_of``."""
+
+    def test_records_misses_links_and_embeds_only(self, tmp_path):
+        graph = Graph("site")
+        page, linked, part, other = (Oid("page"), Oid("linked"),
+                                     Oid("part"), Oid("other"))
+        graph.add_edge(page, "link", linked)
+        graph.add_edge(page, "part", part)
+        graph.add_edge(part, "name", Atom.string("Part"))
+        graph.add_edge(linked, "title", Atom.string("Linked"))
+        graph.add_edge(other, "title", Atom.string("Unread"))
+        templates = TemplateSet()
+        templates.add("page", "<SIF @office>x</SIF><SFMT @link>"
+                              "<SFMT @part>")
+        templates.add("linked", "<SFMT @title>")
+        templates.add("other", "<SFMT @title>")
+        templates.add("part", "<SFMT @name>", as_page=False)
+        generator = HtmlGenerator(graph, templates)
+        reads: dict = {}
+        generator.generate_site(str(tmp_path), reads=reads)
+        # The absent @office is a read of ``page``; the link reads the
+        # target's page-ness and title; the embed renders ``part``.
+        assert reads[page] == {page, linked, part}
+        assert reads[other] == {other}
+        assert set(reads) == {page, linked, other}
+        assert generator._state.reads is None
