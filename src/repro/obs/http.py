@@ -30,7 +30,7 @@ answers two kinds of traffic on one port:
   ``/debug/lineage``  provenance: the backward derivation tree for
                   ``?page=<url|oid>``, or an index summary without it
   ``/debug/matviews`` the materialized-view registry: hit/miss/
-                  invalidation counters and per-view footprints
+                  invalidation counters and per-view read sets
   ``/debug/slo``  every service-level objective with its windowed
                   compliance, burn rate and remaining error budget
   ``/debug/alerts``   the burn-rate alert rules and their
@@ -109,7 +109,7 @@ DEBUG_ENDPOINTS: dict[str, str] = {
     "/debug/lineage": ("page provenance (?page=<url|oid>), or a "
                        "source-freshness summary"),
     "/debug/matviews": ("materialized-view registry: hit/miss/"
-                        "invalidation counters and per-view footprints "
+                        "invalidation counters and per-view read sets "
                         "(?limit=N)"),
     "/debug/slo": ("service-level objectives: compliance, burn rate, "
                    "error budget"),
@@ -277,7 +277,7 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "site_cache": (cache_snapshot()
                            if callable(cache_snapshot) else None),
             # Materialized-view registry state (hit/miss/invalidation
-            # counters, per-view footprints) — absent on pre-matview
+            # counters, per-view read sets) — absent on pre-matview
             # snapshots, so consumers must tolerate a missing key.
             "matviews": self._matviews_payload(limit=DEBUG_QUERY_LIMIT),
             # Objective judgements and alert state at drain time, so

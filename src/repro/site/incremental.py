@@ -18,6 +18,14 @@ behind the :class:`~repro.graph.Graph` interface so the HTML generator
 can render dynamic pages without a materialized site graph — the state
 the paper says must live "in a client-side browser and/or a server-side
 query processor" lives in the wrapper's materialized-page set.
+
+A data change reaches both stores through one decision:
+:meth:`DynamicSite.invalidate` drops the bindings whose unit footprint
+the :class:`~repro.struql.matview.ChangeSummary` intersects and returns
+the Skolem functions whose pages it may affect
+(:meth:`DynamicSite.affected_fns`); every store above it, the
+materialized pages here and the rendered bodies of
+:class:`~repro.site.server.DynamicSiteServer`, drops by that set.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import PageNotFoundError, UnboundTermError
@@ -41,7 +48,6 @@ from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label
 from repro.struql.construction import TermFn, compile_term
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
-from repro.struql.matview import ChangeSummary
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
@@ -150,33 +156,9 @@ class DynamicSite:
                 out[fn] = out.get(fn, Footprint()).union(footprint)
         return out
 
-    def footprint_for(self, fn: str | None) -> Footprint:
-        """Read footprint of pages minted by Skolem function ``fn``."""
-        if fn is None:
-            return ANY_FOOTPRINT
-        return self.fn_footprints.get(fn, ANY_FOOTPRINT)
-
-    def footprint_for_fns(self, fns) -> Footprint:
-        """Union footprint over several Skolem functions."""
-        out = Footprint()
-        for fn in fns:
-            out = out.union(self.footprint_for(fn))
-        return out
-
-    def _widen(self, change):
-        """``change`` as the footprints should see it: no change, or one
-        naming this site's data source, becomes a full change (source
-        granularity cannot be narrowed further here)."""
-        if change is None or \
-                self.data.name in getattr(change, "sources", ()):
-            return ChangeSummary.full_change()
-        return change
-
     def affected_fns(self, change) -> set[str]:
         """Skolem functions whose pages ``change`` may affect: all of
-        them for a full change, an unknown change, or a change naming
-        this site's data source."""
-        change = self._widen(change)
+        them for a full or an unknown (``None``) change."""
         return {fn for fn, footprint in self.fn_footprints.items()
                 if footprint.intersects(change)}
 
@@ -233,14 +215,14 @@ class DynamicSite:
 
         Bindings whose unit footprint intersects ``change`` (a
         :class:`~repro.struql.matview.ChangeSummary`) are dropped —
-        all of them when ``change`` is omitted, full or names this
-        site's data source.  The graph index and statistics are always
-        discarded (the data did change).  Returns :meth:`affected_fns`.
+        all of them when ``change`` is omitted or full.  The graph index
+        and statistics are always discarded (the data did change).
+        Returns :meth:`affected_fns`, the one answer every store above
+        drops by.
 
         Atomic with in-flight :meth:`get_page` calls: waits for any
         compute holding :attr:`lock`, then flushes at once.
         """
-        change = self._widen(change)
         with self.lock:
             self._index = self._stats = None
             stale = [key for key in self._bindings_cache
@@ -398,27 +380,8 @@ class LazySiteGraph(Graph):
         super().__init__(site.query.output_name)
         self._site = site
         self._materialized: set[Oid] = set()
-        self._local = threading.local()
         for root in site.roots():
             self.add_node(root)
-
-    @contextmanager
-    def collecting_deps(self):
-        """Record the Skolem functions touched by reads in this thread.
-
-        Yields a set that :meth:`ensure` adds every touched page's
-        function to — including pages that were already materialized.
-        A renderer wrapped in this context learns exactly which page
-        views its output depends on, which becomes the rendered body's
-        invalidation footprint.
-        """
-        previous = getattr(self._local, "deps", None)
-        deps: set[str] = set()
-        self._local.deps = deps
-        try:
-            yield deps
-        finally:
-            self._local.deps = previous
 
     def ensure(self, oid: Oid) -> None:
         """Materialize ``oid``'s page if it is dynamic and not yet done.
@@ -430,9 +393,6 @@ class LazySiteGraph(Graph):
         """
         if oid.skolem_fn is None:
             return
-        deps = getattr(self._local, "deps", None)
-        if deps is not None:
-            deps.add(oid.skolem_fn)
         with self._site.lock:
             if oid in self._materialized:
                 return

@@ -7,13 +7,17 @@ effort"; this module provides the in-process equivalent: a
 requested page's query at click time (through
 :class:`~repro.site.incremental.DynamicSite` /
 :class:`~repro.site.incremental.LazySiteGraph`) and rendering it with
-the ordinary HTML generator.  Each request is recorded once, through
-the shared observability layer (:mod:`repro.obs`): one
-``server.request`` span, one ``server.request_seconds`` observation
-and one ``server.requests`` count, so the materialized-vs-dynamic
-trade-off of benchmark A3 can be measured in bounded memory.  With
-observability off, :attr:`Response.seconds` still carries each
-request's latency.
+the ordinary HTML generator.  Rendered bodies are cached as
+materialized views that keep the site-graph nodes their render read
+(:meth:`~repro.templates.generator.HtmlGenerator.render_recorded`), the same
+dependency record the offline build cache keeps, and a data change
+drops the bodies that read a page it may affect.  Each request is
+recorded once, through the shared observability layer
+(:mod:`repro.obs`): one ``server.request`` span, one
+``server.request_seconds`` observation and one ``server.requests``
+count, so the materialized-vs-dynamic trade-off of benchmark A3 can be
+measured in bounded memory.  With observability off,
+:attr:`Response.seconds` still carries each request's latency.
 """
 
 from __future__ import annotations
@@ -59,11 +63,8 @@ class Response(TimedResult):
     status: int
     body: str
     request_id: str = ""
-
-
-#: Default bound on concurrent page computations per server (the
-#: admission guard of the body materialized-view registry).
-SERVER_MAX_INFLIGHT = 8
+    #: The site-graph nodes the body's render read (empty on errors).
+    reads: frozenset[Oid] = frozenset()
 
 
 class DynamicSiteServer:
@@ -73,12 +74,12 @@ class DynamicSiteServer:
     (:class:`~repro.struql.matview.MatViewRegistry`): a hit serves
     bytes without touching the site graph or holding any site lock,
     and a miss computes once per page however many threads ask
-    (single-flight), with at most :data:`SERVER_MAX_INFLIGHT`
-    computations running at a time.  Each body's view records the
-    Skolem functions its render actually read, so
-    :meth:`invalidate` with a
-    :class:`~repro.struql.matview.ChangeSummary` drops only the
-    bodies whose footprint the change intersects.
+    (single-flight), with at most
+    :data:`~repro.struql.matview.DEFAULT_MAX_INFLIGHT` computations
+    running at a time.  Each body's view keeps the site-graph nodes its
+    render read, so :meth:`invalidate` with a
+    :class:`~repro.struql.matview.ChangeSummary` drops only the bodies
+    that read a page the change may affect.
 
     Below the body views sit :class:`LazySiteGraph`'s materialized page
     views and :class:`DynamicSite`'s bindings cache; :attr:`graph` and
@@ -90,13 +91,11 @@ class DynamicSiteServer:
     def __init__(self, query: Query | str, data: Graph,
                  templates: TemplateSet,
                  engine: QueryEngine | None = None,
-                 cache: bool = True, loader=None,
-                 max_inflight: int = SERVER_MAX_INFLIGHT) -> None:
+                 cache: bool = True, loader=None) -> None:
         self.site = DynamicSite(query, data, engine=engine, cache=cache)
         self.graph = LazySiteGraph(self.site)
         self.generator = HtmlGenerator(self.graph, templates, loader=loader)
-        self.matviews = MatViewRegistry(max_views=self.site.max_pages,
-                                        max_inflight=max_inflight)
+        self.matviews = MatViewRegistry(max_views=self.site.max_pages)
         self._body_cache_enabled = cache
         self._url_map: dict[str, Oid] = {}
         self._url_map_size = -1
@@ -150,36 +149,26 @@ class DynamicSiteServer:
             self.graph.ensure(oid)
         return len(roots)
 
-    def _serve_body(self, oid: Oid) -> str:
+    def _serve_body(self, oid: Oid, reads: set[Oid]) -> str:
         """One page's HTML, served from the body view cache.
 
-        A miss renders through :meth:`LazySiteGraph.collecting_deps`,
-        so the stored view's footprint is the union of the footprints
-        of every page view the render touched — templates traverse
-        links, so a body can depend on more pages than its own.  Only
-        successful renders are cached; errors propagate uncached.
+        A miss renders the page recording into ``reads`` every node the
+        render read, pages reached through links and embedded objects
+        included; the stored view keeps that set, and a hit fills
+        ``reads`` from it.  Only successful renders are cached; errors
+        propagate uncached.
         """
         graph = self.graph
-        generator = self.generator
-        site = self.site
-        deps: set[str] = set()
 
         def compute() -> str:
-            with graph.collecting_deps() as touched:
-                graph.ensure(oid)
-                if not graph.has_node(oid):
-                    raise PageNotFoundError(oid)
-                rendered = generator.render(oid)
-            deps.update(touched)
-            return rendered
+            graph.ensure(oid)
+            if not graph.has_node(oid):
+                raise PageNotFoundError(oid)
+            return self.generator.render_recorded(oid, reads)
 
         if not self._body_cache_enabled:
             return compute()
-        return self.matviews.get_or_compute(
-            str(oid), compute,
-            fingerprint=site.fingerprint,
-            footprint=lambda: site.footprint_for_fns(deps),
-            sources=(site.data.name,))
+        return self.matviews.get_or_compute(str(oid), compute, reads)
 
     def request(self, page: Oid | str,
                 request_id: str | None = None) -> Response:
@@ -201,10 +190,11 @@ class DynamicSiteServer:
             request_id = next_request_id()
         with timed("server.request", request=request_id) as span:
             oid = page if isinstance(page, Oid) else self.resolve_path(page)
+            reads: set[Oid] = set()
             try:
                 if oid is None:
                     raise PageNotFoundError(page)
-                body = self._serve_body(oid)
+                body = self._serve_body(oid, reads)
                 status = 200
                 self._remember_route(oid)
                 lineage = get_lineage()
@@ -241,14 +231,20 @@ class DynamicSiteServer:
         metrics.histogram("server.request_seconds").observe(span.seconds)
         metrics.counter("server.requests").inc()
         return Response(oid if isinstance(oid, Oid) else Oid("<unknown>"),
-                        status, body, span=span, request_id=request_id)
+                        status, body, span=span, request_id=request_id,
+                        reads=frozenset(reads) if status == 200
+                        else frozenset())
 
     def crawl(self, start: Oid | None = None,
               limit: int | None = None) -> list[Response]:
         """Breadth-first crawl following page links (a synthetic user).
 
         Serves ``start`` (default: the first root) and every page
-        reachable from it, up to ``limit`` pages.
+        reachable from it, up to ``limit`` pages.  A page's links are
+        the pages its body's render read (:attr:`Response.reads`), so
+        links inside embedded objects are followed too; they are
+        visited in ``str(oid)`` order, which is the same in every
+        process.
         """
         roots = [start] if start is not None else self.roots()[:1]
         if not roots:
@@ -262,10 +258,8 @@ class DynamicSiteServer:
             oid = queue.pop(0)
             response = self.request(oid)
             out.append(response)
-            for edge in self.graph.out_edges(oid):
-                target = edge.target
-                if isinstance(target, Oid) and target not in seen \
-                        and target.skolem_fn is not None \
+            for target in sorted(response.reads, key=str):
+                if target not in seen and target.skolem_fn is not None \
                         and self.generator.is_page(target):
                     seen.add(target)
                     queue.append(target)
@@ -283,16 +277,20 @@ class DynamicSiteServer:
     def invalidate(self, change: ChangeSummary | None = None) -> None:
         """Propagate a data-graph update: drop what it may affect.
 
-        Only the bindings, page views and rendered bodies whose
+        :meth:`DynamicSite.invalidate` drops the bindings whose
         footprint intersects the
-        :class:`~repro.struql.matview.ChangeSummary` are dropped: the
-        rest keep serving from cache.  Without one (the sound fallback
-        when the caller cannot describe what changed), or with a full
-        one, every entry's footprint intersects and all are dropped.
+        :class:`~repro.struql.matview.ChangeSummary` and names the
+        Skolem functions whose pages it may affect; the materialized
+        pages of those functions and the rendered bodies that read one
+        of them are dropped, and the rest keep serving from cache.
+        Without a summary (the sound fallback when the caller cannot
+        describe what changed), or with a full one, everything is
+        dropped.
         """
         with self.site.lock:
-            self.graph.unmaterialize(self.site.invalidate(change))
-            self.matviews.invalidate(change)
+            fns = self.site.invalidate(change)
+            self.graph.unmaterialize(fns)
+            self.matviews.invalidate(fns)
 
     def update(self, mutate, change: ChangeSummary | None = None):
         """Apply a data mutation and propagate invalidation atomically.

@@ -363,27 +363,3 @@ def unit_footprint(unit) -> Footprint:
         return ANY_FOOTPRINT
     return conditions_footprint(conditions)
 
-
-def query_footprint(query: Query | str) -> Footprint:
-    """The read footprint of a whole query: union over its blocks.
-
-    Each block's effective conditions are its own conjoined with its
-    ancestors' (the paper's block semantics), so narrowing equalities
-    inherited from enclosing blocks apply.
-    """
-    if isinstance(query, str):
-        query = parse_query(query)
-    out = Footprint()
-
-    def walk(block: Block, inherited: list[Condition]) -> None:
-        nonlocal out
-        effective = inherited + list(block.conditions)
-        if not _restricted(effective):
-            out = out.union(ANY_FOOTPRINT)
-        else:
-            out = out.union(conditions_footprint(effective))
-        for child in block.children:
-            walk(child, effective)
-
-    walk(query.root, [])
-    return out

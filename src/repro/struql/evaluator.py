@@ -195,24 +195,6 @@ class QueryEngine:
             fp=result.fingerprint)
         return result
 
-    def evaluate_materialized(self, query: Query | str, graph: Graph,
-                              registry, *,
-                              sources=()) -> Graph:
-        """Evaluate through a materialized-view registry.
-
-        The query's result graph is registered in ``registry`` (a
-        :class:`~repro.struql.matview.MatViewRegistry`) keyed by its
-        fingerprint and the input graph's name, with the query's static
-        read footprint as the dependency summary; repeated calls serve
-        the stored graph until an intersecting change invalidates it.
-        Returns the result *graph* (not a :class:`QueryResult` — the
-        per-evaluation traces belong to the evaluation that actually
-        ran).
-        """
-        from repro.struql.matview import materialize_query
-        return materialize_query(self, query, graph, registry,
-                                 sources=sources)
-
     def plan_only(self, query: Query | str, graph: Graph,
                   stats: GraphStatistics | None = None) -> QueryResult:
         """EXPLAIN without ANALYZE: plan every block, execute nothing.

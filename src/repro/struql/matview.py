@@ -1,17 +1,18 @@
-"""Materialized StruQL views with footprint-based invalidation.
+"""Materialized views of rendered pages, dropped by what they read.
 
 The paper's central move — a site is a *declared query* over the data
 graph — makes every derived result re-computable, and therefore
 cacheable, by construction.  This module is the serving-path cache that
-exploits it: a :class:`MatViewRegistry` stores computed values (query
-result graphs, rendered page bodies) keyed by a stable identifier, and
-each entry carries a *dependency summary*: the source ids it was
-computed from plus the collection/label read footprint
-(:class:`repro.struql.analysis.Footprint`) of the query that produced
-it.  When a source changes, callers describe the change as a
-:class:`ChangeSummary` and the registry drops only the views whose
-footprint intersects it — views with no footprint recorded fall back to
-an unconditional drop, which is the sound default.
+exploits it: a :class:`MatViewRegistry` stores computed values (rendered
+page bodies) keyed by a stable identifier, and each entry keeps its
+*read set*: the site-graph nodes the computation read, the same record
+the offline build cache keeps per page
+(:meth:`~repro.templates.generator.HtmlGenerator.render_recorded`).  The caller
+decides which Skolem functions a data change affects and passes them to
+:meth:`MatViewRegistry.invalidate`, which drops only the views that read
+a page of one of them.  A view stored without a read set has unknown
+dependencies and is dropped on every invalidation, which is the sound
+default.
 
 Two serving-path guards ride along:
 
@@ -35,11 +36,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import AbstractSet, Callable, Optional
 
+from repro.graph.model import Oid
 from repro.obs.trace import get_recorder
-from repro.struql.analysis import Footprint, query_footprint
-from repro.obs.queries import fingerprint as query_fingerprint
 
 #: Default bound on concurrently running computations per registry.
 DEFAULT_MAX_INFLIGHT = 8
@@ -50,18 +50,16 @@ DEFAULT_MAX_VIEWS = 4096
 
 @dataclass(frozen=True)
 class ChangeSummary:
-    """What a data mutation touched, as seen by view invalidation.
+    """What a data mutation touched, as seen by click-time invalidation.
 
     ``labels`` are the edge labels added or modified, ``collections``
-    the collection names whose membership changed, ``sources`` the
-    source/graph ids affected.  ``full=True`` (or an empty summary via
-    :meth:`ChangeSummary.full_change`) means "assume everything
-    changed" — every view is dropped.
+    the collection names whose membership changed.  ``full=True`` (via
+    :meth:`ChangeSummary.full_change`), like no summary at all, means
+    "assume everything changed".
     """
 
     labels: frozenset[str] = frozenset()
     collections: frozenset[str] = frozenset()
-    sources: frozenset[str] = frozenset()
     full: bool = False
 
     @classmethod
@@ -73,10 +71,6 @@ class ChangeSummary:
         return cls(collections=frozenset(names))
 
     @classmethod
-    def for_sources(cls, *sources: str) -> "ChangeSummary":
-        return cls(sources=frozenset(sources))
-
-    @classmethod
     def full_change(cls) -> "ChangeSummary":
         return cls(full=True)
 
@@ -84,14 +78,12 @@ class ChangeSummary:
         return ChangeSummary(
             labels=self.labels | other.labels,
             collections=self.collections | other.collections,
-            sources=self.sources | other.sources,
             full=self.full or other.full)
 
     def as_dict(self) -> dict:
         return {
             "labels": sorted(self.labels),
             "collections": sorted(self.collections),
-            "sources": sorted(self.sources),
             "full": self.full,
         }
 
@@ -104,43 +96,26 @@ class ChangeSummary:
         if self.collections:
             parts.append(
                 "collections:" + ",".join(sorted(self.collections)))
-        if self.sources:
-            parts.append("sources:" + ",".join(sorted(self.sources)))
         return " ".join(parts) or "(empty)"
 
 
 @dataclass
 class MaterializedView:
-    """One stored view: the value plus its dependency summary."""
+    """One stored view: the value plus the nodes its computation read
+    (``None``: unknown, so any invalidation drops it)."""
 
     key: str
     value: object
-    fingerprint: str = ""
-    footprint: Optional[Footprint] = None
-    sources: frozenset[str] = frozenset()
+    reads: Optional[frozenset[Oid]] = None
     compute_seconds: float = 0.0
     created_at: float = field(default_factory=time.time)
     hits: int = 0
 
-    def depends_on(self, change: Optional[ChangeSummary]) -> bool:
-        """Whether ``change`` may affect this view (conservative)."""
-        if change is None or getattr(change, "full", False):
-            return True
-        if self.footprint is None:
-            # Unknown dependencies: the only sound answer is "drop".
-            return True
-        sources = getattr(change, "sources", frozenset())
-        if sources and (self.sources & sources):
-            return True
-        return self.footprint.intersects(change)
-
     def summary(self) -> dict:
         return {
             "key": self.key,
-            "fingerprint": self.fingerprint,
-            "footprint": (self.footprint.as_dict()
-                          if self.footprint is not None else None),
-            "sources": sorted(self.sources),
+            "reads": (sorted(str(oid) for oid in self.reads)
+                      if self.reads is not None else None),
             "hits": self.hits,
             "compute_seconds": round(self.compute_seconds, 6),
             "age_seconds": round(time.time() - self.created_at, 3),
@@ -199,17 +174,15 @@ class MatViewRegistry:
         get_recorder().metrics.counter("matview.hits").inc()
         return view
 
-    def get_or_compute(self, key: str, compute: Callable[[], object], *,
-                       fingerprint: str = "",
-                       footprint=None,
-                       sources: Iterable[str] = ()) -> object:
+    def get_or_compute(self, key: str, compute: Callable[[], object],
+                       reads: Optional[set[Oid]] = None) -> object:
         """The view's value, computing and storing it on a miss.
 
-        ``footprint`` is a :class:`Footprint`, ``None`` (unknown —
-        the view is dropped on *any* invalidation), or a zero-argument
-        callable evaluated after ``compute()`` returns (for callers
-        that discover dependencies during the computation).
-        Concurrent misses on the same key run ``compute`` once.
+        ``reads`` is the set ``compute`` records the nodes it read
+        into; the stored view keeps it, and a hit fills it from the
+        view, so it holds the value's read set either way.  Without it
+        the view's dependencies are unknown and any invalidation drops
+        it.  Concurrent misses on the same key run ``compute`` once.
         """
         while True:
             leader = False
@@ -220,6 +193,8 @@ class MatViewRegistry:
                     self._views.move_to_end(key)
                     self.stats["hits"] += 1
                     value = view.value
+                    if reads is not None and view.reads is not None:
+                        reads.update(view.reads)
                     break
                 flight = self._inflight.get(key)
                 if flight is None:
@@ -227,9 +202,7 @@ class MatViewRegistry:
                     self._inflight[key] = flight
                     leader = True
             if leader:
-                return self._run_flight(
-                    key, flight, compute, fingerprint=fingerprint,
-                    footprint=footprint, sources=sources)
+                return self._run_flight(key, flight, compute, reads)
             # Single-flight: wait for the leader, then re-check the
             # store (or take over if the leader failed / went stale).
             with self._lock:
@@ -241,9 +214,8 @@ class MatViewRegistry:
         return value
 
     def _run_flight(self, key: str, flight: _Flight,
-                    compute: Callable[[], object], *,
-                    fingerprint: str, footprint,
-                    sources: Iterable[str]) -> object:
+                    compute: Callable[[], object],
+                    reads: Optional[set[Oid]]) -> object:
         with self._lock:
             self.stats["misses"] += 1
         get_recorder().metrics.counter("matview.misses").inc()
@@ -263,11 +235,9 @@ class MatViewRegistry:
             flight.event.set()
             raise
         seconds = time.perf_counter() - started
-        if callable(footprint):
-            footprint = footprint()
         view = MaterializedView(
-            key=key, value=value, fingerprint=fingerprint,
-            footprint=footprint, sources=frozenset(sources),
+            key=key, value=value,
+            reads=frozenset(reads) if reads is not None else None,
             compute_seconds=seconds)
         with self._lock:
             self._inflight.pop(key, None)
@@ -288,17 +258,19 @@ class MatViewRegistry:
 
     # -- invalidation -----------------------------------------------------
 
-    def invalidate(self, change: Optional[ChangeSummary] = None) -> int:
-        """Drop views affected by ``change`` (all of them if ``None``).
+    def invalidate(self, fns: Optional[AbstractSet[str]] = None) -> int:
+        """Drop the views that read a page of a Skolem function in
+        ``fns`` (all of them if ``None``).
 
         Returns the number of views dropped.  Views without a recorded
-        footprint are always dropped — unknown dependencies make a full
+        read set are always dropped — unknown dependencies make a full
         drop the only sound choice.
         """
         with self._lock:
             self._generation += 1
             victims = [k for k, v in self._views.items()
-                       if v.depends_on(change)]
+                       if fns is None or v.reads is None
+                       or any(oid.skolem_fn in fns for oid in v.reads)]
             for k in victims:
                 del self._views[k]
             dropped = len(victims)
@@ -335,32 +307,3 @@ class MatViewRegistry:
             "top": [view.summary() for view in views[:limit]],
         }
 
-
-# --------------------------------------------------------------------------
-# Query-level materialization
-
-
-def materialize_query(engine, query, graph,
-                      registry: MatViewRegistry, *,
-                      sources: Iterable[str] = ()):
-    """Evaluate ``query`` through the registry, keyed by fingerprint.
-
-    The stored view is the query's result graph; its dependency summary
-    is the static :func:`~repro.struql.analysis.query_footprint` plus
-    the given source ids (defaulting to the input graph's name).  The
-    same (query, graph) pair served again is a cache hit until an
-    intersecting :class:`ChangeSummary` invalidates it.
-    """
-    from repro.struql.parser import parse_query
-    if isinstance(query, str):
-        query = parse_query(query)
-    fp = query_fingerprint(query)
-    key = f"query:{fp}:{graph.name}"
-    source_ids = frozenset(sources) or frozenset({graph.name})
-
-    def compute():
-        return engine.evaluate(query, graph).output
-
-    return registry.get_or_compute(
-        key, compute, fingerprint=fp,
-        footprint=query_footprint(query), sources=source_ids)

@@ -224,6 +224,17 @@ class HtmlGenerator:
             "templates.render_seconds").observe(span.seconds)
         return html
 
+    def render_recorded(self, oid: Oid, reads: set[Oid]) -> str:
+        """:meth:`render` ``oid`` as a top-level page, adding to
+        ``reads`` every site-graph node the render read, the page
+        itself included: the dependency record of both the build cache
+        and the click-time body views."""
+        self._state.reads = reads
+        try:
+            return self.render(oid)
+        finally:
+            self._state.reads = None
+
     def _do_render(self, oid: Oid) -> str:
         selected = self._select(oid)
         if selected is None:
@@ -264,12 +275,11 @@ class HtmlGenerator:
                 path = os.path.join(out_dir, self.url_for(page))
                 with recorder.span("site.build.page",
                                    page=str(page)) as page_span:
-                    if reads is not None:
-                        self._state.reads = reads[page] = set()
-                    try:
+                    if reads is None:
                         html = self.render(page)
-                    finally:
-                        self._state.reads = None
+                    else:
+                        reads[page] = set()
+                        html = self.render_recorded(page, reads[page])
                     with open(path, "w", encoding="utf-8") as handle:
                         handle.write(html)
                     page_span.set(bytes=len(html))

@@ -659,7 +659,7 @@ class TestDebugMatviews:
         assert doc["views"] >= 1
         assert doc["hits"] >= 1 and doc["misses"] >= 1
         top = doc["top"][0]
-        assert "key" in top and "footprint" in top and "hits" in top
+        assert "key" in top and "reads" in top and "hits" in top
 
     def test_limit_parameter_caps_top(self, plane):
         for path in ("/", "/YearPage_1997_.html",

@@ -88,6 +88,22 @@ class TestCrawl:
         urls = {r.oid for r in responses}
         assert year in urls
 
+    def test_crawl_follows_links_inside_embedded_objects(self):
+        """The org site links most pages only from embedded components
+        (the person cards that the people index and project pages
+        embed link to the person pages), so following a page's own
+        out-edges alone misses them."""
+        from repro.datagen.org import build_org_mediator
+        from repro.site.builder import Website
+        from repro.sites.org import ORG_QUERY, org_templates
+        data = build_org_mediator(20, 4, 6, seed=1).warehouse()
+        pages = Website(data, ORG_QUERY, org_templates()).generator().pages()
+        server = DynamicSiteServer(ORG_QUERY, data, org_templates())
+        responses = server.crawl()
+        assert all(r.status == 200 for r in responses)
+        assert len(responses) == len(pages)
+        assert {r.oid for r in responses} == set(pages)
+
     def test_empty_roots(self, fig2_graph):
         server = DynamicSiteServer("""
             input BIBTEX

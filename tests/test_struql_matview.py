@@ -1,25 +1,20 @@
-"""The materialized-view registry: single-flight, admission,
-footprint-driven invalidation, and the query-level entry point."""
+"""The materialized-view registry: single-flight, admission, and
+invalidation by the read set each view keeps; the footprints that
+drive the click-time bindings cache."""
 
 import threading
 import time
 
 import pytest
 
-from repro.graph import Atom, Graph, Oid
-from repro.struql import QueryEngine
+from repro.graph import Atom, Oid
 from repro.struql.analysis import (
     ANY_FOOTPRINT,
     Footprint,
     conditions_footprint,
-    query_footprint,
     unit_footprint,
 )
-from repro.struql.matview import (
-    ChangeSummary,
-    MatViewRegistry,
-    materialize_query,
-)
+from repro.struql.matview import ChangeSummary, MatViewRegistry
 from repro.struql.parser import parse_query
 from repro.struql.rewriter import flatten
 
@@ -102,22 +97,6 @@ class TestFootprint:
         unit = flatten(query)[0]
         footprint = unit_footprint(unit)
         assert footprint.any_label and footprint.any_collection
-
-    def test_query_footprint_inherits_block_narrowing(self):
-        query = parse_query("""
-            input G
-            where C(x), x -> l -> v
-            { where l = "year" collect Years(v) }
-            output O
-        """)
-        footprint = query_footprint(query)
-        # The outer block's arc variable is a wildcard, so the union is
-        # wide — but the narrowed inner block alone is precise.
-        assert footprint.any_label
-        inner = conditions_footprint(
-            list(query.root.conditions)
-            + list(query.root.children[0].conditions))
-        assert inner.labels == {"year"}
 
 
 class TestRegistryServing:
@@ -234,22 +213,22 @@ class TestRegistryServing:
 
 
 class TestRegistryInvalidation:
+    YEAR = Oid.skolem("YearPage", (Atom.int(1997),))
+    CATEGORY = Oid.skolem("CategoryPage", (Atom.string("Compilers"),))
+
     def _registry_with_views(self):
         registry = MatViewRegistry()
+        registry.get_or_compute("years", lambda: "y", {self.YEAR})
         registry.get_or_compute(
-            "years", lambda: "y",
-            footprint=Footprint(labels=frozenset({"year"})))
-        registry.get_or_compute(
-            "cats", lambda: "c",
-            footprint=Footprint(labels=frozenset({"category"})))
-        registry.get_or_compute("unknown", lambda: "u")  # no footprint
+            "cats", lambda: "c", {self.CATEGORY, Oid("pub1")})
+        registry.get_or_compute("unknown", lambda: "u")  # no read set
         return registry
 
     def test_selective_invalidation_by_footprint(self):
         registry = self._registry_with_views()
-        dropped = registry.invalidate(ChangeSummary.for_labels("year"))
-        # The year view and the footprint-less view drop; the category
-        # view survives.
+        dropped = registry.invalidate({"YearPage"})
+        # The view that read a YearPage and the view without a read
+        # set drop; the category view survives.
         assert dropped == 2
         assert registry.get("cats") is not None
         assert registry.get("years") is None
@@ -257,7 +236,7 @@ class TestRegistryInvalidation:
 
     def test_unknown_footprint_always_drops(self):
         registry = self._registry_with_views()
-        registry.invalidate(ChangeSummary.for_labels("nothing-reads-me"))
+        registry.invalidate({"PageNobodyRead"})
         assert registry.get("unknown") is None
         assert registry.get("years") is not None
 
@@ -266,15 +245,12 @@ class TestRegistryInvalidation:
         assert registry.invalidate() == 3
         assert len(registry) == 0
 
-    def test_source_change_drops_matching_views(self):
-        registry = MatViewRegistry()
-        registry.get_or_compute(
-            "a", lambda: 1, footprint=Footprint(), sources=("bib",))
-        registry.get_or_compute(
-            "b", lambda: 2, footprint=Footprint(), sources=("other",))
-        registry.invalidate(ChangeSummary.for_sources("bib"))
-        assert registry.get("a") is None
-        assert registry.get("b") is not None
+    def test_hit_fills_the_read_set(self):
+        registry = self._registry_with_views()
+        reads: set = set()
+        assert registry.get_or_compute("cats", lambda: "other", reads) \
+            == "c"
+        assert reads == {self.CATEGORY, Oid("pub1")}
 
     def test_snapshot_shape(self):
         registry = self._registry_with_views()
@@ -287,66 +263,4 @@ class TestRegistryInvalidation:
         assert len(snapshot["top"]) == 2
         top = snapshot["top"][0]
         assert top["key"] == "years"
-        assert top["footprint"]["labels"] == ["year"]
-
-
-class TestQueryMaterialization:
-    QUERY = """
-        input G
-        where Pubs(x), x -> "year" -> y
-        create YearPage(y)
-        link YearPage(y) -> "Year" -> y
-        collect Years(YearPage(y))
-        output O
-    """
-
-    def _data(self):
-        graph = Graph("G")
-        pub = Oid("pub1")
-        graph.add_to_collection("Pubs", pub)
-        graph.add_edge(pub, "year", Atom.int(1997))
-        return graph
-
-    def test_materialize_serves_same_graph_until_invalidated(self):
-        registry = MatViewRegistry()
-        engine = QueryEngine()
-        graph = self._data()
-        first = materialize_query(engine, self.QUERY, graph, registry)
-        again = materialize_query(engine, self.QUERY, graph, registry)
-        assert again is first  # served from the view, not re-evaluated
-        assert registry.stats["hits"] == 1
-
-        # An irrelevant change leaves the view alone ...
-        registry.invalidate(ChangeSummary.for_labels("note"))
-        assert materialize_query(
-            engine, self.QUERY, graph, registry) is first
-        # ... a footprint-intersecting one drops it.
-        graph.add_edge(Oid("pub2"), "year", Atom.int(1998))
-        graph.add_to_collection("Pubs", Oid("pub2"))
-        registry.invalidate(ChangeSummary.for_labels("year").union(
-            ChangeSummary.for_collections("Pubs")))
-        fresh = materialize_query(engine, self.QUERY, graph, registry)
-        assert fresh is not first
-        assert len(fresh.collection("Years")) == 2
-
-    def test_engine_entry_point(self):
-        registry = MatViewRegistry()
-        engine = QueryEngine()
-        graph = self._data()
-        result = engine.evaluate_materialized(
-            self.QUERY, graph, registry)
-        assert len(result.collection("Years")) == 1
-        assert engine.evaluate_materialized(
-            self.QUERY, graph, registry) is result
-
-    def test_view_keyed_by_fingerprint_and_graph(self):
-        registry = MatViewRegistry()
-        engine = QueryEngine()
-        graph = self._data()
-        materialize_query(engine, self.QUERY, graph, registry)
-        snapshot = registry.snapshot()
-        from repro.obs.queries import fingerprint
-        fp = fingerprint(parse_query(self.QUERY))
-        assert snapshot["top"][0]["key"] == f"query:{fp}:G"
-        assert snapshot["top"][0]["fingerprint"] == fp
-        assert snapshot["top"][0]["sources"] == ["G"]
+        assert top["reads"] == ["YearPage(1997)"]

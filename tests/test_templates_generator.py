@@ -408,13 +408,14 @@ class TestConcurrentRenders:
 
     def test_recorded_reads_stay_on_their_thread(self, tmp_path):
         """A cached build records each page's reads while click-time
-        renders run on other threads over the same generator: the
-        recording must equal one made alone, and the other threads
-        must never see a read log."""
+        requests, which record their own reads, run on other threads:
+        every recording must equal one made alone, and a thread that
+        records nothing must never see a read log."""
         import sys
         import threading
 
         from repro.datagen import generate_bibtex
+        from repro.site import DynamicSiteServer
         from repro.sites.homepage import FIG3_QUERY, fig7_templates
         from repro.struql import QueryEngine
         from repro.wrappers import BibTexWrapper
@@ -425,14 +426,24 @@ class TestConcurrentRenders:
         pages = sorted(generator.pages(), key=str)
         expected: dict = {}
         generator.generate_site(str(tmp_path / "alone"), reads=expected)
+        # Without the body cache every request renders, so every
+        # request records.
+        server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates(),
+                                   cache=False)
+        served = {page: server.request(page).reads for page in pages}
+        # Click time reads the same nodes as the offline build.
+        assert served == expected
         stop = threading.Event()
         errors: list[BaseException] = []
         seen_logs: list[object] = []
+        mismatches: list[Oid] = []
 
         def worker() -> None:
             try:
                 while not stop.is_set():
                     for page in pages:
+                        if server.request(page).reads != served[page]:
+                            mismatches.append(page)
                         generator.render(page)
                         if generator._state.reads is not None:
                             seen_logs.append(generator._state.reads)
@@ -459,6 +470,7 @@ class TestConcurrentRenders:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert not seen_logs
+        assert not mismatches
 
 
 class TestReadRecording:
