@@ -27,7 +27,7 @@ itself (the *site graph*) are instances of :class:`Graph`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from repro.errors import (
     GraphError,
@@ -303,33 +303,6 @@ class Graph:
         """Names of the collections ``obj`` belongs to, sorted."""
         return sorted(name for name, members in self._collections.items()
                       if obj in members)
-
-    def detach_node(self, source: Oid) -> int:
-        """Remove ``source``'s outgoing edges and collection memberships.
-
-        The node itself stays — incoming links from other nodes remain
-        valid — which makes this the primitive for *un-materializing* a
-        derived page so it can be recomputed lazily.  Returns the number
-        of edges removed.  Containers are replaced rather than mutated
-        in place, so lists handed out earlier stay iterable.
-        """
-        removed = list(self._out.get(source, ()))
-        if removed:
-            self._out[source] = []
-            self._edges.difference_update(removed)
-            for target in {edge.target for edge in removed}:
-                kept = [e for e in self._in.get(target, ())
-                        if e.source != source]
-                if kept:
-                    self._in[target] = kept
-                else:
-                    self._in.pop(target, None)
-        for name, members in list(self._collections.items()):
-            if source in members:
-                replaced = dict(members)
-                del replaced[source]
-                self._collections[name] = replaced
-        return len(removed)
 
     # -- bulk operations ----------------------------------------------------------
 

@@ -218,9 +218,6 @@ class NullLineage:
     def sources(self) -> list:
         return []
 
-    def node_records(self) -> list:
-        return []
-
     def page_records(self) -> list:
         return []
 
@@ -348,10 +345,6 @@ class LineageIndex:
         with self._lock:
             return sorted(self._sources.values(),
                           key=lambda r: r.source)
-
-    def node_records(self) -> list[NodeRecord]:
-        with self._lock:
-            return list(self._nodes.values())
 
     def page_records(self) -> list[PageRecord]:
         with self._lock:

@@ -12,7 +12,6 @@
 
 * the **schema index** — all attribute labels and collection names;
 * **attribute extents** — for each label, every ``(source, target)``;
-* **collection extents** — mirrored from the graph for uniform access;
 * the **global value index** — atom -> every ``(source, label)`` edge in
   which the atom appears, regardless of collection or attribute;
 * forward/backward adjacency by ``(node, label)``.
@@ -24,8 +23,6 @@ is stale or indexing is disabled (benchmark A1 measures the difference).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
@@ -118,12 +115,6 @@ class GraphIndex:
     def attribute_extent(self, label: str) -> list[tuple[Oid, GraphObject]]:
         """Every ``(source, target)`` pair connected by ``label``."""
         return list(self._attribute_extent.get(label, ()))
-
-    def collection_extent(self, name: str) -> list[GraphObject]:
-        """Members of collection ``name`` (empty for unknown names)."""
-        if not self.graph.has_collection(name):
-            return []
-        return self.graph.collection(name)
 
     # -- adjacency ---------------------------------------------------------------
 

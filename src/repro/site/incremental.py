@@ -13,18 +13,19 @@ own links need.
 
 :class:`DynamicSite` serves pages this way, with an optional result
 cache ("our optimization techniques cache query results to reduce click
-time for future queries").  :class:`LazySiteGraph` wraps a dynamic site
-behind the :class:`~repro.graph.Graph` interface so the HTML generator
-can render dynamic pages without a materialized site graph — the state
-the paper says must live "in a client-side browser and/or a server-side
-query processor" lives in the wrapper's materialized-page set.
+time for future queries").  :class:`LazySiteGraph` offers a dynamic
+site through the reads the HTML generator makes of a site
+:class:`~repro.graph.Graph`, so dynamic pages render without a
+materialized site graph — the state the paper says must live "in a
+client-side browser and/or a server-side query processor" is the
+view's immutable page snapshots, read without a lock.
 
 A data change reaches both stores through one decision:
 :meth:`DynamicSite.invalidate` drops the bindings whose unit footprint
 the :class:`~repro.struql.matview.ChangeSummary` intersects and returns
 the Skolem functions whose pages it may affect
-(:meth:`DynamicSite.affected_fns`); every store above it, the
-materialized pages here and the rendered bodies of
+(:meth:`DynamicSite.affected_fns`); every store above it, the page
+snapshots here and the rendered bodies of
 :class:`~repro.site.server.DynamicSiteServer`, drops by that set.
 """
 
@@ -34,9 +35,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 from repro.errors import PageNotFoundError, UnboundTermError
-from repro.graph.model import Graph, GraphObject, Oid
+from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.lineage import get_lineage
 from repro.obs.queries import fingerprint, get_query_registry
@@ -78,7 +80,7 @@ class DynamicSite:
     caches is the per-unit query result (the bindings cache), keyed by
     the unit and the page's Skolem arguments, so sibling pages and
     recomputes after an unrelated change reuse each other's rows.  The
-    per-page store is :class:`LazySiteGraph`'s materialized set.
+    per-page store is :class:`LazySiteGraph`'s page snapshots.
 
     Thread-safe: the bindings cache, the graph index and statistics and
     :attr:`stats` are guarded by one reentrant :attr:`lock`, and
@@ -131,7 +133,7 @@ class DynamicSite:
         self._stats = None
         #: Guards the cache, the index and ``stats``; reentrant so
         #: ``get_page`` -> ``_unit_rows`` nests, and exposed so
-        #: :class:`LazySiteGraph` can serialize materialization with
+        #: :class:`LazySiteGraph` can serialize page computes with
         #: cache invalidation.
         self.lock = threading.RLock()
         #: Click-time statistics for benchmarking.  They reconcile by
@@ -365,96 +367,122 @@ def _resolve(term_of: TermFn, row: Binding) -> RuntimeValue | None:
         return None
 
 
-class LazySiteGraph(Graph):
-    """A :class:`Graph` facade over a :class:`DynamicSite`.
+class _PageSnapshot(NamedTuple):
+    """One computed page, never mutated: attribute label -> targets in
+    computed order, and the page's collections, sorted."""
 
-    Pages materialize into the underlying graph structures on first
-    access, so the HTML generator (which only reads outgoing edges and
-    collection memberships) renders against it unmodified.  Incoming
-    edges are complete only for already-materialized pages — sufficient
-    for serving, by construction of the template language's bounded
-    forward traversals.
+    attrs: dict[str, tuple[GraphObject, ...]]
+    collections: tuple[str, ...]
+
+
+_EMPTY = _PageSnapshot({}, ())
+
+
+class LazySiteGraph:
+    """The read interface of a site :class:`Graph` over a
+    :class:`DynamicSite`, for the HTML generator (which reads only
+    outgoing edges and collection memberships).
+
+    Each page is computed on first read into an immutable snapshot held
+    in a dict keyed by oid; :meth:`unmaterialize` drops snapshots so
+    they recompute.  Thread-safety without a lock on the read path:
+
+    * snapshots are never mutated after they are built;
+    * a dict lookup or insert is atomic, so a read sees a snapshot
+      either whole or not at all;
+    * a miss computes and inserts under :attr:`DynamicSite.lock`,
+      which :meth:`DynamicSiteServer.update
+      <repro.site.server.DynamicSiteServer.update>` also holds, so no
+      snapshot computed from pre-change data survives an invalidation;
+    * a render that races an update can read some pages before and
+      some after it, as it could when every read took the lock; the
+      body views' generation check
+      (:class:`~repro.struql.matview.MatViewRegistry`) keeps such a
+      render out of the cache.
+
+    The known nodes (roots, computed pages and the oids they link to)
+    answer :meth:`nodes`, :meth:`has_node` and :attr:`node_count`; they
+    change only under the lock, and invalidation keeps them, so routes
+    learned from them stay valid.
     """
 
     def __init__(self, site: DynamicSite) -> None:
-        super().__init__(site.query.output_name)
         self._site = site
-        self._materialized: set[Oid] = set()
-        for root in site.roots():
-            self.add_node(root)
+        self._pages: dict[Oid, _PageSnapshot] = {}
+        self._known: dict[Oid, None] = dict.fromkeys(site.roots())
 
-    def ensure(self, oid: Oid) -> None:
-        """Materialize ``oid``'s page if it is dynamic and not yet done.
-
-        Serialized on the site's lock: concurrent handler threads must
-        not interleave graph mutation (or materialize the same page
-        twice), and materialization must not overlap an
-        :meth:`DynamicSite.invalidate` flush.
-        """
+    def ensure(self, oid: Oid) -> _PageSnapshot:
+        """``oid``'s page snapshot, computed on first use; empty for
+        a non-Skolem oid."""
         if oid.skolem_fn is None:
-            return
+            return _EMPTY
+        page = self._pages.get(oid)
+        if page is not None:
+            return page
+        # Look the lock up per call: it may be replaced (a timing wrapper).
         with self._site.lock:
-            if oid in self._materialized:
-                return
-            self._materialized.add(oid)
-            view = self._site.get_page(oid)
-            self.add_node(oid)
-            for label, target in view.edges:
-                self.add_edge(oid, label, target)
-            for name in view.collections:
-                self.add_to_collection(name, oid)
+            page = self._pages.get(oid)
+            if page is None:
+                view = self._site.get_page(oid)
+                attrs: dict[str, list[GraphObject]] = {}
+                for label, target in view.edges:
+                    attrs.setdefault(label, []).append(target)
+                    if isinstance(target, Oid):
+                        self._known.setdefault(target)
+                page = _PageSnapshot(
+                    {label: tuple(targets)
+                     for label, targets in attrs.items()},
+                    tuple(sorted(view.collections)))
+                self._known.setdefault(oid)
+                self._pages[oid] = page
+            return page
 
     def unmaterialize(self, fns: set[str]) -> int:
-        """Forget materialized pages so they recompute on next access.
-
-        Only pages minted by the Skolem functions ``fns`` are flushed
-        (:meth:`DynamicSite.affected_fns` names them all for a full
-        change).  Nodes stay in the graph — links from other pages and the URL map
-        remain valid — but their outgoing edges and collection
-        memberships are detached, so the next read recomputes the page
-        view against the updated data.
-        """
+        """Drop the snapshots of pages minted by the Skolem functions
+        ``fns`` (:meth:`DynamicSite.affected_fns` names them all for a
+        full change), so the next read recomputes them against the
+        updated data.  Their oids stay known."""
         with self._site.lock:
-            victims = [oid for oid in self._materialized
-                       if oid.skolem_fn in fns]
+            victims = [oid for oid in self._pages if oid.skolem_fn in fns]
             for oid in victims:
-                self._materialized.discard(oid)
-                self.detach_node(oid)
+                del self._pages[oid]
             return len(victims)
 
-    # -- read paths used by the HTML generator ------------------------------------
-    #
-    # Each read holds the site lock across ensure + read so a concurrent
-    # unmaterialize/invalidate never interleaves mid-read; the serving
-    # hot path (materialized-view hits) bypasses this graph entirely.
+    # -- the Graph reads the HTML generator uses ------------------------------
 
-    def out_edges(self, source: Oid):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().out_edges(source)
+    def nodes(self) -> Iterator[Oid]:
+        # A copy: reading the pages it yields may compute more of them.
+        return iter(list(self._known))
 
-    def get(self, source: Oid, label: str):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().get(source, label)
+    def has_node(self, oid: Oid) -> bool:
+        return oid in self._known
 
-    def get_one(self, source: Oid, label: str, default=None):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().get_one(source, label, default)
+    @property
+    def node_count(self) -> int:
+        return len(self._known)
 
-    def labels_of(self, source: Oid):  # type: ignore[override]
-        with self._site.lock:
-            self.ensure(source)
-            return super().labels_of(source)
+    def out_edges(self, source: Oid) -> list[Edge]:
+        return [Edge(source, label, target)
+                for label, targets in self.ensure(source).attrs.items()
+                for target in targets]
 
-    def collections_of(self, obj):  # type: ignore[override]
-        with self._site.lock:
-            if isinstance(obj, Oid):
-                self.ensure(obj)
-            return super().collections_of(obj)
+    def get(self, source: Oid, label: str) -> list[GraphObject]:
+        return list(self.ensure(source).attrs.get(label, ()))
+
+    def get_one(self, source: Oid, label: str,
+                default: GraphObject | None = None) -> GraphObject | None:
+        targets = self.ensure(source).attrs.get(label)
+        return targets[0] if targets else default
+
+    def labels_of(self, source: Oid) -> list[str]:
+        return list(self.ensure(source).attrs)
+
+    def collections_of(self, obj: GraphObject) -> list[str]:
+        if not isinstance(obj, Oid):
+            return []
+        return list(self.ensure(obj).collections)
 
     @property
     def materialized_count(self) -> int:
         """How many pages have been computed so far."""
-        return len(self._materialized)
+        return len(self._pages)

@@ -81,11 +81,14 @@ class DynamicSiteServer:
     :class:`~repro.struql.matview.ChangeSummary` drops only the bodies
     that read a page the change may affect.
 
-    Below the body views sit :class:`LazySiteGraph`'s materialized page
-    views and :class:`DynamicSite`'s bindings cache; :attr:`graph` and
-    :attr:`generator` are the same objects for the server's lifetime,
-    and every invalidation, full or selective, takes one path through
-    all three layers.
+    Below the body views sit :class:`LazySiteGraph`'s immutable page
+    snapshots and :class:`DynamicSite`'s bindings cache; :attr:`graph`
+    and :attr:`generator` are the same objects for the server's
+    lifetime, and every invalidation, full or selective, takes one path
+    through all three layers.  The site lock is held only to compute a
+    page, to drop pages, or to scan newly known pages into the router:
+    a render over computed pages, and a body-view hit by oid or by URL,
+    take none.
     """
 
     def __init__(self, query: Query | str, data: Graph,
@@ -109,21 +112,21 @@ class DynamicSiteServer:
     def resolve_path(self, path: str) -> Oid | None:
         """Map a URL path back to a page oid (inverse of ``url_for``).
 
-        Backed by a url->oid map extended only when the lazy graph has
-        gained nodes, so steady-state resolution is O(1) instead of a
-        linear scan over every page per request.  Invalidation detaches
-        pages but keeps their nodes, so learned routes stay valid.
+        Backed by a url->oid map extended only when the lazy graph
+        knows more nodes than at the last scan, so steady-state
+        resolution is one dict lookup and takes no lock.  Invalidation
+        keeps known nodes, so learned routes stay valid.
         """
         wanted = path.lstrip("/")
-        # Under the site lock: concurrent handler threads must not
-        # iterate the lazy graph while another one materializes.
-        with self.site.lock:
-            if self._url_map_size != self.graph.node_count:
-                for node in list(self.graph.nodes()):
+        if self._url_map_size != self.graph.node_count:
+            # The lock serializes scans with each other and with page
+            # computes, which add nodes.
+            with self.site.lock:
+                for node in self.graph.nodes():
                     self._url_map.setdefault(
                         self.generator.url_for(node), node)
                 self._url_map_size = self.graph.node_count
-            return self._url_map.get(wanted)
+        return self._url_map.get(wanted)
 
     def _remember_route(self, oid: Oid) -> None:
         """Register a served page's URL in the route map.
@@ -133,8 +136,7 @@ class DynamicSiteServer:
         depends on a prior ``resolve_path`` scan having seen the page
         materialized.
         """
-        with self.site.lock:
-            self._url_map.setdefault(self.generator.url_for(oid), oid)
+        self._url_map.setdefault(self.generator.url_for(oid), oid)
 
     def warm(self) -> int:
         """Compute the site query and materialize every root page.
@@ -280,9 +282,9 @@ class DynamicSiteServer:
         :meth:`DynamicSite.invalidate` drops the bindings whose
         footprint intersects the
         :class:`~repro.struql.matview.ChangeSummary` and names the
-        Skolem functions whose pages it may affect; the materialized
-        pages of those functions and the rendered bodies that read one
-        of them are dropped, and the rest keep serving from cache.
+        Skolem functions whose pages it may affect; the page snapshots
+        of those functions and the rendered bodies that read one of
+        them are dropped, and the rest keep serving from cache.
         Without a summary (the sound fallback when the caller cannot
         describe what changed), or with a full one, everything is
         dropped.

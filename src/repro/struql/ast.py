@@ -432,28 +432,3 @@ def condition_variables(condition: Condition) -> set[str]:
         out.update(g.name for g in condition.group)
         return out
     raise TypeError(f"not a condition: {condition!r}")
-
-
-def condition_generates(condition: Condition) -> set[str]:
-    """Variables a condition can *bind* (vs merely test).
-
-    Negations and comparisons only filter; membership and path
-    conditions can enumerate bindings for their free variables.
-    """
-    if isinstance(condition, (MembershipCond, PathCond)):
-        return condition_variables(condition)
-    if isinstance(condition, ComparisonCond) and condition.op == "=":
-        # An equality against a constant can bind its variable side.
-        out: set[str] = set()
-        if isinstance(condition.left, Var) and isinstance(
-                condition.right, Const):
-            out.add(condition.left.name)
-        if isinstance(condition.right, Var) and isinstance(
-                condition.left, Const):
-            out.add(condition.right.name)
-        return out
-    if isinstance(condition, InCond):
-        return {condition.var.name}
-    if isinstance(condition, AggregateCond):
-        return {condition.out.name}
-    return set()

@@ -89,11 +89,6 @@ def runtime_compare(a: RuntimeValue, op: str, b: RuntimeValue) -> bool:
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def bound_vars(binding: Binding) -> set[str]:
-    """The variable names a binding defines."""
-    return set(binding)
-
-
 def extend_binding(binding: Binding, var: str,
                    value: RuntimeValue) -> Binding | None:
     """Bind ``var`` to ``value``, or check consistency if already bound.

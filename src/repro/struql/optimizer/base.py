@@ -24,7 +24,6 @@ from repro.struql.ast import (
     NotCond,
     PathCond,
     Var,
-    condition_variables,
 )
 from repro.struql.predicates import PredicateRegistry
 
@@ -135,8 +134,3 @@ def get_optimizer(name: str) -> Optimizer:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown optimizer {name!r} (known: {known})") \
             from None
-
-
-def newly_bound(condition: Condition, bound: set[str]) -> set[str]:
-    """Variables ``condition`` would add to the bound set."""
-    return condition_variables(condition) - bound

@@ -28,8 +28,3 @@ class Wrapper:
     def wrap(self, source: str, graph_name: str | None = None) -> Graph:
         """Translate ``source`` (text) into a graph."""
         raise NotImplementedError
-
-    def wrap_file(self, path: str, graph_name: str | None = None) -> Graph:
-        """Translate the file at ``path``."""
-        with open(path, encoding="utf-8") as handle:
-            return self.wrap(handle.read(), graph_name)

@@ -11,6 +11,9 @@ natural one for the labeled-graph model:
 * each child element becomes an edge labeled with the child's tag;
 * elements join a collection named after their tag (capitalized), so
   ``<publication>`` elements are queryable as ``Publication(x)``.
+
+Elements nested deeper than :data:`~repro.lexutil.MAX_NESTING` are a
+:class:`~repro.errors.WrapperError`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import xml.etree.ElementTree as ET
 from repro.errors import WrapperError
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
+from repro.lexutil import MAX_NESTING
 from repro.wrappers.base import Wrapper
 
 
@@ -40,7 +44,10 @@ class XmlWrapper(Wrapper):
         return graph
 
     def _add_element(self, graph: Graph, element: ET.Element,
-                     counter: list[int], path: str) -> Oid:
+                     counter: list[int], path: str, depth: int = 1) -> Oid:
+        if depth > MAX_NESTING:
+            raise WrapperError(
+                f"XML elements nested deeper than {MAX_NESTING}")
         explicit = element.get("id")
         if explicit:
             name = explicit
@@ -59,7 +66,8 @@ class XmlWrapper(Wrapper):
         if text:
             graph.add_edge(oid, "text", _typed(text))
         for child in element:
-            child_oid = self._add_element(graph, child, counter, name)
+            child_oid = self._add_element(graph, child, counter, name,
+                                          depth + 1)
             graph.add_edge(oid, child.tag, child_oid)
             tail = (child.tail or "").strip()
             if tail:

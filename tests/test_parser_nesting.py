@@ -2,16 +2,26 @@
 
 The DDL, StruQL and template parsers are recursive descent.  Past
 ``MAX_NESTING`` levels each raises its own classified error, with a
-position, instead of letting ``RecursionError`` escape.
+position, instead of letting ``RecursionError`` escape.  The XML and
+JSON wrappers walk their documents recursively and raise
+``WrapperError`` past the same limit.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.ddl.parser import parse_ddl
-from repro.errors import DDLError, StruQLSyntaxError, TemplateSyntaxError
+from repro.errors import (
+    DDLError,
+    StruQLSyntaxError,
+    TemplateSyntaxError,
+    WrapperError,
+)
 from repro.lexutil import MAX_NESTING
 from repro.struql.parser import parse_query
 from repro.templates.parser import parse_template
+from repro.wrappers.json_wrapper import JsonWrapper
+from repro.wrappers.xml_wrapper import XmlWrapper
 
 
 def _query(body: str) -> str:
@@ -77,3 +87,47 @@ def test_nesting_up_to_the_limit_parses():
     graph = parse_ddl(
         "object o { a " + "{ a " * depth + "1" + " }" * depth + " }")
     assert len(list(graph.nodes())) == depth + 1
+
+
+def _xml(depth: int) -> str:
+    return "<a>" * depth + "</a>" * depth
+
+
+def _json(depth: int) -> str:
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+DEEP_SOURCES = {
+    # The stdlib parsers accept 10,000 XML levels but not 10,000 JSON
+    # levels; 500 JSON levels parse and reach the wrapper's own walk.
+    "xml nested elements": lambda: XmlWrapper().wrap(_xml(10_000)),
+    "json nested objects": lambda: JsonWrapper().wrap(_json(10_000)),
+    "json nested objects past the stdlib parser":
+        lambda: JsonWrapper().wrap(_json(500)),
+    "json nested arrays": lambda: JsonWrapper().wrap(
+        '{"a": ' + "[" * 10_000 + "1" + "]" * 10_000 + "}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_SOURCES))
+def test_deep_source_is_a_wrapper_error(case):
+    with pytest.raises(WrapperError, match=f"deeper than {MAX_NESTING}"):
+        DEEP_SOURCES[case]()
+
+
+def test_sources_up_to_the_limit_wrap():
+    assert XmlWrapper().wrap(_xml(MAX_NESTING)).node_count == MAX_NESTING
+    assert JsonWrapper().wrap(_json(MAX_NESTING)).node_count == MAX_NESTING
+
+
+def test_cli_build_on_deep_xml_is_a_classified_error(tmp_path, capsys):
+    (tmp_path / "deep.xml").write_text(_xml(3000))
+    (tmp_path / "site.struql").write_text(
+        "input XML where A(x) create P(x) output SITE")
+    code = main(["build", "--data", str(tmp_path / "deep.xml"),
+                 "--query", str(tmp_path / "site.struql"),
+                 "--out", str(tmp_path / "www")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err

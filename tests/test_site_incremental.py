@@ -328,3 +328,88 @@ class TestOneInvalidationPath:
         assert len(server.crawl()) > 3
         assert len(versions) == 2
         assert versions[1] == versions[0] + 1
+
+
+class _CountingLock:
+    """Wraps a reentrant lock and counts every acquisition."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.acquires = 0
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.acquires += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.lock.release()
+        return False
+
+
+class TestLockFreeReads:
+    def test_computed_pages_read_without_the_site_lock(self, fig2_graph):
+        from repro.site import DynamicSiteServer
+        from repro.sites.homepage import fig7_templates
+        server = DynamicSiteServer(FIG3_QUERY, fig2_graph, fig7_templates())
+        counting = _CountingLock(server.site.lock)
+        server.site.lock = counting
+        root = Oid.skolem("RootPage", ())
+        url = server.generator.url_for(root)
+        first = server.request(url)  # computes the page, caches its body
+        assert first.status == 200
+        assert counting.acquires > 0
+        server.request(url)  # the router scans the pages it discovered
+
+        def acquires(read) -> int:
+            before = counting.acquires
+            read()
+            return counting.acquires - before
+
+        assert acquires(lambda: server.request(url)) == 0
+        assert acquires(lambda: server.generator.render(root)) == 0
+        assert acquires(lambda: server.graph.get(root, "YearPage")) == 0
+        assert acquires(lambda: server.graph.collections_of(root)) == 0
+        assert server.request(url).body == first.body
+
+    def test_each_page_computed_once_under_threads(self, fig2_graph,
+                                                   fig4_site):
+        """8 threads read every page at once, with a short switch
+        interval: each page is computed exactly once, and every read
+        sees the whole page."""
+        import sys
+        import threading
+        site = DynamicSite(FIG3_QUERY, fig2_graph)
+        lazy = LazySiteGraph(site)
+        pages = [node for node in fig4_site.nodes()
+                 if node.skolem_fn is not None]
+        expected = {page: sorted((e.label, str(e.target))
+                                 for e in fig4_site.out_edges(page))
+                    for page in pages}
+        failures: list[BaseException] = []
+        start = threading.Barrier(8)
+
+        def reader() -> None:
+            try:
+                start.wait(10)
+                for page in pages:
+                    got = sorted((e.label, str(e.target))
+                                 for e in lazy.out_edges(page))
+                    assert got == expected[page], page
+            except BaseException as exc:  # noqa: BLE001 — collected
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        assert lazy.materialized_count == len(pages)
+        assert site.stats["pages_computed"] == len(pages)
