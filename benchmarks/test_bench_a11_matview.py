@@ -39,7 +39,7 @@ def test_hot_vs_cold_serve(experiment):
     pages = _sample_pages(server, SAMPLES)
 
     # Cold: every request pays the click-time evaluation — the body
-    # views (and underlying page/bindings caches) are dropped first.
+    # views (and the page snapshots under them) are dropped first.
     cold_total = 0.0
     for page in pages:
         server.invalidate()

@@ -57,8 +57,8 @@ def main() -> None:
     print(f"  10-click session: computed {computed} of "
           f"{total_objects} site objects "
           f"({mean_click * 1000:.2f} ms/click mean)")
-    print(f"  cache: {server.site.stats['bindings_cache_hits']} bindings "
-          f"hits, {server.site.stats['unit_evaluations']} unit evaluations")
+    print(f"  computed: {server.site.stats['pages_computed']} pages, "
+          f"{server.site.stats['unit_evaluations']} unit evaluations")
 
 
 if __name__ == "__main__":

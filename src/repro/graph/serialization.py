@@ -13,13 +13,16 @@ The encoding is self-contained and stable:
 * a graph encodes its node list, edge list and collection map.
 
 Round-tripping preserves node identity, edge multiplicity (as a set),
-collection membership and insertion order.
+collection membership and insertion order.  Decoding text that is not
+JSON, nests deeper than the decoder can follow, or is not a serialized
+graph (or database) raises :class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.errors import GraphError
 from repro.graph.model import Database, Graph, GraphObject, Oid
@@ -75,25 +78,43 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
     }
 
 
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Re-raise what decoding a malformed document raises as a
+    :class:`GraphError` naming the problem."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"malformed {what} JSON: {exc}") from None
+    except RecursionError:
+        raise GraphError(f"serialized {what} nested too deeply") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphError(
+            f"not a serialized {what}: {type(exc).__name__}: {exc}") \
+            from None
+
+
 def graph_from_dict(data: dict[str, Any]) -> Graph:
     """Decode the output of :func:`graph_to_dict`."""
-    graph = Graph(data.get("name", ""))
-    for node in data.get("nodes", []):
-        obj = object_from_dict(node)
-        if not isinstance(obj, Oid):
-            raise GraphError(f"node entry decodes to a non-node: {node!r}")
-        graph.add_node(obj)
-    for edge in data.get("edges", []):
-        source = object_from_dict(edge["source"])
-        target = object_from_dict(edge["target"])
-        if not isinstance(source, Oid):
-            raise GraphError(f"edge source is not a node: {edge!r}")
-        graph.add_edge(source, edge["label"], target)
-    for name, members in data.get("collections", {}).items():
-        graph.declare_collection(name)
-        for member in members:
-            graph.add_to_collection(name, object_from_dict(member))
-    return graph
+    with _decoding("graph"):
+        graph = Graph(data.get("name", ""))
+        for node in data.get("nodes", []):
+            obj = object_from_dict(node)
+            if not isinstance(obj, Oid):
+                raise GraphError(
+                    f"node entry decodes to a non-node: {node!r}")
+            graph.add_node(obj)
+        for edge in data.get("edges", []):
+            source = object_from_dict(edge["source"])
+            target = object_from_dict(edge["target"])
+            if not isinstance(source, Oid):
+                raise GraphError(f"edge source is not a node: {edge!r}")
+            graph.add_edge(source, edge["label"], target)
+        for name, members in data.get("collections", {}).items():
+            graph.declare_collection(name)
+            for member in members:
+                graph.add_to_collection(name, object_from_dict(member))
+        return graph
 
 
 def graph_to_json(graph: Graph, indent: int | None = None) -> str:
@@ -103,7 +124,9 @@ def graph_to_json(graph: Graph, indent: int | None = None) -> str:
 
 def graph_from_json(text: str) -> Graph:
     """Deserialize a graph from :func:`graph_to_json` output."""
-    return graph_from_dict(json.loads(text))
+    with _decoding("graph"):
+        data = json.loads(text)
+    return graph_from_dict(data)
 
 
 def database_to_dict(db: Database) -> dict[str, Any]:
@@ -121,10 +144,11 @@ def database_from_dict(data: dict[str, Any]) -> Database:
     Oids with equal structure unify across graphs, restoring the "graphs
     may share objects" property of the model.
     """
-    db = Database(data.get("name", ""))
-    for graph_data in data.get("graphs", []):
-        db.add_graph(graph_from_dict(graph_data))
-    return db
+    with _decoding("database"):
+        db = Database(data.get("name", ""))
+        for graph_data in data.get("graphs", []):
+            db.add_graph(graph_from_dict(graph_data))
+        return db
 
 
 def database_to_json(db: Database, indent: int | None = None) -> str:
@@ -134,4 +158,6 @@ def database_to_json(db: Database, indent: int | None = None) -> str:
 
 def database_from_json(text: str) -> Database:
     """Deserialize a database from :func:`database_to_json` output."""
-    return database_from_dict(json.loads(text))
+    with _decoding("database"):
+        data = json.loads(text)
+    return database_from_dict(data)

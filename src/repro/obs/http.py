@@ -272,8 +272,8 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "traces": self._traces_payload(DEBUG_TRACE_DEPTH),
             "queries": get_query_registry().snapshot(
                 limit=DEBUG_QUERY_LIMIT),
-            # Click-time cache counters, split page/bindings so the
-            # hit/miss totals reconcile with pages_computed.
+            # Click-time compute counters (pages computed, unit
+            # evaluations, invalidations).
             "site_cache": (cache_snapshot()
                            if callable(cache_snapshot) else None),
             # Materialized-view registry state (hit/miss/invalidation

@@ -93,7 +93,7 @@ class FormHandler:
             engine = QueryEngine(predicates=registry)
         self.engine = engine
         self.loader = loader
-        self._cache_enabled = cache
+        self._caching = cache
         self._cache: dict[tuple, FormResponse] = {}
         self.stats = {"requests": 0, "cache_hits": 0, "evaluations": 0}
 
@@ -116,7 +116,7 @@ class FormHandler:
             for p in self.query.params)
         key = values
         with timed("form.submit") as span:
-            if self._cache_enabled and key in self._cache:
+            if self._caching and key in self._cache:
                 self.stats["cache_hits"] += 1
                 metrics.counter("forms.cache_hits").inc()
                 span.set(cached=True)
@@ -142,7 +142,7 @@ class FormHandler:
             emit_event("info", "form.submit", cached=False,
                        result_fn=self.result_fn, page=str(page))
         metrics.histogram("forms.submit_seconds").observe(span.seconds)
-        if self._cache_enabled:
+        if self._caching:
             self._cache[key] = response
         return response
 

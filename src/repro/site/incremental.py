@@ -11,21 +11,22 @@ by conjunction ``Q`` becomes, for a concrete page ``F(a)``, the query
 page therefore never materializes the whole site, only the bindings its
 own links need.
 
-:class:`DynamicSite` serves pages this way, with an optional result
-cache ("our optimization techniques cache query results to reduce click
-time for future queries").  :class:`LazySiteGraph` offers a dynamic
-site through the reads the HTML generator makes of a site
-:class:`~repro.graph.Graph`, so dynamic pages render without a
-materialized site graph — the state the paper says must live "in a
-client-side browser and/or a server-side query processor" is the
-view's immutable page snapshots, read without a lock.
+:class:`DynamicSite` serves pages this way, planning each unit once
+per data version.  Query results are cached above it ("our optimization
+techniques cache query results to reduce click time for future
+queries"): :class:`LazySiteGraph` offers a dynamic site through the
+reads the HTML generator makes of a site :class:`~repro.graph.Graph`,
+so dynamic pages render without a materialized site graph — the state
+the paper says must live "in a client-side browser and/or a server-side
+query processor" is the view's immutable page snapshots, read without a
+lock — and :class:`~repro.site.server.DynamicSiteServer` keeps the
+rendered bodies.
 
 A data change reaches both stores through one decision:
-:meth:`DynamicSite.invalidate` drops the bindings whose unit footprint
-the :class:`~repro.struql.matview.ChangeSummary` intersects and returns
-the Skolem functions whose pages it may affect
-(:meth:`DynamicSite.affected_fns`); every store above it, the page
-snapshots here and the rendered bodies of
+:meth:`DynamicSite.invalidate` drops the data version's index,
+statistics and plans and returns the Skolem functions whose pages it
+may affect (:meth:`DynamicSite.affected_fns`); every store above it,
+the page snapshots here and the rendered bodies of
 :class:`~repro.site.server.DynamicSiteServer`, drops by that set.
 """
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -45,22 +45,15 @@ from repro.obs.queries import fingerprint, get_query_registry
 from repro.obs.trace import get_recorder
 from repro.repository.indexes import GraphIndex
 from repro.repository.stats import GraphStatistics
-from repro.struql.analysis import ANY_FOOTPRINT, Footprint, unit_footprint
+from repro.struql.analysis import Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
-from repro.struql.bindings import Binding, RuntimeValue, as_label
+from repro.struql.bindings import Binding, RuntimeValue, as_label, runtime_eq
 from repro.struql.construction import TermFn, compile_term
 from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
 from repro.struql.skolem import SkolemRegistry
-
-
-#: Default LRU bound for the click-time bindings cache (and, on the
-#: server, the body views): a long-running ``repro serve`` must not grow
-#: memory with the number of distinct pages ever visited (same
-#: discipline as :class:`~repro.obs.queries.QueryStatsRegistry`).
-DEFAULT_MAX_PAGES = 4096
 
 
 @dataclass
@@ -76,36 +69,33 @@ class PageView:
 class DynamicSite:
     """Serves site pages computed at click time from the data graph.
 
-    :meth:`get_page` computes a page's view on every call; what it
-    caches is the per-unit query result (the bindings cache), keyed by
-    the unit and the page's Skolem arguments, so sibling pages and
-    recomputes after an unrelated change reuse each other's rows.  The
-    per-page store is :class:`LazySiteGraph`'s page snapshots.
+    :meth:`get_page` computes a page's view on every call, evaluating
+    each contributing unit once with the page's Skolem arguments bound;
+    the per-page store is :class:`LazySiteGraph`'s page snapshots.
+    What it keeps is per data version: the data graph's index, its
+    optimizer statistics, and one plan per (unit, names of the bound
+    variables), built on first use.  The bound names come from the
+    query's Skolem terms, not from the argument values, so the plans
+    are bounded by the query, however many pages are visited.  All
+    three are dropped together when the data changes
+    (:meth:`invalidate`, or an index found stale by the next compute).
 
-    Thread-safe: the bindings cache, the graph index and statistics and
-    :attr:`stats` are guarded by one reentrant :attr:`lock`, and
-    :meth:`invalidate` is atomic with respect to in-flight
+    Thread-safe: the index, statistics, plans and :attr:`stats` are
+    guarded by one reentrant :attr:`lock`, held across each page
+    compute, and :meth:`invalidate` is atomic with respect to in-flight
     :meth:`get_page` calls — the threaded HTTP plane
     (:class:`~repro.obs.http.TelemetryHTTPServer`) serves click-time
-    pages from many handler threads at once.  The bindings cache is an
-    LRU ring capped at ``max_pages`` entries
-    (``site.bindings_cache_evictions`` counts what falls out).
+    pages from many handler threads at once.
     """
 
     def __init__(self, query: Query | str, data: Graph,
-                 engine: QueryEngine | None = None,
-                 cache: bool = True,
-                 max_pages: int = DEFAULT_MAX_PAGES) -> None:
+                 engine: QueryEngine | None = None) -> None:
         if isinstance(query, str):
             query = parse_query(query)
         self.query = query
         self.data = data
         self.engine = engine or QueryEngine()
         self.units = flatten(query)
-        #: Static read footprint of each flattened unit (keyed by the
-        #: unit's identity, which is also the bindings-cache key head).
-        self.unit_footprints: dict[int, Footprint] = {
-            id(unit): unit_footprint(unit) for unit in self.units}
         #: Skolem function -> union of the footprints of every unit
         #: that contributes links or collections to its pages: the data
         #: a page of that function may read when computed.
@@ -122,35 +112,26 @@ class DynamicSite:
         #: The site query's fingerprint, also used as the lineage query
         #: context for click-time Skolem mints.
         self.fingerprint = fingerprint(query)
-        self._cache_enabled = cache
-        self.max_pages = max(int(max_pages), 1)
-        self._bindings_cache: "OrderedDict[tuple, list[Binding]]" = \
-            OrderedDict()
-        #: The data graph's index and optimizer statistics, built
-        #: together once per data version and dropped together by
-        #: :meth:`invalidate`.
+        #: The data graph's index, optimizer statistics and unit plans
+        #: (keyed by the unit's identity and the bound variable names),
+        #: built once per data version and dropped together.
         self._index = None
         self._stats = None
-        #: Guards the cache, the index and ``stats``; reentrant so
-        #: ``get_page`` -> ``_unit_rows`` nests, and exposed so
-        #: :class:`LazySiteGraph` can serialize page computes with
-        #: cache invalidation.
+        self._plans: dict[tuple[int, frozenset[str]], Plan] = {}
+        #: Guards the index, statistics, plans and ``stats``; reentrant
+        #: and exposed so :class:`LazySiteGraph` can serialize page
+        #: computes with invalidation.
         self.lock = threading.RLock()
-        #: Click-time statistics for benchmarking.  They reconcile by
-        #: construction: ``pages_computed`` equals ``get_page`` calls,
-        #: and ``bindings_cache_misses == unit_evaluations``.
+        #: Click-time statistics for benchmarking: ``pages_computed``
+        #: equals ``get_page`` calls.
         self.stats = {"pages_computed": 0, "unit_evaluations": 0,
-                      "bindings_cache_hits": 0,
-                      "bindings_cache_misses": 0,
-                      "bindings_cache_evictions": 0,
-                      "invalidations": 0,
-                      "bindings_invalidated": 0}
+                      "invalidations": 0}
 
     def _compute_fn_footprints(self) -> dict[str, Footprint]:
         out: dict[str, Footprint] = {
             fn: Footprint() for fn in self.query.skolem_functions()}
         for unit in self.units:
-            footprint = self.unit_footprints[id(unit)]
+            footprint = unit_footprint(unit)
             touched = {link.source.fn for link in unit.links}
             touched.update(c.term.fn for c in unit.collects
                            if isinstance(c.term, SkolemTerm))
@@ -186,9 +167,9 @@ class DynamicSite:
         """Compute one page's view from the current data.
 
         Holds :attr:`lock` across the compute, so a concurrent
-        :meth:`invalidate` never interleaves with it (bindings computed
-        from pre-update data could otherwise be cached after the
-        post-update flush).
+        :meth:`invalidate` never interleaves with it (a plan or index
+        built from pre-update data could otherwise be kept after the
+        post-update drop).
         """
         if oid.skolem_fn is None:
             raise PageNotFoundError(oid)
@@ -213,66 +194,59 @@ class DynamicSite:
         return view
 
     def invalidate(self, change=None) -> set[str]:
-        """Drop cached results affected by a data-graph update.
-
-        Bindings whose unit footprint intersects ``change`` (a
-        :class:`~repro.struql.matview.ChangeSummary`) are dropped —
-        all of them when ``change`` is omitted or full.  The graph index
-        and statistics are always discarded (the data did change).
-        Returns :meth:`affected_fns`, the one answer every store above
-        drops by.
+        """Drop the data version's index, statistics and plans after a
+        data-graph update, and return :meth:`affected_fns` of
+        ``change`` (a :class:`~repro.struql.matview.ChangeSummary`;
+        every function when omitted or full), the one answer every
+        store above drops by.
 
         Atomic with in-flight :meth:`get_page` calls: waits for any
-        compute holding :attr:`lock`, then flushes at once.
+        compute holding :attr:`lock`, then drops at once.
         """
         with self.lock:
-            self._index = self._stats = None
-            stale = [key for key in self._bindings_cache
-                     if self.unit_footprints.get(
-                         key[0], ANY_FOOTPRINT).intersects(change)]
-            for key in stale:
-                del self._bindings_cache[key]
+            self._drop_data_version()
             self.stats["invalidations"] += 1
-            self.stats["bindings_invalidated"] += len(stale)
             return self.affected_fns(change)
 
     def stats_snapshot(self) -> dict:
-        """A consistent copy of :attr:`stats` plus cache occupancy."""
+        """A consistent copy of :attr:`stats`."""
         with self.lock:
-            snapshot = dict(self.stats)
-            snapshot["bindings_cache_size"] = len(self._bindings_cache)
-            snapshot["max_pages"] = self.max_pages
-            snapshot["cache_enabled"] = self._cache_enabled
-        return snapshot
+            return dict(self.stats)
 
     # -- internals ---------------------------------------------------------------
+
+    def _drop_data_version(self) -> None:
+        self._index = self._stats = None
+        self._plans = {}
 
     def _compute(self, oid: Oid) -> PageView:
         fn = oid.skolem_fn
         assert fn is not None
+        arity = len(oid.skolem_args)
         view = PageView(oid)
         seen_edges: set[tuple[str, GraphObject]] = set()
         for unit, unit_links in zip(self.units, self._unit_links):
-            relevant = False
-            for link in unit.links:
-                if link.source.fn == fn and \
-                        len(link.source.args) == len(oid.skolem_args):
-                    relevant = True
+            links = [entry for entry in unit_links
+                     if entry[0].source.fn == fn
+                     and len(entry[0].source.args) == arity]
             collecting = [c for c in unit.collects
                           if isinstance(c.term, SkolemTerm)
                           and c.term.fn == fn
-                          and len(c.term.args) == len(oid.skolem_args)]
-            if not relevant and not collecting:
+                          and len(c.term.args) == arity]
+            if not links and not collecting:
                 continue
             lineage = get_lineage()
             with lineage.query_context(fingerprint=self.fingerprint,
                                        block=unit.label,
                                        input=self.data.name):
-                for link, label_of, target_of in unit_links:
-                    if link.source.fn != fn or \
-                            len(link.source.args) != len(oid.skolem_args):
-                        continue
-                    for row in self._unit_rows(unit, link.source, oid):
+                # The unit's rows for each source term, evaluated once
+                # and shared by the links and collects that have it.
+                terms = [link.source for link, _, _ in links]
+                terms.extend(c.term for c in collecting)
+                rows_of = {term: self._unit_rows(unit, term, oid)
+                           for term in dict.fromkeys(terms)}
+                for link, label_of, target_of in links:
+                    for row in rows_of[link.source]:
                         label_value = _resolve(label_of, row)
                         label = as_label(label_value) \
                             if label_value is not None else None
@@ -288,36 +262,29 @@ class DynamicSite:
                             if lineage.enabled:
                                 lineage.record_dep(oid, target)
                 for collect in collecting:
-                    assert isinstance(collect.term, SkolemTerm)
-                    for row in self._unit_rows(unit, collect.term, oid):
-                        if collect.name not in view.collections:
-                            view.collections.append(collect.name)
+                    if rows_of[collect.term] and \
+                            collect.name not in view.collections:
+                        view.collections.append(collect.name)
         return view
 
     def _unit_rows(self, unit: ConjunctiveUnit, source: SkolemTerm,
                    oid: Oid) -> list[Binding]:
         """Bindings of the unit's conditions consistent with ``oid``'s
-        Skolem arguments bound into the source term's variables."""
+        Skolem arguments bound into the source term's variables.
+
+        Runs inside :meth:`get_page`'s hold of :attr:`lock`.
+        """
         seed: Binding = {}
         for arg_term, arg_value in zip(source.args, oid.skolem_args):
             if isinstance(arg_term, Var):
                 seed[arg_term.name] = arg_value
             elif isinstance(arg_term, Const):
-                from repro.struql.bindings import runtime_eq
                 if not runtime_eq(arg_term.value, arg_value):
                     return []
-        key = (id(unit), tuple(sorted(seed.items(),
-                                      key=lambda kv: kv[0])),
-               tuple(str(v) for _, v in sorted(seed.items())))
-        with self.lock:
-            if self._cache_enabled and key in self._bindings_cache:
-                self.stats["bindings_cache_hits"] += 1
-                self._bindings_cache.move_to_end(key)
-                get_recorder().metrics.counter(
-                    "site.bindings_cache_hits").inc()
-                return self._bindings_cache[key]
-            self.stats["bindings_cache_misses"] += 1
         if self._index is None or not self._index.fresh:
+            # A new data version: its statistics may order units
+            # differently, so the plans go with the old index.
+            self._drop_data_version()
             self._index = GraphIndex.build(self.data)
             self._stats = GraphStatistics.gather(self.data)
         ctx = ExecutionContext(self.data, index=self._index,
@@ -335,25 +302,20 @@ class DynamicSite:
                 if not set(seed) <= group_names:
                     seeded, post_filter = {}, seed
                     break
-        ordered = self.engine.optimizer.order(
-            unit.conditions, set(seeded), self.data, ctx.predicates,
-            self._stats)
-        ordered = _enforce_aggregate_order(ordered)
-        rows = Plan.from_conditions(ordered).execute(ctx, [dict(seeded)])
+        key = (id(unit), frozenset(seeded))
+        plan = self._plans.get(key)
+        if plan is None:
+            ordered = self.engine.optimizer.order(
+                unit.conditions, set(seeded), self.data, ctx.predicates,
+                self._stats)
+            plan = self._plans[key] = Plan.from_conditions(
+                _enforce_aggregate_order(ordered))
+        rows = plan.execute(ctx, [dict(seeded)])
         if post_filter:
-            from repro.struql.bindings import runtime_eq
             rows = [row for row in rows
                     if all(name in row and runtime_eq(row[name], value)
                            for name, value in post_filter.items())]
-        with self.lock:
-            self.stats["unit_evaluations"] += 1
-            if self._cache_enabled:
-                self._bindings_cache[key] = rows
-                while len(self._bindings_cache) > self.max_pages:
-                    self._bindings_cache.popitem(last=False)
-                    self.stats["bindings_cache_evictions"] += 1
-                    get_recorder().metrics.counter(
-                        "site.bindings_cache_evictions").inc()
+        self.stats["unit_evaluations"] += 1
         get_recorder().metrics.counter("site.unit_evaluations").inc()
         return rows
 

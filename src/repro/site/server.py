@@ -5,7 +5,8 @@ supporting dynamic generation "requires significant systems-design
 effort"; this module provides the in-process equivalent: a
 :class:`DynamicSiteServer` that answers page requests by computing the
 requested page's query at click time (through
-:class:`~repro.site.incremental.DynamicSite` /
+:class:`~repro.site.incremental.DynamicSite`, which plans each unit once
+per data version, and the page snapshots of
 :class:`~repro.site.incremental.LazySiteGraph`) and rendering it with
 the ordinary HTML generator.  Rendered bodies are cached as
 materialized views that keep the site-graph nodes their render read
@@ -82,24 +83,25 @@ class DynamicSiteServer:
     that read a page the change may affect.
 
     Below the body views sit :class:`LazySiteGraph`'s immutable page
-    snapshots and :class:`DynamicSite`'s bindings cache; :attr:`graph`
-    and :attr:`generator` are the same objects for the server's
-    lifetime, and every invalidation, full or selective, takes one path
-    through all three layers.  The site lock is held only to compute a
-    page, to drop pages, or to scan newly known pages into the router:
-    a render over computed pages, and a body-view hit by oid or by URL,
-    take none.
+    snapshots, computed by :class:`DynamicSite` from plans it builds
+    once per data version; :attr:`graph` and :attr:`generator` are the
+    same objects for the server's lifetime, and every invalidation,
+    full or selective, takes one path through both cache layers.
+    ``cache=False`` turns off the body views only.  The site lock is
+    held only to compute a page, to drop pages, or to scan newly known
+    pages into the router: a render over computed pages, and a
+    body-view hit by oid or by URL, take none.
     """
 
     def __init__(self, query: Query | str, data: Graph,
                  templates: TemplateSet,
                  engine: QueryEngine | None = None,
                  cache: bool = True, loader=None) -> None:
-        self.site = DynamicSite(query, data, engine=engine, cache=cache)
+        self.site = DynamicSite(query, data, engine=engine)
         self.graph = LazySiteGraph(self.site)
         self.generator = HtmlGenerator(self.graph, templates, loader=loader)
-        self.matviews = MatViewRegistry(max_views=self.site.max_pages)
-        self._body_cache_enabled = cache
+        self.matviews = MatViewRegistry()
+        self._cache_bodies = cache
         self._url_map: dict[str, Oid] = {}
         self._url_map_size = -1
 
@@ -168,7 +170,7 @@ class DynamicSiteServer:
                 raise PageNotFoundError(oid)
             return self.generator.render_recorded(oid, reads)
 
-        if not self._body_cache_enabled:
+        if not self._cache_bodies:
             return compute()
         return self.matviews.get_or_compute(str(oid), compute, reads)
 
@@ -268,23 +270,20 @@ class DynamicSiteServer:
         return out
 
     def cache_snapshot(self) -> dict:
-        """The click-time cache statistics, reconciled.
-
-        One consistent read of :meth:`DynamicSite.stats_snapshot`:
-        ``pages_computed`` counts page-view computes and the bindings
-        counters add up (``bindings_cache_misses == unit_evaluations``).
-        """
+        """The click-time compute statistics: one consistent read of
+        :meth:`DynamicSite.stats_snapshot` (``pages_computed``,
+        ``unit_evaluations``, ``invalidations``)."""
         return self.site.stats_snapshot()
 
     def invalidate(self, change: ChangeSummary | None = None) -> None:
         """Propagate a data-graph update: drop what it may affect.
 
-        :meth:`DynamicSite.invalidate` drops the bindings whose
-        footprint intersects the
-        :class:`~repro.struql.matview.ChangeSummary` and names the
-        Skolem functions whose pages it may affect; the page snapshots
-        of those functions and the rendered bodies that read one of
-        them are dropped, and the rest keep serving from cache.
+        :meth:`DynamicSite.invalidate` drops the data version's plans
+        and names the Skolem functions whose pages the
+        :class:`~repro.struql.matview.ChangeSummary` may affect; the
+        page snapshots of those functions and the rendered bodies that
+        read one of them are dropped, and the rest keep serving from
+        cache.
         Without a summary (the sound fallback when the caller cannot
         describe what changed), or with a full one, everything is
         dropped.

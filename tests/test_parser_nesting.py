@@ -4,7 +4,8 @@ The DDL, StruQL and template parsers are recursive descent.  Past
 ``MAX_NESTING`` levels each raises its own classified error, with a
 position, instead of letting ``RecursionError`` escape.  The XML and
 JSON wrappers walk their documents recursively and raise
-``WrapperError`` past the same limit.
+``WrapperError`` past the same limit.  A serialized graph too deep for
+the JSON decoder, or cut short, is a ``GraphError``.
 """
 
 import pytest
@@ -13,10 +14,12 @@ from repro.cli import main
 from repro.ddl.parser import parse_ddl
 from repro.errors import (
     DDLError,
+    GraphError,
     StruQLSyntaxError,
     TemplateSyntaxError,
     WrapperError,
 )
+from repro.graph import Atom, Graph, Oid, graph_from_json, graph_to_json
 from repro.lexutil import MAX_NESTING
 from repro.struql.parser import parse_query
 from repro.templates.parser import parse_template
@@ -125,6 +128,42 @@ def test_cli_build_on_deep_xml_is_a_classified_error(tmp_path, capsys):
     (tmp_path / "site.struql").write_text(
         "input XML where A(x) create P(x) output SITE")
     code = main(["build", "--data", str(tmp_path / "deep.xml"),
+                 "--query", str(tmp_path / "site.struql"),
+                 "--out", str(tmp_path / "www")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def _truncated_graph() -> str:
+    graph = Graph("g")
+    graph.add_edge(Oid("p"), "title", Atom.string("A"))
+    text = graph_to_json(graph)
+    return text[:len(text) // 2]
+
+
+SERIALIZED_GRAPHS = {
+    "graph json nested objects": _json(10_000),
+    "graph json nested arrays": "[" * 10_000 + "]" * 10_000,
+    "truncated graph json": _truncated_graph(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZED_GRAPHS))
+def test_malformed_serialized_graph_is_a_graph_error(case):
+    with pytest.raises(GraphError, match="nested too deeply|malformed"):
+        graph_from_json(SERIALIZED_GRAPHS[case])
+
+
+@pytest.mark.parametrize("text", [_json(3000), _truncated_graph()],
+                         ids=["deep", "truncated"])
+def test_cli_build_on_bad_json_is_a_classified_error(tmp_path, capsys,
+                                                     text):
+    (tmp_path / "data.json").write_text(text)
+    (tmp_path / "site.struql").write_text(
+        "input G where A(x) create P(x) output SITE")
+    code = main(["build", "--data", str(tmp_path / "data.json"),
                  "--query", str(tmp_path / "site.struql"),
                  "--out", str(tmp_path / "www")])
     err = capsys.readouterr().err

@@ -85,6 +85,33 @@ class TestGraphRoundtrip:
                            "label": "l", "target": {"oid": "a"}}],
             })
 
+    def test_org_site_roundtrip(self):
+        from repro.datagen.org import build_org_mediator
+        from repro.sites.org import ORG_QUERY
+        from repro.struql import QueryEngine
+        data = build_org_mediator(40, 4, 6, seed=1).warehouse()
+        site = QueryEngine().evaluate(ORG_QUERY, data).output
+        back = graph_from_json(graph_to_json(site))
+        assert back.node_count == site.node_count
+        assert list(back.edges()) == list(site.edges())
+        assert {name: back.collection(name)
+                for name in back.collection_names()} == \
+            {name: site.collection(name)
+             for name in site.collection_names()}
+
+    @pytest.mark.parametrize("text", ["[]", '{"nodes": 5}'])
+    def test_wrong_shape_is_a_graph_error(self, text):
+        with pytest.raises(GraphError, match="not a serialized graph"):
+            graph_from_json(text)
+
+    def test_skolem_arguments_too_deep_are_a_graph_error(self):
+        node = {"oid": "leaf"}
+        for level in range(10_000):
+            node = {"oid": f"F{level}", "skolem_fn": "F",
+                    "skolem_args": [node]}
+        with pytest.raises(GraphError, match="nested too deeply"):
+            graph_from_dict({"name": "g", "nodes": [node]})
+
 
 class TestDatabaseRoundtrip:
     def test_multiple_graphs(self, tiny_graph, fig2_graph):
@@ -95,6 +122,12 @@ class TestDatabaseRoundtrip:
         assert back.graph_names() == sorted([tiny_graph.name,
                                              fig2_graph.name])
         assert back.graph("tiny").edge_count == tiny_graph.edge_count
+
+    @pytest.mark.parametrize("text", ["[]", '{"graphs": 5}',
+                                      '{"graphs": [{"nodes": 5}]}'])
+    def test_wrong_shape_is_a_graph_error(self, text):
+        with pytest.raises(GraphError, match="not a serialized"):
+            database_from_json(text)
 
     def test_dict_roundtrip(self, tiny_graph):
         db = Database("db")

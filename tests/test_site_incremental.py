@@ -68,34 +68,9 @@ class TestDynamicSite:
         assert calls == []
         assert registry.get(site.fingerprint).count == 2
 
-    def test_cache_hits_counted(self, fig2_graph):
-        """A recompute of the same page reads every unit's rows from
-        the bindings cache."""
-        site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
-        page = Oid.skolem("RootPage", ())
-        first = site.get_page(page)
-        before = site.stats_snapshot()
-        assert before["bindings_cache_hits"] == 0
-        again = site.get_page(page)
-        after = site.stats_snapshot()
-        assert again.edges == first.edges
-        assert after["bindings_cache_hits"] == \
-            before["bindings_cache_misses"] > 0
-        assert after["unit_evaluations"] == before["unit_evaluations"]
-        assert after["pages_computed"] == 2
-
-    def test_cache_disabled(self, fig2_graph):
-        site = DynamicSite(FIG3_QUERY, fig2_graph, cache=False)
-        page = Oid.skolem("RootPage", ())
-        site.get_page(page)
-        site.get_page(page)
-        assert site.stats["bindings_cache_hits"] == 0
-        assert site.stats["pages_computed"] == 2
-
     def test_stats_reconcile(self, fig2_graph):
-        """Every ``get_page`` computes, and every bindings miss is one
-        unit evaluation."""
-        site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
+        """Every ``get_page`` computes."""
+        site = DynamicSite(FIG3_QUERY, fig2_graph)
         root = Oid.skolem("RootPage", ())
         calls = 0
         for _ in range(3):
@@ -107,25 +82,53 @@ class TestDynamicSite:
                     calls += 1
         stats = site.stats_snapshot()
         assert stats["pages_computed"] == calls
-        assert stats["bindings_cache_misses"] == stats["unit_evaluations"]
-        assert stats["bindings_cache_hits"] > stats["bindings_cache_misses"]
 
     def test_invalidate_sees_new_data(self, fig2_graph, dynamic):
+        """No rows outlive the data: a compute after an edit reflects
+        it, with or without ``invalidate()``."""
         root = Oid.skolem("RootPage", ())
-        before = dynamic.get_page(root)
-        years_before = sum(1 for label, _ in before.edges
-                           if label == "YearPage")
+
+        def years() -> int:
+            return sum(1 for label, _ in dynamic.get_page(root).edges
+                       if label == "YearPage")
+
+        years_before = years()
         pub3 = Oid("pub3")
         fig2_graph.add_to_collection("Publications", pub3)
         fig2_graph.add_edge(pub3, "year", Atom.int(1999))
         fig2_graph.add_edge(pub3, "title", Atom.string("New"))
-        stale = dynamic.get_page(root)
-        assert sum(1 for label, _ in stale.edges
-                   if label == "YearPage") == years_before
+        assert years() == years_before + 1
         dynamic.invalidate()
-        fresh = dynamic.get_page(root)
-        assert sum(1 for label, _ in fresh.edges
-                   if label == "YearPage") == years_before + 1
+        assert years() == years_before + 1
+
+    def test_each_unit_planned_once_per_data_version(self, fig2_graph,
+                                                     monkeypatch):
+        """Sibling pages share their units' plans; an invalidation or
+        an edit the index has not seen plans them again."""
+        engine = QueryEngine()
+        ordered = []
+        order = engine.optimizer.order
+
+        def counting(conditions, bound, *args, **kwargs):
+            ordered.append((tuple(conditions), frozenset(bound)))
+            return order(conditions, bound, *args, **kwargs)
+
+        monkeypatch.setattr(engine.optimizer, "order", counting)
+        site = DynamicSite(FIG3_QUERY, fig2_graph, engine=engine)
+        y1997 = Oid.skolem("YearPage", (Atom.int(1997),))
+        y1998 = Oid.skolem("YearPage", (Atom.int(1998),))
+        site.get_page(y1997)
+        planned = list(ordered)
+        assert planned
+        assert len(set(planned)) == len(planned)
+        site.get_page(y1998)
+        assert ordered == planned
+        site.invalidate()
+        site.get_page(y1998)
+        assert ordered == planned * 2
+        fig2_graph.add_edge(Oid("pub1"), "note", Atom.string("edited"))
+        site.get_page(y1997)
+        assert ordered == planned * 3
 
     def test_unknown_page(self, dynamic):
         with pytest.raises(PageNotFoundError):
@@ -212,7 +215,7 @@ class TestThreadSafety:
     def test_concurrent_get_page_with_invalidation(self, fig2_graph):
         import threading
 
-        site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True)
+        site = DynamicSite(FIG3_QUERY, fig2_graph)
         pages = [Oid.skolem("RootPage", ()),
                  Oid.skolem("AbstractsPage", ()),
                  Oid.skolem("YearPage", (Atom.int(1997),)),
@@ -253,27 +256,6 @@ class TestThreadSafety:
         assert not errors, errors[0]
         snapshot = site.stats_snapshot()
         assert snapshot["pages_computed"] > 0
-        assert snapshot["bindings_cache_misses"] == \
-            snapshot["unit_evaluations"]
-
-    def test_lru_cap_bounds_cache(self, fig2_graph):
-        site = DynamicSite(FIG3_QUERY, fig2_graph, cache=True,
-                           max_pages=2)
-        pages = [Oid.skolem("YearPage", (Atom.int(1997),)),
-                 Oid.skolem("YearPage", (Atom.int(1998),)),
-                 Oid.skolem("RootPage", ()),
-                 Oid.skolem("AbstractsPage", ())]
-        for page in pages:
-            site.get_page(page)
-        snapshot = site.stats_snapshot()
-        assert snapshot["bindings_cache_size"] <= 2
-        assert snapshot["bindings_cache_evictions"] >= 2
-        assert snapshot["max_pages"] == 2
-        # The most recently computed page's rows are still cached.
-        site.get_page(pages[-1])
-        after = site.stats_snapshot()
-        assert after["bindings_cache_hits"] > snapshot["bindings_cache_hits"]
-        assert after["unit_evaluations"] == snapshot["unit_evaluations"]
 
 
 class TestOneInvalidationPath:

@@ -1,6 +1,6 @@
 """The materialized-view registry: single-flight, admission, and
 invalidation by the read set each view keeps; the footprints that
-drive the click-time bindings cache."""
+decide which click-time pages a data change may affect."""
 
 import threading
 import time
