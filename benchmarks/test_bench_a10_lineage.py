@@ -1,12 +1,13 @@
 """Experiment A10 (extension): provenance recording overhead.
 
-PR 8 threads a lineage recorder through the whole derivation chain —
-source stamps at the mediator, Skolem mints in the query engine, link
-dependencies in construction, and page/template edges in the
-generator.  The disabled path is a null object (one attribute check per
-Skolem mint), so an unobserved build should cost the same as before the
-feature existed; the enabled path buys ``repro why`` and the freshness
-gauges for bounded bookkeeping.
+A lineage recorder threads through the whole derivation chain —
+source stamps at the mediator, Skolem mints in the query engine, and
+one page record per generated page carrying its template and its read
+set (the build cache's own dependency record).  The disabled path is a
+null object (one attribute check per Skolem mint), so an unobserved
+build should cost the same as before the feature existed; the enabled
+path buys ``repro why`` and the freshness gauges for bounded
+bookkeeping.
 
 This benchmark builds the org example site with lineage off and on,
 interleaved, and reports the overhead of the on p50 over the off p50.
@@ -72,7 +73,8 @@ def test_lineage_overhead(experiment, tmp_path):
             _build(on_dir)
             on_seconds.append(time.perf_counter() - start)
             # The rendered pages were recorded during the build; every
-            # one must resolve to a non-empty derivation chain.
+            # one must resolve to a non-empty derivation chain and read
+            # set.
             lineage_len = len(lineage)
             pages = lineage.page_records()
             assert pages
@@ -80,6 +82,7 @@ def test_lineage_overhead(experiment, tmp_path):
                 doc = lineage.why(page.url)
                 assert doc and doc.get("derivation"), \
                     f"no derivation for {page.url}"
+                assert doc["reads"], f"no read set for {page.url}"
 
     assert lineage_len > 0
     off_p50, on_p50 = _median(off_seconds), _median(on_seconds)

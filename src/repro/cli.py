@@ -198,8 +198,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         update_freshness_gauges,
     )
     from repro.obs.lineage import get_lineage as _get_lineage
-    lineage_on = bool(getattr(args, "lineage", False)
-                      or getattr(args, "max_age", None) is not None)
+    lineage_on = getattr(args, "max_age", None) is not None
     # An outer command (repro monitor --max-age ...) may already be
     # recording; stamp into its index and leave its lifetime alone.
     already_on = _get_lineage().enabled
@@ -209,16 +208,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         return _run_build(args)
     finally:
         if lineage_on:
-            if args.max_age is not None:
-                report = freshness_report(max_age=args.max_age)
-                update_freshness_gauges(
-                    obs.get_recorder().metrics, max_age=args.max_age)
-                stale = report["stale_pages"]
-                print(f"freshness: {len(report['sources'])} sources, "
-                      f"{len(stale)} stale page(s) past "
-                      f"{args.max_age:.0f}s")
-                for url in stale[:10]:
-                    print(f"  stale: {url}")
+            report = freshness_report(max_age=args.max_age)
+            update_freshness_gauges(
+                obs.get_recorder().metrics, max_age=args.max_age)
+            stale = report["stale_pages"]
+            print(f"freshness: {len(report['sources'])} sources, "
+                  f"{len(stale)} stale page(s) past "
+                  f"{args.max_age:.0f}s")
+            for url in stale[:10]:
+                print(f"  stale: {url}")
             if not already_on:
                 disable_lineage()
 
@@ -281,19 +279,19 @@ def cmd_why(args: argparse.Namespace) -> int:
     from repro.obs.lineage import lineage_recording, render_why
     from repro.site.builder import Website
     query = _read_query(args.query)
-    with lineage_recording() as lineage:
+    with lineage_recording():
         data = load_data(args.data, query.input_name)
         templates = load_templates(args.templates) \
             if args.templates else None
         site = Website(data, query, templates=templates,
                        engine=QueryEngine(optimizer=args.optimizer))
-        site.build()
-        site.generator().record_lineage()
         if args.list:
+            generator = site.generator()
             try:
-                for record in lineage.page_records():
-                    print(f"{record.url}\t{record.oid}\t"
-                          f"{record.template}")
+                for page in sorted(generator.pages(),
+                                   key=generator.url_for):
+                    print(f"{generator.url_for(page)}\t{page.name}\t"
+                          f"{generator.template_for(page) or ''}")
             except BrokenPipeError:  # `repro why --list | head`
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
@@ -835,14 +833,11 @@ def make_parser() -> argparse.ArgumentParser:
                        help="also save the site graph as JSON")
     build.add_argument("--site-dot",
                        help="also save a GraphViz view of the site graph")
-    build.add_argument("--lineage", action="store_true",
-                       help="record provenance while building (saved "
-                            "as lineage.json next to the build-cache "
-                            "manifest when --cache-dir is set)")
     build.add_argument("--max-age", type=float, default=None,
-                       help="freshness threshold in seconds: report "
+                       help="freshness threshold in seconds: record "
+                            "provenance while building and report "
                             "pages whose newest contributing source "
-                            "is older (implies --lineage)")
+                            "is older")
     build.set_defaults(fn=cmd_build)
 
     why = sub.add_parser(

@@ -479,20 +479,12 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         target = target.lstrip("/")
         site = self.site_server
         if site is not None and lineage.resolve(target) == (None, None):
-            # Serve mode computes pages on demand; a click-time page
-            # that hasn't been requested yet has no lineage. Resolve
-            # the path to its oid and materialize it first.
+            # Serve mode computes pages on demand: a page no visitor
+            # has requested yet is served once, which records it like
+            # any other request.
             oid = site.resolve_path(target)
             if oid is not None:
-                try:
-                    site.graph.ensure(oid)
-                except Exception:  # noqa: BLE001 — fall through to 404
-                    pass
-                template = getattr(site, "generator", None)
-                if template is not None:
-                    lineage.record_page(
-                        target, oid,
-                        site.generator.template_for(oid) or "")
+                site.request(oid)
         document = lineage.why(target, max_age=self.max_age)
         if document is None:
             return 404, CONTENT_JSON, json.dumps(

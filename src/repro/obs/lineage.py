@@ -18,13 +18,20 @@ The pieces:
   fingerprint come from a thread-local *query context* that the StruQL
   evaluator (and the click-time :class:`~repro.site.incremental
   .DynamicSite`) push around construction.
-* :class:`PageRecord` — ``page url -> (site-graph oid, template name)``
-  edges attached by the site builder / :class:`HtmlGenerator`.
+* :class:`PageRecord` — ``page url -> (site-graph oid, template name,
+  read set)``, where the read set names every site-graph node the
+  page's render read: the one dependency record the build cache
+  (:mod:`repro.site.buildcache`) and the click-time body views already
+  keep.  Recorded by :func:`~repro.site.buildcache.cached_generate` for
+  every page of a build (cache-skipped pages take their manifest read
+  set) and by :class:`~repro.site.server.DynamicSiteServer` when it
+  computes a page body.
 * :class:`LineageIndex` — the bounded, queryable store of all of the
-  above.  :meth:`LineageIndex.why` walks the chain backwards and
+  above.  :meth:`LineageIndex.why` walks one path backwards — page ->
+  the nodes its render read -> their Skolem mints -> sources — and
   returns a derivation-tree document; :func:`render_why` prints it.
-  The index serializes to JSON next to the BuildCache manifest
-  (``lineage.json``) so lineage survives incremental rebuilds.
+  Nothing is persisted: each build re-records its sources and Skolem
+  mints, and the build-cache manifest keeps the read sets.
 
 Like the trace recorder, the global index follows the Null-object
 pattern: :func:`get_lineage` returns a no-op unless
@@ -32,9 +39,9 @@ pattern: :func:`get_lineage` returns a no-op unless
 turned recording on, so the Skolem hot path pays one attribute check
 when lineage is off.
 
-Freshness rides on top: :func:`freshness_report` ages every source
-record, flags pages whose *newest* contributing source is older than
-``max_age``, and :func:`update_freshness_gauges` exports the result as
+Freshness rides on the same walk: :func:`freshness_report` ages every
+source record, flags pages whose *newest* contributing source is older
+than ``max_age``, and :func:`update_freshness_gauges` exports the result as
 ``lineage.source_age_seconds.<source>`` gauges plus a
 ``lineage.pages_stale_total`` gauge for Prometheus scrapes.
 """
@@ -43,36 +50,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 #: Caps keeping the index bounded on long-running servers.
 MAX_NODE_RECORDS = 65536
 MAX_PAGE_RECORDS = 16384
 MAX_SOURCE_MEMBER_RECORDS = 131072
 
-#: Serialized-index schema version and file name (lives next to the
-#: BuildCache manifest).
-LINEAGE_SCHEMA = 1
-LINEAGE_NAME = "lineage.json"
-
 #: Depth cap for derivation-tree walks (a Skolem arg can itself be a
 #: Skolem oid, e.g. ``PersonCard(PersonPage(p))``).
 MAX_WHY_DEPTH = 8
-
-#: Link-target dependencies kept per created node.  Zero-argument
-#: Skolem pages (``OrgIndex()``) reach their sources only through the
-#: edges linked out of them, so construction records those too.
-MAX_DEPS_PER_NODE = 32
-
-#: Lazily cached Oid type — this module must not import the graph
-#: model at import time (skolem.py imports us), and a per-call import
-#: in record_dep shows up in build profiles.
-_OID = None
 
 
 def graph_content_hash(graph) -> str:
@@ -108,7 +98,7 @@ def _arg_entry(value: Any) -> dict:
     return {"kind": "value", "value": str(value)}
 
 
-@dataclass(eq=False)  # identity hash: records live in sets
+@dataclass
 class SourceRecord:
     """Provenance of one loaded source."""
 
@@ -127,17 +117,6 @@ class SourceRecord:
                 "nodes": self.nodes, "edges": self.edges,
                 "version": self.version}
 
-    @staticmethod
-    def from_dict(data: dict) -> "SourceRecord":
-        return SourceRecord(
-            source=str(data.get("source", "")),
-            kind=str(data.get("kind", "loader")),
-            fetched_at=float(data.get("fetched_at", 0.0)),
-            content_hash=str(data.get("content_hash", "")),
-            nodes=int(data.get("nodes", 0)),
-            edges=int(data.get("edges", 0)),
-            version=int(data.get("version", 0)))
-
 
 @dataclass
 class NodeRecord:
@@ -150,38 +129,16 @@ class NodeRecord:
     fingerprint: str = ""
     input: str = ""
 
-    def to_dict(self) -> dict:
-        return {"oid": self.oid, "fn": self.fn, "args": self.args,
-                "block": self.block, "fingerprint": self.fingerprint,
-                "input": self.input}
-
-    @staticmethod
-    def from_dict(data: dict) -> "NodeRecord":
-        return NodeRecord(
-            oid=str(data.get("oid", "")), fn=str(data.get("fn", "")),
-            args=list(data.get("args", ())),
-            block=str(data.get("block", "")),
-            fingerprint=str(data.get("fingerprint", "")),
-            input=str(data.get("input", "")))
-
 
 @dataclass
 class PageRecord:
-    """One generated page: url -> site-graph oid -> template."""
+    """One generated page: url -> site-graph oid -> template, plus the
+    sorted names of the site-graph nodes its render read."""
 
     url: str
     oid: str
     template: str = ""
-
-    def to_dict(self) -> dict:
-        return {"url": self.url, "oid": self.oid,
-                "template": self.template}
-
-    @staticmethod
-    def from_dict(data: dict) -> "PageRecord":
-        return PageRecord(url=str(data.get("url", "")),
-                          oid=str(data.get("oid", "")),
-                          template=str(data.get("template", "")))
+    reads: tuple[str, ...] = ()
 
 
 class _QueryContext(threading.local):
@@ -202,13 +159,13 @@ class NullLineage:
     def record_source_nodes(self, source, graph) -> None:
         pass
 
+    def record_input(self, graph) -> None:
+        pass
+
     def record_node(self, oid, fn, args) -> None:
         pass
 
-    def record_page(self, url, oid, template="") -> None:
-        pass
-
-    def record_dep(self, oid, target) -> None:
+    def record_page(self, url, oid, template, reads) -> None:
         pass
 
     @contextlib.contextmanager
@@ -247,9 +204,7 @@ class LineageIndex:
         self._sources: dict[str, SourceRecord] = {}
         self._nodes: dict[str, NodeRecord] = {}
         self._members: dict[str, str] = {}  # oid/atom key -> source id
-        # oid -> linked node keys (dict-as-ordered-set: membership is
-        # checked once per link row, so O(1) matters).
-        self._deps: dict[str, dict[str, None]] = {}
+        self._inputs: dict[str, set[str]] = {}  # graph name -> source ids
         self._pages: dict[str, PageRecord] = {}
         self._context = _QueryContext()
         self.dropped = 0
@@ -269,6 +224,12 @@ class LineageIndex:
                     self.dropped += 1
                     return
                 self._members.setdefault(node.name, source)
+
+    def record_input(self, graph) -> None:
+        """Remember the sources a query input graph's nodes reach."""
+        with self._lock:
+            self._inputs[graph.name] = self._reach(
+                node.name for node in graph.nodes())[0]
 
     def record_node(self, oid, fn: str, args) -> None:
         """Record one Skolem mint, merging the active query context."""
@@ -296,38 +257,19 @@ class LineageIndex:
                 oid=key, fn=fn, args=[_arg_entry(a) for a in args],
                 block=block, fingerprint=fingerprint, input=input_name)
 
-    def record_dep(self, oid, target) -> None:
-        """Record that a created node links to ``target`` (a node)."""
-        global _OID
-        if _OID is None:
-            from repro.graph.model import Oid
-            _OID = Oid
-        if not isinstance(target, _OID):
-            return
-        key = oid.name
-        target_name = target.name
-        if target_name == key:
-            return
-        # Lock-free fast path for the common repeat (every binding row
-        # re-adds the same edge) and for saturated dep lists.
-        deps = self._deps.get(key)
-        if deps is not None and (target_name in deps
-                                 or len(deps) >= MAX_DEPS_PER_NODE):
-            return
-        with self._lock:
-            deps = self._deps.setdefault(key, {})
-            if target_name not in deps and len(deps) < MAX_DEPS_PER_NODE:
-                deps[target_name] = None
-
-    def record_page(self, url: str, oid, template: str = "") -> None:
-        """Attach a generated page to its site-graph node + template."""
+    def record_page(self, url: str, oid, template: str,
+                    reads: Iterable) -> None:
+        """Attach a page to its site-graph node, its template and its
+        read set: the nodes (or node names) its render read."""
         key = oid if isinstance(oid, str) else oid.name
+        names = tuple(sorted({read if isinstance(read, str) else read.name
+                              for read in reads}))
         with self._lock:
             if len(self._pages) >= self.max_pages and url not in self._pages:
                 self.dropped += 1
                 return
             self._pages[url] = PageRecord(url=url, oid=key,
-                                          template=template)
+                                          template=template, reads=names)
 
     @contextlib.contextmanager
     def query_context(self, fingerprint: str = "", block: str = "",
@@ -387,7 +329,9 @@ class LineageIndex:
         Returns ``None`` when the target is unknown.  The document
         nests ``inputs`` recursively: each Skolem argument that is
         itself a Skolem oid expands into its own derivation, and every
-        leaf carries its source record when one is known.
+        leaf carries its source record when one is known.  A page's
+        document also lists ``reads``, its complete read set, and its
+        ``sources`` are those of the page and of every node it read.
         """
         key, page = self.resolve(target)
         if key is None:
@@ -397,9 +341,10 @@ class LineageIndex:
         if page is not None:
             doc["url"] = page.url
             doc["template"] = page.template
+            doc["reads"] = list(page.reads)
         doc["derivation"] = self._derive(key, now, set(), 0)
-        contributing = sorted(self._collect_sources(key, set(), 0),
-                              key=lambda r: r.source)
+        contributing = self.page_sources(page) if page is not None \
+            else self._walk_sources((key,))
         doc["sources"] = [dict(record.to_dict(),
                                age_seconds=max(now - record.fetched_at, 0.0))
                           for record in contributing]
@@ -433,107 +378,51 @@ class LineageIndex:
                 inputs.append({"value": arg.get("value", ""),
                                "kind": arg.get("kind", "value")})
         entry["inputs"] = inputs
-        with self._lock:
-            deps = list(self._deps.get(key, ()))
-        if deps:
-            entry["links"] = deps
         return entry
 
-    def _collect_sources(self, key: str, seen: set[str],
-                         depth: int) -> set[SourceRecord]:
-        out: set[SourceRecord] = set()
-        if key in seen or depth > MAX_WHY_DEPTH:
-            return out
-        seen.add(key)
-        source = self.source_of(key)
-        if source is not None:
-            out.add(source)
-        node = self.node(key)
-        if node is not None:
-            if node.input:
-                with self._lock:
-                    record = self._sources.get(node.input)
-                if record is not None:
-                    out.add(record)
-            for arg in node.args:
-                if arg.get("kind") == "oid":
-                    out |= self._collect_sources(arg["value"], seen,
-                                                 depth + 1)
-        with self._lock:
-            deps = list(self._deps.get(key, ()))
-        for dep in deps:
-            out |= self._collect_sources(dep, seen, depth + 1)
-        return out
+    def _reach(self, keys: Iterable[str]) -> tuple[set[str], set[str]]:
+        """The ids of the sources reached from ``keys`` — a node's own
+        source, and the same for each Skolem argument that is an oid,
+        recursively — and the input graphs of the Skolem mints passed.
+        The caller holds the lock."""
+        sources: set[str] = set()
+        inputs: set[str] = set()
+        seen: set[str] = set()
+        stack = list(keys)
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            if key in self._members:
+                sources.add(self._members[key])
+            node = self._nodes.get(key)
+            if node is not None:
+                inputs.add(node.input)
+                stack.extend(arg["value"] for arg in node.args
+                             if arg.get("kind") == "oid")
+        return sources, inputs
 
-    def page_sources(self, key: str) -> list[SourceRecord]:
-        """Every source contributing to one oid's derivation."""
-        return sorted(self._collect_sources(key, set(), 0),
-                      key=lambda r: r.source)
+    def _walk_sources(self, keys: Iterable[str]) -> list[SourceRecord]:
+        """Every source reached from ``keys`` (see :meth:`_reach`).
 
-    # -- persistence --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "schema": LINEAGE_SCHEMA,
-                "sources": [r.to_dict() for r in self._sources.values()],
-                "nodes": [r.to_dict() for r in self._nodes.values()],
-                "members": dict(self._members),
-                "deps": {key: list(deps)
-                         for key, deps in self._deps.items()},
-                "pages": [r.to_dict() for r in self._pages.values()],
-            }
-
-    def merge_dict(self, data: dict) -> None:
-        """Merge a serialized index; records already present win.
-
-        This is the incremental-rebuild path: the fresh build re-records
-        everything it touched, then merges the previous build's file so
-        untouched (cache-skipped) pages keep their lineage.
+        Keys that reach no source node (a root page that only links
+        other pages) are credited with the sources of their Skolem
+        mints' input graphs: the query over the whole input made them.
         """
-        if int(data.get("schema", 0)) != LINEAGE_SCHEMA:
-            return
-        for entry in data.get("sources", ()):  # refresh wins on sources
-            record = SourceRecord.from_dict(entry)
-            with self._lock:
-                self._sources.setdefault(record.source, record)
-        for entry in data.get("nodes", ()):
-            record = NodeRecord.from_dict(entry)
-            with self._lock:
-                if len(self._nodes) < self.max_nodes:
-                    self._nodes.setdefault(record.oid, record)
         with self._lock:
-            for key, source in dict(data.get("members", {})).items():
-                if len(self._members) >= self.max_members:
-                    break
-                self._members.setdefault(str(key), str(source))
-            for key, deps in dict(data.get("deps", {})).items():
-                self._deps.setdefault(str(key), dict.fromkeys(
-                    [str(d) for d in deps][:MAX_DEPS_PER_NODE]))
-        for entry in data.get("pages", ()):
-            record = PageRecord.from_dict(entry)
-            with self._lock:
-                if len(self._pages) < self.max_pages:
-                    self._pages.setdefault(record.url, record)
+            sources, inputs = self._reach(keys)
+            if not sources:
+                sources = {name for graph in inputs
+                           for name in self._inputs.get(graph, ())}
+            return sorted((self._sources[name] for name in sources
+                           if name in self._sources),
+                          key=lambda r: r.source)
 
-    def save(self, path: str) -> None:
-        """Write the index to ``path`` atomically: a save that dies
-        midway leaves the previous file intact."""
-        # Imported here: repro.repository imports repro.obs.
-        from repro.repository.storage import write_atomic
-        write_atomic(path, json.dumps(self.to_dict(), indent=1))
-
-    def load(self, path: str) -> bool:
-        """Merge a previously saved index; False when absent/corrupt."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return False
-        if not isinstance(data, dict):
-            return False
-        self.merge_dict(data)
-        return True
+    def page_sources(self, page: PageRecord) -> list[SourceRecord]:
+        """Every source contributing to a page: the walk from its oid
+        and from every node its render read."""
+        return self._walk_sources((page.oid, *page.reads))
 
     def summary(self) -> dict:
         with self._lock:
@@ -594,10 +483,11 @@ def freshness_report(index: LineageIndex | NullLineage | None = None,
     sources = [dict(record.to_dict(),
                     age_seconds=max(now - record.fetched_at, 0.0))
                for record in index.sources()]
+    pages = index.page_records()
     stale_pages: list[str] = []
     if max_age is not None and isinstance(index, LineageIndex):
-        for page in index.page_records():
-            contributing = index.page_sources(page.oid)
+        for page in pages:
+            contributing = index.page_sources(page)
             if not contributing:
                 continue
             newest = min(max(now - r.fetched_at, 0.0)
@@ -606,7 +496,7 @@ def freshness_report(index: LineageIndex | NullLineage | None = None,
                 stale_pages.append(page.url)
     return {"sources": sources, "stale_pages": stale_pages,
             "max_age_seconds": max_age,
-            "pages": len(index.page_records())}
+            "pages": len(pages)}
 
 
 def update_freshness_gauges(metrics, index=None, max_age=None,
@@ -640,6 +530,11 @@ def render_why(doc: dict) -> str:
     if template:
         lines.append(f"└─ template {template}")
     _render_entry(doc.get("derivation", {}), lines, depth=1)
+    reads = doc.get("reads", ())
+    if reads:
+        shown = ", ".join(reads[:4])
+        more = f", +{len(reads) - 4} more" if len(reads) > 4 else ""
+        lines.append(f"   └─ reads → {shown}{more}")
     sources = doc.get("sources", ())
     if sources:
         lines.append("sources:")
@@ -671,11 +566,6 @@ def _render_entry(entry: dict, lines: list[str], depth: int) -> None:
             else:
                 lines.append(f"{pad}   └─ {child.get('kind', 'value')} "
                              f"{child.get('value', '')!r}")
-        links = entry.get("links", ())
-        if links:
-            shown = ", ".join(links[:4])
-            more = f", +{len(links) - 4} more" if len(links) > 4 else ""
-            lines.append(f"{pad}   └─ links → {shown}{more}")
     else:
         source = entry.get("source")
         if source:
@@ -685,7 +575,3 @@ def _render_entry(entry: dict, lines: list[str], depth: int) -> None:
         else:
             lines.append(f"{pad}└─ {entry['oid']}")
 
-
-def lineage_path(directory: str) -> str:
-    """Where the serialized index lives next to a BuildCache manifest."""
-    return os.path.join(directory, LINEAGE_NAME)

@@ -19,7 +19,10 @@ offline build path — *incremental*:
   :meth:`repro.site.builder.Website.build_site` and ``repro build
   --cache-dir/--incremental``: plan, render only the dirty pages while
   recording what each one reads, delete removed pages' files, persist
-  the updated manifest.
+  the updated manifest.  With lineage recording on
+  (:mod:`repro.obs.lineage`), every page of the build joins the lineage
+  index with its read set — the manifest's, for skipped pages — so the
+  provenance walk and the rebuild planner share one dependency record.
 
 Read sets are sound because the generator reads its graph only through
 ``get``, ``get_one`` and ``collections_of``, and each answer is a
@@ -53,9 +56,10 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.graph.model import Graph, Oid
-from repro.obs.lineage import get_lineage, lineage_path
+from repro.obs.lineage import get_lineage
 from repro.obs.trace import get_recorder
 from repro.repository.storage import write_atomic
 from repro.templates.generator import HtmlGenerator, TemplateSet
@@ -357,23 +361,28 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
     planner proves dirty are rendered (recording what each one reads),
     files of pages that left the site are deleted, and the manifest is
     updated for the next run.
-    Emits the ``site.build.*`` metrics either way.
+    Emits the ``site.build.*`` metrics either way, and records every
+    page into the lineage index when lineage is on.
     """
     import time
 
     if isinstance(cache, str):
         cache = BuildCache(cache)
     recorder = get_recorder()
+    lineage = get_lineage()
     started = time.perf_counter()
+    # Recording read sets costs a little per render: without a cache
+    # only lineage needs them.
+    reads: dict[Oid, set[Oid]] | None = \
+        {} if cache is not None or lineage.enabled else None
     with recorder.span("site.generate", out_dir=out_dir) as span:
         if cache is None:
-            written = generator.generate_site(out_dir)
+            written = generator.generate_site(out_dir, reads=reads)
             report = BuildReport(written, reason="full")
         else:
             plan = cache.plan(site, generator, templates, out_dir,
                               options=options)
             cache.begin(generator, templates, plan, options=options)
-            reads: dict[Oid, set[Oid]] = {}
             written = generator.generate_site(out_dir, pages=plan.render,
                                               reads=reads)
             removed: list[str] = []
@@ -400,12 +409,13 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
         report.cache_hit_ratio)
     metrics.histogram("site.build.seconds").observe(report.seconds)
     metrics.counter("site.pages_built").inc(report.pages_rendered)
-    lineage = get_lineage()
-    if lineage.enabled and cache is not None:
-        # Serialize lineage next to the manifest so provenance survives
-        # incremental rebuilds: merge the previous build's file first
-        # (fresh records win), then rewrite it.
-        path = lineage_path(cache.directory)
-        lineage.load(path)
-        lineage.save(path)
+    if lineage.enabled:
+        page_reads: dict[Oid, Iterable] = dict(reads)
+        for page in report.skipped:
+            # What its manifest entry says: after the build the
+            # manifest has an entry for every page.
+            page_reads[page] = cache.manifest["pages"][str(page)]["reads"]
+        for page, read in page_reads.items():
+            lineage.record_page(generator.url_for(page), page,
+                                generator.template_for(page) or "", read)
     return report

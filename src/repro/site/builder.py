@@ -161,15 +161,25 @@ class Website:
 
         Only meaningful when lineage recording was enabled
         (:func:`repro.obs.lineage.enable_lineage`) *before* the site
-        was built — ``repro why`` arranges that.  Page -> template
-        edges are recorded on demand so the tree reaches the template
-        layer even without an HTML build.
+        was built — ``repro why`` arranges that.  A page target is
+        rendered (not written) to record its read set, so the tree
+        reaches the template layer without an HTML build; any other
+        target gets its node-level derivation.
         """
         lineage = get_lineage()
         if not lineage.enabled:
             return None
-        self.build()
-        self.generator().record_lineage()
+        generator = self.generator()
+        wanted = target.lstrip("/")
+        for page in generator.pages():
+            url = generator.url_for(page)
+            if wanted in (url, page.name):
+                reads: set[Oid] = set()
+                generator.render_recorded(page, reads)
+                lineage.record_page(url, page,
+                                    generator.template_for(page) or "",
+                                    reads)
+                break
         return lineage.why(target, max_age=max_age)
 
     def verify(self, constraints: list[Constraint],

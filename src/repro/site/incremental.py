@@ -151,6 +151,7 @@ class DynamicSite:
         """The precomputable root pages: zero-argument Skolem creates."""
         roots: dict[Oid, None] = {}
         lineage = get_lineage()
+        lineage.record_input(self.data)
         for unit in self.units:
             for term in unit.creates:
                 if not term.args and not unit.conditions:
@@ -259,8 +260,6 @@ class DynamicSite:
                         if key not in seen_edges:
                             seen_edges.add(key)
                             view.edges.append(key)
-                            if lineage.enabled:
-                                lineage.record_dep(oid, target)
                 for collect in collecting:
                     if rows_of[collect.term] and \
                             collect.name not in view.collections:

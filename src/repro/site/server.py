@@ -162,13 +162,22 @@ class DynamicSiteServer:
         ``reads`` from it.  Only successful renders are cached; errors
         propagate uncached.
         """
-        graph = self.graph
+        graph, generator = self.graph, self.generator
 
         def compute() -> str:
             graph.ensure(oid)
             if not graph.has_node(oid):
                 raise PageNotFoundError(oid)
-            return self.generator.render_recorded(oid, reads)
+            html = generator.render_recorded(oid, reads)
+            lineage = get_lineage()
+            if lineage.enabled:
+                # Computed pages join the lineage index with their read
+                # set, so /debug/lineage?page= answers for any page a
+                # visitor has seen.
+                lineage.record_page(generator.url_for(oid), oid,
+                                    generator.template_for(oid) or "",
+                                    reads)
+            return html
 
         if not self._cache_bodies:
             return compute()
@@ -201,14 +210,6 @@ class DynamicSiteServer:
                 body = self._serve_body(oid, reads)
                 status = 200
                 self._remember_route(oid)
-                lineage = get_lineage()
-                if lineage.enabled:
-                    # Served pages join the lineage index as they are
-                    # clicked, so /debug/lineage?page= answers for any
-                    # page a visitor has actually seen.
-                    lineage.record_page(
-                        self.generator.url_for(oid), oid,
-                        self.generator.template_for(oid) or "")
             except Exception as exc:
                 status, kind = classify_error(exc)
                 metrics = get_recorder().metrics

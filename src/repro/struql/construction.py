@@ -26,7 +26,6 @@ from typing import Callable
 from repro.errors import StruQLSemanticError, UnboundTermError
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
-from repro.obs.lineage import get_lineage
 from repro.struql.ast import Block, Const, SkolemTerm, Term, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label
 from repro.struql.skolem import SkolemRegistry
@@ -111,7 +110,6 @@ class GraphBuilder:
         def apply_row(row: Binding) -> None:
             for create in creates:
                 output.add_node(create(row))
-            lineage = get_lineage()
             for link, source_of, label_of, target_of in links:
                 source = source_of(row)
                 if source in input_nodes:
@@ -128,11 +126,6 @@ class GraphBuilder:
                 if isinstance(target, str):  # an arc variable's label
                     target = Atom.string(target)
                 output.add_edge(source, label, target)
-                # Provenance: a created node's content depends on every
-                # node it links to (zero-argument pages like OrgIndex()
-                # reach their sources only through these edges).
-                if lineage.enabled:
-                    lineage.record_dep(source, target)
             for name, value_of in collects:
                 value = value_of(row)
                 if isinstance(value, str):

@@ -158,6 +158,7 @@ class QueryEngine:
         ctx = ExecutionContext(graph, index=index,
                                predicates=self.predicates, stats=stats)
         builder = GraphBuilder(output, graph, skolem)
+        get_lineage().record_input(graph)
         result = QueryResult(output=output, skolem=skolem)
         # Collections named by collect clauses exist even when empty.
         for block in query.blocks():

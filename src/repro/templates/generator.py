@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from repro.errors import CoercionError, MissingTemplateError, TemplateEvalError
 from repro.graph.model import Graph, GraphObject, Oid
 from repro.graph.values import Atom
-from repro.obs.lineage import get_lineage
 from repro.obs.trace import get_recorder, timed
 from repro.templates.ast import (
     AndCond,
@@ -192,21 +191,6 @@ class HtmlGenerator:
         selected = self._select(oid)
         return selected[0].name if selected else None
 
-    def record_lineage(self, pages: list[Oid] | None = None) -> int:
-        """Attach page -> site-graph node -> template lineage edges.
-
-        Covers *all* pages by default (not just a dirty subset), so an
-        incremental rebuild keeps cache-skipped pages resolvable.
-        """
-        lineage = get_lineage()
-        if not lineage.enabled:
-            return 0
-        targets = self.pages() if pages is None else pages
-        for page in targets:
-            lineage.record_page(self.url_for(page), page,
-                                self.template_for(page) or "")
-        return len(targets)
-
     # -- rendering ---------------------------------------------------------------
 
     def render(self, oid: Oid) -> str:
@@ -267,7 +251,6 @@ class HtmlGenerator:
         os.makedirs(out_dir, exist_ok=True)
         targets = sorted(self.pages(), key=str) if pages is None \
             else sorted(pages, key=str)
-        self.record_lineage()
         written: dict[Oid, str] = {}
         recorder = get_recorder()
         with recorder.span("site.generate_site", out_dir=out_dir) as span:

@@ -1,13 +1,14 @@
 """End-to-end provenance and freshness (PR 8 tentpole).
 
 The contract under test: every generated page resolves backward through
-the full derivation chain — source record -> query block -> Skolem
-function and binding args -> template — and the lineage index survives
-serialization, both its own (``lineage.json`` next to the build-cache
-manifest) and the graph's (Skolem fn/args round-trip through
+the full derivation chain — its read set -> source record -> query
+block -> Skolem function and binding args -> template — where the read
+set is the build cache's own dependency record, and Skolem identities
+survive the graph's serialization (fn/args round-trip through
 ``graph/serialization.py``).
 """
 
+import json
 import os
 
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from repro.graph import Atom, Oid
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs.lineage import (
-    MAX_DEPS_PER_NODE,
     LineageIndex,
     NullLineage,
     SourceRecord,
@@ -24,7 +24,6 @@ from repro.obs.lineage import (
     freshness_report,
     get_lineage,
     graph_content_hash,
-    lineage_path,
     lineage_recording,
     render_why,
     update_freshness_gauges,
@@ -33,6 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.graph.model import Graph
 from repro.site.builder import Website
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
+from repro.sites.org import build_org_site
 
 
 def _site(data=None):
@@ -55,8 +55,7 @@ class TestNullObject:
         assert len(lineage) == 0
         # Every recording call is a silent no-op.
         lineage.record_node(Oid("x"), "F", ())
-        lineage.record_page("x.html", Oid("x"))
-        lineage.record_dep(Oid("x"), Oid("y"))
+        lineage.record_page("x.html", Oid("x"), "T", [Oid("x")])
         with lineage.query_context(fingerprint="f", block="Q1"):
             pass
         assert lineage.sources() == []
@@ -105,16 +104,13 @@ class TestRecording:
             index.record_node(oid, "RootPage", ())
         assert index.node(oid.name).block == "(top)"
 
-    def test_dep_recording_skips_self_and_caps(self):
+    def test_page_record_keeps_sorted_read_names(self):
         index = LineageIndex()
         page = Oid.skolem("Index", ())
-        index.record_dep(page, page)
-        index.record_dep(page, Atom.string("not a node"))
-        for i in range(MAX_DEPS_PER_NODE + 10):
-            index.record_dep(page, Oid(f"n{i}"))
-        deps = index.to_dict()["deps"][page.name]
-        assert page.name not in deps
-        assert len(deps) == MAX_DEPS_PER_NODE
+        index.record_page("Index__.html", page, "Index",
+                          [Oid("b"), page, "a", Oid("b")])
+        (record,) = index.page_records()
+        assert record.reads == ("Index()", "a", "b")
 
     def test_source_membership(self):
         index = LineageIndex()
@@ -172,84 +168,10 @@ class TestSkolemSerializationRoundTrip:
         assert graph_content_hash(graph) != graph_content_hash(twin)
 
 
-class TestIndexPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        index = LineageIndex()
-        index.record_source(_source("feed"))
-        oid = Oid.skolem("Page", (Oid("p"),))
-        with index.query_context(fingerprint="fp", block="Q3",
-                                 input="G"):
-            index.record_node(oid, "Page", oid.skolem_args)
-        index.record_dep(oid, Oid("other"))
-        index.record_page("Page_p_.html", oid, "PageTmpl")
-        graph = Graph("G")
-        graph.add_node(Oid("p"))
-        index.record_source_nodes("feed", graph)
-
-        path = str(tmp_path / "lineage.json")
-        index.save(path)
-        fresh = LineageIndex()
-        assert fresh.load(path)
-        assert fresh.to_dict() == index.to_dict()
-        doc = fresh.why("Page_p_.html")
-        assert doc["template"] == "PageTmpl"
-        assert doc["derivation"]["fn"] == "Page"
-        assert [s["source"] for s in doc["sources"]] == ["feed"]
-
-    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        from repro.repository import storage
-        index = LineageIndex()
-        index.record_page("a.html", Oid("a"), "Tmpl")
-        path = tmp_path / "lineage.json"
-        index.save(str(path))
-        saved = path.read_text()
-
-        # Serialization dies partway through the document (a streamed
-        # dump would already have truncated the file) ...
-        good = index.to_dict()
-        monkeypatch.setattr(index, "to_dict",
-                            lambda: {**good, "pages": [object()]})
-        with pytest.raises(TypeError):
-            index.save(str(path))
-        assert path.read_text() == saved
-        monkeypatch.undo()
-
-        # ... or the new file is written but never put in place.
-        index.record_page("b.html", Oid("b"), "Tmpl")
-
-        def fail_replace(src, dst):
-            raise OSError("disk full")
-        monkeypatch.setattr(storage.os, "replace", fail_replace)
-        with pytest.raises(OSError):
-            index.save(str(path))
-        assert path.read_text() == saved
-        assert [p.name for p in tmp_path.iterdir()] == ["lineage.json"]
-        fresh = LineageIndex()
-        assert fresh.load(str(path))
-        assert fresh.to_dict()["pages"] == good["pages"]
-
-    def test_load_missing_or_corrupt_is_harmless(self, tmp_path):
-        index = LineageIndex()
-        assert not index.load(str(tmp_path / "absent.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert not index.load(str(bad))
-        wrong_schema = tmp_path / "old.json"
-        wrong_schema.write_text('{"schema": 99, "nodes": []}')
-        assert index.load(str(wrong_schema))  # parses, merges nothing
-        assert len(index) == 0
-
-    def test_merge_keeps_fresh_records(self):
-        index = LineageIndex()
-        index.record_page("a.html", Oid("a"), "Fresh")
-        index.merge_dict({
-            "schema": 1, "sources": [], "nodes": [], "members": {},
-            "deps": {},
-            "pages": [{"url": "a.html", "oid": "a", "template": "Stale"},
-                      {"url": "b.html", "oid": "b", "template": "Old"}],
-        })
-        pages = {p.url: p.template for p in index.page_records()}
-        assert pages == {"a.html": "Fresh", "b.html": "Old"}
+def _manifest_pages(cache_dir: str) -> dict:
+    with open(os.path.join(cache_dir, "manifest.json"),
+              encoding="utf-8") as handle:
+        return json.load(handle)["pages"]
 
 
 class TestBuildIntegration:
@@ -280,23 +202,64 @@ class TestBuildIntegration:
         with lineage_recording():
             cold = _site().build_site(out, cache_dir=cache)
             assert cold.pages_rendered > 0
-        path = lineage_path(cache)
-        assert os.path.exists(path)
+        manifest = _manifest_pages(cache)
 
         # A fresh process (fresh index) rebuilding warm: nothing
-        # renders, yet every page still resolves because the saved
-        # index is merged into the new one.
+        # renders, yet every page still resolves, with the read set
+        # its manifest entry keeps.
         with lineage_recording() as lineage:
             warm = _site().build_site(out, cache_dir=cache)
             assert warm.pages_rendered == 0
-            for page in lineage.page_records():
+            pages = lineage.page_records()
+            assert {page.url for page in pages} == \
+                {entry["url"] for entry in manifest.values()}
+            for page in pages:
                 doc = lineage.why(page.url)
                 assert doc and doc["derivation"].get("fn"), page.url
+                assert doc["reads"] == manifest[page.oid]["reads"]
 
-        # And the file itself keeps a loadable, page-bearing index.
-        offline = LineageIndex()
-        assert offline.load(path)
-        assert offline.page_records()
+    def test_removed_pages_leave_no_ghost_records(self, tmp_path):
+        """A rebuild that drops pages records exactly the site's pages:
+        the removed ones no longer resolve or count as stale."""
+        out, cache = str(tmp_path / "www"), str(tmp_path / "cache")
+        with lineage_recording():
+            build_org_site(people=40, seed=1).build_site(
+                out, cache_dir=cache)
+        removed = {entry["url"] for entry in
+                   _manifest_pages(cache).values()}
+        with lineage_recording() as lineage:
+            site = build_org_site(people=30, seed=1)
+            report = site.build_site(out, cache_dir=cache)
+            assert report.removed_files
+            generator = site.generator()
+            urls = {generator.url_for(page) for page in generator.pages()}
+            removed -= urls
+            assert removed
+            assert {page.url for page in lineage.page_records()} == urls
+            for url in removed:
+                assert lineage.why(url) is None, url
+            report = freshness_report(lineage, max_age=-1)
+            assert set(report["stale_pages"]) == urls
+            assert report["pages"] == len(urls)
+        assert not os.path.exists(os.path.join(cache, "lineage.json"))
+
+    def test_why_tree_is_the_manifest_read_set(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        with lineage_recording() as lineage:
+            build_org_site(people=400, seed=1).build_site(
+                str(tmp_path / "www"), cache_dir=cache)
+            manifest = _manifest_pages(cache)
+            assert len(lineage.page_records()) == len(manifest)
+            for entry in manifest.values():
+                assert lineage.why(entry["url"])["reads"] == \
+                    entry["reads"], entry["url"]
+            # The index page reads every person page, not a capped
+            # sample of them.
+            doc = lineage.why("PeopleIndex()")
+            people = [name for name in doc["reads"]
+                      if name.startswith("PersonPage(")]
+            assert len(people) == 400
+            assert doc["oid"] in doc["reads"]
 
 
 class TestFreshness:
@@ -314,8 +277,8 @@ class TestFreshness:
         graph_o.add_node(Oid("o1"))
         index.record_source_nodes("fresh", graph_f)
         index.record_source_nodes("old", graph_o)
-        index.record_page("fresh.html", fresh_page, "T")
-        index.record_page("old.html", old_page, "T")
+        index.record_page("fresh.html", fresh_page, "T", [fresh_page])
+        index.record_page("old.html", old_page, "T", [old_page])
         return index
 
     def test_stale_is_newest_contributing_source(self):

@@ -618,6 +618,16 @@ class TestDebugLineage:
         assert doc["template"] == "RootPage"
         assert doc["url"] == "RootPage__.html"
 
+    def test_page_reads_are_the_response_reads(self, lineage_plane):
+        # The why-tree lists the same read set the body view keeps.
+        response = lineage_plane.site_server.request("YearPage_1997_.html")
+        assert response.status == 200
+        _, _, text = _get(lineage_plane.url +
+                          "/debug/lineage?page=YearPage_1997_.html")
+        doc = json.loads(text)
+        assert doc["reads"] == sorted(oid.name for oid in response.reads)
+        assert doc["oid"] in doc["reads"]
+
     def test_unvisited_page_materialized_on_demand(self, lineage_plane):
         # Click-time pages that no visitor has requested yet are
         # resolved and materialized by the endpoint itself.

@@ -410,7 +410,7 @@ class TestFreshnessPage:
             data = Graph("O")
             data.add_node(Oid("o1"))
             lineage.record_source_nodes("old-src", data)
-            lineage.record_page("old.html", old_page, "T")
+            lineage.record_page("old.html", old_page, "T", [old_page])
             graph = telemetry_graph(obs.TraceRecorder(), max_age=600.0)
             summary = graph.collection("Summary")[0]
             assert graph.get(summary, "stale_pages") == [Atom.int(1)]
