@@ -645,10 +645,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _slo_document_from_prometheus(text: str, slos) -> dict:
     """Reconstruct a cumulative metrics document from a Prometheus
-    dump, keyed back to the SLOs' flat metric names.
+    dump, keyed back to the SLOs' metric family names.
 
     Only the metrics the objectives actually read are recovered:
-    counters from ``<name>_total`` samples, histograms from their
+    counters from the sum of their ``<name>_total`` samples (every
+    label set of the family), histograms from their
     ``_bucket``/``_count``/``_sum`` families.
     """
     from repro.obs.promexport import parse_prometheus, sanitize_name
@@ -661,7 +662,7 @@ def _slo_document_from_prometheus(text: str, slos) -> dict:
                 name[: -len("_bucket")], []).append(
                     (labels["le"], value))
         else:
-            flat[name] = value
+            flat[name] = flat.get(name, 0.0) + value
     wanted = set()
     for slo in slos:
         for metric in (slo.total_metric, slo.bad_metric,

@@ -18,9 +18,11 @@ are resolved exactly as the paper resolves them:
 
 :meth:`Mediator.warehouse` loads every source, runs every mapping, and
 caches the mediated graph until :meth:`Mediator.refresh`.  A source
-that raises while loading surfaces as a
-:class:`~repro.errors.SourceLoadError`; a failed refresh keeps the
-previous warehouse.
+that raises while loading, or whose loader returns something other
+than a graph, surfaces as a :class:`~repro.errors.SourceLoadError`; a
+failed refresh keeps the previous warehouse.  Builds are counted as
+``mediator.builds`` with ``kind`` = ``warehouse``, ``virtual`` or
+``failed``.
 :meth:`Mediator.virtual_view` recomputes from live sources on every
 call — always fresh, always paying the integration cost.
 :meth:`Mediator.staleness` reports how many source updates the current
@@ -52,8 +54,9 @@ class Mediator:
         self._mappings: list[Query] = []
         self._warehouse: Graph | None = None
         self._warehouse_versions: dict[str, int] = {}
-        #: Counters for benchmarking the two integration modes.
-        self.stats = {"warehouse_builds": 0, "virtual_builds": 0}
+        #: Builds per integration mode, plus failed integrations.
+        self.stats = {"warehouse_builds": 0, "virtual_builds": 0,
+                      "failed_builds": 0}
 
     # -- configuration ------------------------------------------------------------
 
@@ -94,9 +97,19 @@ class Mediator:
     # -- integration --------------------------------------------------------------
 
     def _integrate(self) -> Graph:
-        """Load every source and run every mapping into a fresh graph."""
+        """Load every source and run every mapping into a fresh graph.
+
+        A failure is counted as a ``failed`` build and re-raised.
+        """
         if not self._mappings:
             raise MediatorError("no GAV mappings registered")
+        try:
+            return self._run_mappings()
+        except Exception:
+            self._count_build("failed")
+            raise
+
+    def _run_mappings(self) -> Graph:
         recorder = get_recorder()
         mediated = Graph(self.mediated_name)
         skolem = SkolemRegistry()
@@ -125,8 +138,8 @@ class Mediator:
         return mediated
 
     def _count_build(self, kind: str) -> None:
-        self.stats[kind] += 1
-        get_recorder().metrics.counter(f"mediator.{kind}").inc()
+        self.stats[f"{kind}_builds"] += 1
+        get_recorder().metrics.counter("mediator.builds", kind=kind).inc()
 
     def warehouse(self) -> Graph:
         """The warehoused mediated graph (built once, then cached)."""
@@ -145,7 +158,7 @@ class Mediator:
         self._warehouse = mediated
         self._warehouse_versions = {
             name: src.version for name, src in self._sources.items()}
-        self._count_build("warehouse_builds")
+        self._count_build("warehouse")
         return mediated
 
     def staleness(self) -> int:
@@ -157,8 +170,9 @@ class Mediator:
 
     def virtual_view(self) -> Graph:
         """A freshly integrated graph (virtual mode: no caching)."""
-        self._count_build("virtual_builds")
-        return self._integrate()
+        mediated = self._integrate()
+        self._count_build("virtual")
+        return mediated
 
     # -- repository plumbing ---------------------------------------------------------
 

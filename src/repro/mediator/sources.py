@@ -99,6 +99,10 @@ class DataSource:
         recorder = get_recorder()
         with recorder.span("source.load", source=self.name):
             graph = self._loader(**parameters)
+            if not isinstance(graph, Graph):
+                raise MediatorError(
+                    f"source {self.name!r} loader returned "
+                    f"{type(graph).__name__}, not a Graph")
             emit_event("debug", "source.load", source=self.name,
                        version=self.version, load_count=self.load_count)
         recorder.metrics.counter("mediator.source_loads").inc()

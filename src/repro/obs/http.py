@@ -478,11 +478,15 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             return 200, CONTENT_JSON, json.dumps(document, indent=2)
         target = target.lstrip("/")
         site = self.site_server
-        if site is not None and lineage.resolve(target) == (None, None):
+        if site is not None and lineage.resolve(target)[1] is None:
             # Serve mode computes pages on demand: a page no visitor
             # has requested yet is served once, which records it like
-            # any other request.
-            oid = site.resolve_path(target)
+            # any other request.  The target is a URL or a page oid's
+            # display name.
+            oid = site.resolve_path(target) or next(
+                (node for node in site.graph.nodes()
+                 if str(node) == target and site.generator.is_page(node)),
+                None)
             if oid is not None:
                 site.request(oid)
         document = lineage.why(target, max_age=self.max_age)

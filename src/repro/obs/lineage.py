@@ -42,7 +42,7 @@ when lineage is off.
 Freshness rides on the same walk: :func:`freshness_report` ages every
 source record, flags pages whose *newest* contributing source is older
 than ``max_age``, and :func:`update_freshness_gauges` exports the result as
-``lineage.source_age_seconds.<source>`` gauges plus a
+``lineage.source_age_seconds{source}`` gauges plus a
 ``lineage.pages_stale_total`` gauge for Prometheus scrapes.
 """
 
@@ -168,6 +168,9 @@ class NullLineage:
     def record_page(self, url, oid, template, reads) -> None:
         pass
 
+    def forget_pages(self, urls) -> None:
+        pass
+
     @contextlib.contextmanager
     def query_context(self, fingerprint="", block="", input=""):
         yield
@@ -270,6 +273,12 @@ class LineageIndex:
                 return
             self._pages[url] = PageRecord(url=url, oid=key,
                                           template=template, reads=names)
+
+    def forget_pages(self, urls: Iterable[str]) -> None:
+        """Drop the records of pages that left the site."""
+        with self._lock:
+            for url in urls:
+                self._pages.pop(url, None)
 
     @contextlib.contextmanager
     def query_context(self, fingerprint: str = "", block: str = "",
@@ -503,15 +512,13 @@ def update_freshness_gauges(metrics, index=None, max_age=None,
                             now=None) -> dict:
     """Export the freshness report as gauges; returns the report.
 
-    The metrics registry has no label support, so per-source series use
-    the established suffix convention:
-    ``lineage.source_age_seconds.<source>``.
+    Each source's age is one series of the
+    ``lineage.source_age_seconds{source}`` family.
     """
     report = freshness_report(index, max_age=max_age, now=now)
     for entry in report["sources"]:
-        metrics.gauge(
-            f"lineage.source_age_seconds.{entry['source']}"
-        ).set(round(entry["age_seconds"], 3))
+        metrics.gauge("lineage.source_age_seconds", source=entry["source"]
+                      ).set(round(entry["age_seconds"], 3))
     metrics.gauge("lineage.sources").set(len(report["sources"]))
     if max_age is not None:
         metrics.gauge("lineage.pages_stale_total").set(

@@ -16,6 +16,9 @@ at the bottom back the disabled global recorder so instrumented hot
 paths cost a no-op method call when observability is off.  All mutating
 paths are thread-safe.
 
+A counter or gauge is one series of a family: a name plus optional
+labels, spelled ``name{k="v",...}`` by :func:`series_key` alone.
+
 :class:`WindowedSeries` is the time dimension the cumulative
 instruments lack: it samples a registry into aligned ring-buffer
 buckets so "requests per second over the last 5 minutes" and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 import threading
 import time
 from collections import deque
@@ -37,6 +41,62 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+
+_LABEL = re.compile(
+    r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<val>(?:\\.|[^"\\])*)"')
+_ESCAPE_SEQ = re.compile(r"\\.")
+_UNESCAPES = {"\\n": "\n", '\\"': '"', "\\\\": "\\"}
+
+
+def escape_label_value(value) -> str:
+    """``value`` escaped per the Prometheus exposition spec: backslash,
+    double quote and newline become ``\\\\``, ``\\"`` and ``\\n``."""
+    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
+def format_labels(labels: dict | None) -> str:
+    """A label dict as ``{k="v",...}`` with spec-escaped values (empty
+    string for no labels)."""
+    if not labels:
+        return ""
+    inner = ",".join(f'{key}="{escape_label_value(value)}"'
+                     for key, value in labels.items())
+    return "{" + inner + "}"
+
+
+def series_key(name: str, labels: dict | None = None) -> str:
+    """The key a series is registered and exported under: ``name``
+    alone, or ``name{k="v",...}`` with keys sorted."""
+    if not labels:
+        return name
+    return name + format_labels(dict(sorted(labels.items())))
+
+
+def split_series_key(key: str) -> tuple[str, dict]:
+    """A :func:`series_key` back into ``(family name, labels)``.  Label
+    values are unescaped in one pass, so an escaped backslash followed
+    by ``n`` is not mistaken for a newline."""
+    name, _, labels = key.partition("{")
+    return name, {m.group("key"): _ESCAPE_SEQ.sub(
+                      lambda e: _UNESCAPES.get(e[0], e[0]), m.group("val"))
+                  for m in _LABEL.finditer(labels)}
+
+
+def families(values: dict) -> dict[str, list[tuple[dict, object]]]:
+    """``{series key: value}`` as ``{name: [(labels, value), ...]}``."""
+    grouped: dict[str, list[tuple[dict, object]]] = {}
+    for key, value in values.items():
+        name, labels = split_series_key(key)
+        grouped.setdefault(name, []).append((labels, value))
+    return grouped
+
+
+def family_total(values: dict, name: str) -> float | None:
+    """The sum of every series of family ``name``; ``None`` if none."""
+    series = families(values).get(name)
+    return sum(value for _, value in series) if series else None
 
 
 class Counter:
@@ -204,34 +264,29 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        """The counter registered under ``name`` (created on demand)."""
+    def _instrument(self, table: dict, key: str, make):
         with self._lock:
-            instrument = self._counters.get(name)
+            instrument = table.get(key)
             if instrument is None:
-                instrument = self._counters[name] = Counter(name)
+                instrument = table[key] = make(key)
             return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name`` (created on demand)."""
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
+    def counter(self, name: str, **labels) -> Counter:
+        """The counter ``name`` with ``labels`` (created on demand)."""
+        return self._instrument(self._counters, series_key(name, labels),
+                                Counter)
+
+    def gauge(self, name: str, **labels) -> Gauge:
+        """The gauge ``name`` with ``labels`` (created on demand)."""
+        return self._instrument(self._gauges, series_key(name, labels),
+                                Gauge)
 
     def histogram(self, name: str,
                   buckets: tuple[float, ...] | None = None) -> Histogram:
-        """The histogram under ``name`` (created on demand).
-
-        ``buckets`` only applies on first creation.
-        """
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(
-                    name, buckets)
-            return instrument
+        """The histogram under ``name`` (created on demand; ``buckets``
+        only applies then)."""
+        return self._instrument(self._histograms, name,
+                                lambda key: Histogram(key, buckets))
 
     def reset(self) -> None:
         """Forget every instrument."""
@@ -241,7 +296,8 @@ class MetricsRegistry:
             self._histograms.clear()
 
     def as_dict(self) -> dict:
-        """Plain-data form of every instrument (the JSON export shape)."""
+        """Plain-data form of every instrument (the JSON export shape),
+        counters and gauges keyed by :func:`series_key`."""
         with self._lock:
             return {
                 "counters": {n: c.value
@@ -420,15 +476,16 @@ class WindowedSeries:
         return new - old
 
     def increase(self, name: str, window: float) -> float | None:
-        """How much counter ``name`` (or histogram ``name``'s count)
-        grew over the last ``window`` seconds; ``None`` without data."""
+        """How much counter family ``name`` (summed over its series) or
+        histogram ``name``'s count grew over the last ``window``
+        seconds; ``None`` without data."""
         bounding = self._bounding(window)
         if bounding is None:
             return None
         start, end = bounding
-        if name in end.counters:
-            return self._delta(start.counters.get(name),
-                               end.counters[name])
+        total = family_total(end.counters, name)
+        if total is not None:
+            return self._delta(family_total(start.counters, name), total)
         hist = end.histograms.get(name)
         if hist is not None:
             old = start.histograms.get(name)
@@ -602,10 +659,10 @@ class NullMetricsRegistry:
 
     __slots__ = ()
 
-    def counter(self, name: str) -> _NullCounter:
+    def counter(self, name: str, **labels) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str) -> _NullGauge:
+    def gauge(self, name: str, **labels) -> _NullGauge:
         return _NULL_GAUGE
 
     def histogram(self, name: str, buckets=None) -> _NullHistogram:

@@ -3,7 +3,8 @@
 Renders every instrument of a :class:`~repro.obs.metrics.MetricsRegistry`
 (or of its :meth:`~repro.obs.metrics.MetricsRegistry.as_dict` document,
 so exported JSON re-renders identically) in the Prometheus *text
-exposition format*, version 0.0.4:
+exposition format*, version 0.0.4, one ``# HELP``/``# TYPE`` pair per
+family and then one sample per labeled series:
 
 * counters gain the conventional ``_total`` suffix;
 * gauges expose their last-written value;
@@ -23,7 +24,8 @@ from __future__ import annotations
 import math
 import re
 
-from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.obs.metrics import (MetricsRegistry, NullMetricsRegistry,
+                               families, format_labels, split_series_key)
 
 #: Default prefix stamped onto every exported metric name.
 DEFAULT_PREFIX = "strudel"
@@ -58,29 +60,14 @@ HELP_TEXT: dict[str, str] = {
         "Burn-rate alert rules currently in the firing state.",
     "canary.probes": "End-to-end canary probes attempted.",
     "canary.failures": "Canary probes that failed.",
+    "lineage.source_age_seconds": "Seconds since the source's last fetch.",
+    "slo.compliance":
+        "Good fraction of this objective over its rolling window.",
+    "slo.burn_rate":
+        "How fast this objective consumes error budget (1.0 = on target).",
+    "slo.budget_remaining":
+        "Error budget left over the objective's window (negative = missed).",
 }
-
-#: Per-SLO gauges follow the flat-name convention
-#: ``slo.<facet>.<objective>``; these prefixes map them to shared HELP
-#: lines at exposition time (like the per-source freshness gauges).
-SLO_HELP_PREFIXES: dict[str, str] = {
-    "slo.compliance.":
-        "Good fraction of this objective over its rolling window "
-        "(target is the SLO's promise).",
-    "slo.burn_rate.":
-        "How fast this objective consumes error budget (1.0 = "
-        "exactly on target).",
-    "slo.budget_remaining.":
-        "Error budget left over the objective's window (negative "
-        "means the objective is being missed).",
-}
-
-#: Per-source freshness gauges follow the flat-name convention
-#: ``lineage.source_age_seconds.<source>``; this prefix maps them to a
-#: shared HELP line at exposition time.
-SOURCE_AGE_PREFIX = "lineage.source_age_seconds."
-SOURCE_AGE_HELP = ("Seconds since this source's last successful fetch "
-                   "(suffix = source id).")
 
 _NAME_ILLEGAL = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -94,26 +81,9 @@ def sanitize_name(name: str, prefix: str = DEFAULT_PREFIX) -> str:
     return full
 
 
-def escape_label_value(value) -> str:
-    """``value`` escaped per the exposition spec: backslash, double
-    quote and newline become ``\\\\``, ``\\"`` and ``\\n``."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
 def escape_help(text: str) -> str:
     """HELP-line text escaped per the spec (backslash and newline)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def format_labels(labels: dict | None) -> str:
-    """A label dict as ``{k="v",...}`` with spec-escaped values (empty
-    string for no labels)."""
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{escape_label_value(value)}"'
-                     for key, value in labels.items())
-    return "{" + inner + "}"
 
 
 def _format_value(value: float) -> str:
@@ -124,20 +94,8 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _as_document(metrics) -> dict:
-    if isinstance(metrics, (MetricsRegistry, NullMetricsRegistry)):
-        return metrics.as_dict()
-    return metrics
-
-
-def _histogram_lines(name: str, summary: dict, prefix: str,
-                     lines: list[str],
-                     labels: dict | None = None) -> None:
-    base = sanitize_name(name, prefix)
-    label_str = format_labels(labels)
-    lines.append(f"# HELP {base} "
-                 f"{escape_help(f'Histogram of {name} (seconds).')}")
-    lines.append(f"# TYPE {base} histogram")
+def _histogram_samples(base: str, summary: dict, labels: dict,
+                       lines: list[str]) -> None:
     buckets = summary.get("buckets")
     if buckets is None:
         # Degraded document (older export without bucket detail):
@@ -148,48 +106,47 @@ def _histogram_lines(name: str, summary: dict, prefix: str,
         le = "+Inf" if bound == "+Inf" or (
             isinstance(bound, float) and math.isinf(bound)
         ) else _format_value(float(bound))
-        bucket_labels = format_labels({**(labels or {}), "le": le})
+        bucket_labels = format_labels({**labels, "le": le})
         lines.append(f"{base}_bucket{bucket_labels} {cumulative}")
+    label_str = format_labels(labels)
     lines.append(f"{base}_sum{label_str} "
                  f"{_format_value(summary.get('sum', 0.0))}")
     lines.append(f"{base}_count{label_str} {summary.get('count', 0)}")
+
+
+#: (document section, exposition type, name suffix, fallback HELP).
+_SECTIONS = (("counters", "counter", "_total", "Counter {}."),
+             ("gauges", "gauge", "", "Gauge {}."),
+             ("histograms", "histogram", "", "Histogram of {} (seconds)."))
 
 
 def to_prometheus(metrics, prefix: str = DEFAULT_PREFIX,
                   labels: dict | None = None) -> str:
     """The registry (or its ``as_dict`` document) as exposition text.
 
-    Every registered counter, gauge and histogram appears exactly once;
-    output ends with a newline as the format requires.  ``labels`` is
-    an optional dict of constant labels stamped onto every sample (the
-    way a scrape target identifies an instance or site); values are
-    escaped per the spec, so quotes, backslashes and newlines survive
-    the round trip.
+    Every family gets one ``# HELP``/``# TYPE`` pair followed by one
+    sample per series; output ends with a newline as the format
+    requires.  ``labels`` is an optional dict of constant labels
+    merged into every sample's own (the way a scrape target identifies
+    an instance or site); values are escaped per the spec, so quotes,
+    backslashes and newlines survive the round trip.
     """
-    data = _as_document(metrics)
-    label_str = format_labels(labels)
+    data = metrics.as_dict() if isinstance(
+        metrics, (MetricsRegistry, NullMetricsRegistry)) else metrics
     lines: list[str] = []
-    for name, value in data.get("counters", {}).items():
-        base = sanitize_name(name, prefix) + "_total"
-        help_text = HELP_TEXT.get(name, f"Counter {name}.")
-        lines.append(f"# HELP {base} {escape_help(help_text)}")
-        lines.append(f"# TYPE {base} counter")
-        lines.append(f"{base}{label_str} {_format_value(value)}")
-    for name, value in data.get("gauges", {}).items():
-        base = sanitize_name(name, prefix)
-        if name.startswith(SOURCE_AGE_PREFIX):
-            help_text = HELP_TEXT.get(name, SOURCE_AGE_HELP)
-        else:
-            help_text = HELP_TEXT.get(name, f"Gauge {name}.")
-            for slo_prefix, slo_help in SLO_HELP_PREFIXES.items():
-                if name.startswith(slo_prefix):
-                    help_text = slo_help
-                    break
-        lines.append(f"# HELP {base} {escape_help(help_text)}")
-        lines.append(f"# TYPE {base} gauge")
-        lines.append(f"{base}{label_str} {_format_value(value)}")
-    for name, summary in data.get("histograms", {}).items():
-        _histogram_lines(name, summary, prefix, lines, labels)
+    for section, kind, suffix, fallback in _SECTIONS:
+        for name, series in families(data.get(section, {})).items():
+            base = sanitize_name(name, prefix) + suffix
+            help_text = HELP_TEXT.get(name, fallback.format(name))
+            lines.append(f"# HELP {base} {escape_help(help_text)}")
+            lines.append(f"# TYPE {base} {kind}")
+            for series_labels, value in series:
+                merged = {**series_labels, **(labels or {})}
+                if kind == "histogram":
+                    _histogram_samples(base, value, merged, lines)
+                else:
+                    lines.append(f"{base}{format_labels(merged)} "
+                                 f"{_format_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -202,20 +159,8 @@ def write_prometheus(metrics, path: str,
 
 
 _SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
+    r"^(?P<series>[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{.*\})?)"
     r"\s+(?P<value>\S+)\s*$")
-_LABEL = re.compile(
-    r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<val>(?:\\.|[^"\\])*)"')
-_ESCAPE_SEQ = re.compile(r"\\(.)")
-_UNESCAPES = {"n": "\n", '"': '"', "\\": "\\"}
-
-
-def _unescape_label(value: str) -> str:
-    """Undo :func:`escape_label_value` (single pass, so an escaped
-    backslash followed by ``n`` is not mistaken for a newline)."""
-    return _ESCAPE_SEQ.sub(
-        lambda m: _UNESCAPES.get(m.group(1), "\\" + m.group(1)), value)
 
 
 def parse_prometheus(text: str) -> dict:
@@ -241,10 +186,10 @@ def parse_prometheus(text: str) -> dict:
         match = _SAMPLE.match(line)
         if not match:
             raise ValueError(f"unparseable exposition line: {line!r}")
-        labels = {m.group("key"): _unescape_label(m.group("val"))
-                  for m in _LABEL.finditer(match.group("labels") or "")}
+        # A sample's name and label set are spelled like a series key.
+        name, labels = split_series_key(match.group("series"))
         raw = match.group("value")
         value = math.inf if raw == "+Inf" else (
             -math.inf if raw == "-Inf" else float(raw))
-        samples.append((match.group("name"), labels, value))
+        samples.append((name, labels, value))
     return {"types": types, "samples": samples}

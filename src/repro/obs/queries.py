@@ -114,7 +114,7 @@ class QueryStats:
         self.last_optimizer = ""
         # Fixed-bucket histogram: O(buckets) memory per fingerprint,
         # interpolated p50/p95 — same machinery as the span histograms.
-        self._latency = Histogram(f"struql.query.{fp}.seconds")
+        self._latency = Histogram("struql.query.seconds")
 
     def record(self, seconds: float, rows: int, plan: str,
                optimizer: str, misestimates: int) -> None:

@@ -286,9 +286,9 @@ class SLOEvaluator:
     """Samples the registry and judges every objective each tick.
 
     One :meth:`evaluate` call: sample the windowed series, refresh the
-    per-SLO gauges (``slo.compliance.<name>``, ``slo.burn_rate.<name>``,
-    ``slo.budget_remaining.<name>``), step every alert rule, emit
-    ``alert.*`` events for transitions, and set ``alerts_firing``.
+    per-SLO gauges (``slo.compliance``, ``slo.burn_rate`` and
+    ``slo.budget_remaining``, labeled ``slo``), step every alert rule,
+    emit ``alert.*`` events for transitions, and set ``alerts_firing``.
     Ticks are driven either by the :class:`CanaryProber` (each probe
     ends with an evaluation) or by :meth:`start_background`.
     """
@@ -342,13 +342,11 @@ class SLOEvaluator:
                                        and burn >= VIOLATION_BURN))
                 status.append(entry)
                 if compliance is not None:
-                    metrics.gauge(
-                        f"slo.compliance.{slo.name}").set(compliance)
-                    metrics.gauge(
-                        f"slo.burn_rate.{slo.name}").set(burn)
-                    metrics.gauge(
-                        f"slo.budget_remaining.{slo.name}"
-                    ).set(budget_left)
+                    metrics.gauge("slo.compliance",
+                                  slo=slo.name).set(compliance)
+                    metrics.gauge("slo.burn_rate", slo=slo.name).set(burn)
+                    metrics.gauge("slo.budget_remaining",
+                                  slo=slo.name).set(budget_left)
             firing = 0
             for rule in self.rules:
                 transition = rule.step(self.series, now)

@@ -426,14 +426,14 @@ def span(name: str, **attrs):
     return _recorder.span(name, **attrs)
 
 
-def counter(name: str):
+def counter(name: str, **labels):
     """A counter from the active recorder's metrics registry."""
-    return _recorder.metrics.counter(name)
+    return _recorder.metrics.counter(name, **labels)
 
 
-def gauge(name: str):
+def gauge(name: str, **labels):
     """A gauge from the active recorder's metrics registry."""
-    return _recorder.metrics.gauge(name)
+    return _recorder.metrics.gauge(name, **labels)
 
 
 def histogram(name: str, buckets=None):

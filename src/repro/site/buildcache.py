@@ -362,7 +362,8 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
     files of pages that left the site are deleted, and the manifest is
     updated for the next run.
     Emits the ``site.build.*`` metrics either way, and records every
-    page into the lineage index when lineage is on.
+    page into the lineage index when lineage is on, dropping the
+    records of removed pages.
     """
     import time
 
@@ -391,6 +392,7 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
                 if os.path.exists(path):
                     os.unlink(path)
                     removed.append(path)
+            lineage.forget_pages(plan.stale_files)
             if not plan.unchanged:  # a no-op plan leaves the exact state
                 cache.record(site, generator, templates, plan, reads,
                              options=options)

@@ -212,9 +212,8 @@ class DynamicSiteServer:
                 self._remember_route(oid)
             except Exception as exc:
                 status, kind = classify_error(exc)
-                metrics = get_recorder().metrics
-                metrics.counter("server.errors").inc()
-                metrics.counter(f"server.errors.{kind}").inc()
+                get_recorder().metrics.counter(
+                    "server.errors", kind=kind).inc()
                 if status == 404:
                     body = "<h1>404 Not Found</h1>"
                     emit_event("warning", "server.not_found",

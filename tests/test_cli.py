@@ -669,6 +669,22 @@ class TestSloCheckCommand:
         assert "VIOLATED  server-availability" in \
             capsys.readouterr().out
 
+    def test_prometheus_dump_sums_labeled_errors(self, tmp_path, capsys):
+        # Neither error kind alone breaks the 99% target; their sum
+        # does (0.6% + 0.6% of 1000 requests is a 1.2x burn).
+        path = tmp_path / "metrics.prom"
+        path.write_text(
+            "strudel_server_requests_total 1000\n"
+            'strudel_server_errors_total{kind="not_found"} 6\n'
+            'strudel_server_errors_total{kind="internal"} 6\n')
+        assert main(["slo", "check", str(path)]) == 1
+        assert "VIOLATED  server-availability" in \
+            capsys.readouterr().out
+        path.write_text(
+            "strudel_server_requests_total 1000\n"
+            'strudel_server_errors_total{kind="not_found"} 6\n')
+        assert main(["slo", "check", str(path)]) == 0
+
     def test_prometheus_histogram_dump(self, tmp_path, capsys):
         path = tmp_path / "metrics.prom"
         path.write_text(

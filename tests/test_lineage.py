@@ -243,6 +243,24 @@ class TestBuildIntegration:
             assert report["pages"] == len(urls)
         assert not os.path.exists(os.path.join(cache, "lineage.json"))
 
+    def test_one_index_forgets_pages_a_rebuild_removed(self, tmp_path):
+        """Two cached builds seen by one index: afterwards it holds
+        exactly the second build's page records."""
+        out, cache = str(tmp_path / "www"), str(tmp_path / "cache")
+        with lineage_recording() as lineage:
+            build_org_site(people=40, seed=1).build_site(
+                out, cache_dir=cache)
+            first = {page.url for page in lineage.page_records()}
+            site = build_org_site(people=30, seed=1)
+            assert site.build_site(out, cache_dir=cache).removed_files
+            generator = site.generator()
+            urls = {generator.url_for(page) for page in generator.pages()}
+            removed = first - urls
+            assert removed
+            assert {page.url for page in lineage.page_records()} == urls
+            for url in removed:
+                assert lineage.why(url) is None, url
+
     def test_why_tree_is_the_manifest_read_set(self, tmp_path):
         cache = str(tmp_path / "cache")
         with lineage_recording() as lineage:
@@ -299,7 +317,7 @@ class TestFreshness:
         assert not index.why("fresh.html", now=now,
                              max_age=600.0)["stale"]
 
-    def test_gauges_exported_with_flat_names(self):
+    def test_gauges_exported_with_source_labels(self):
         now = 10_000.0
         index = self._index_with_stale_page(now)
         metrics = MetricsRegistry()
@@ -307,7 +325,7 @@ class TestFreshness:
         gauges = metrics.as_dict()["gauges"]
         assert gauges["lineage.sources"] == 2
         assert gauges["lineage.pages_stale_total"] == 1
-        assert gauges["lineage.source_age_seconds.old"] == \
+        assert gauges['lineage.source_age_seconds{source="old"}'] == \
             pytest.approx(5000.0)
 
     def test_render_why_mentions_chain_and_staleness(self):

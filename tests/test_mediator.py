@@ -102,6 +102,25 @@ class TestMediator:
         assert mediator.refresh() is not before
         assert mediator.staleness() == 0
 
+    def test_malformed_records_are_a_classified_failure(self, mediator):
+        """A loader that returns records, not a graph, ends in
+        SourceLoadError, keeps the warehouse and counts a failed
+        build."""
+        from repro import obs
+        before = mediator.warehouse()
+        mediator.source("beta")._loader = lambda: [
+            {"key": "c", "value": 3}]
+        with obs.recording() as recorder:
+            with pytest.raises(SourceLoadError, match="'beta'") as info:
+                mediator.refresh()
+        assert isinstance(info.value.__cause__, MediatorError)
+        assert "list" in str(info.value.__cause__)
+        assert mediator.warehouse() is before
+        assert mediator.stats["failed_builds"] == 1
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters['mediator.builds{kind="failed"}'] == 1
+        assert 'mediator.builds{kind="warehouse"}' not in counters
+
     def test_store_warehouse(self, mediator):
         repo = Repository()
         mediator.store_warehouse(repo)

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.ddl import parse_ddl
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, series_key
 from repro.obs.trace import NULL_RECORDER, Span, TimedResult
 from repro.sites.homepage import FIG2_DDL, FIG3_QUERY
 from repro.struql.evaluator import QueryEngine
@@ -359,7 +359,7 @@ class TestPipelineIntegration:
         assert integrate.children[0].find("source.load") is not None
         counters = rec.metrics.as_dict()["counters"]
         assert counters["mediator.source_loads"] == 1
-        assert counters["mediator.warehouse_builds"] == 1
+        assert counters['mediator.builds{kind="warehouse"}'] == 1
 
     def test_noop_primitives_are_cheap(self):
         """The disabled fast path must stay trivially cheap."""
@@ -633,7 +633,7 @@ class TestPromExport:
 
     def test_escaped_backslash_n_is_not_a_newline(self):
         """The two-character sequence backslash-n must survive as-is."""
-        from repro.obs.promexport import _unescape_label
+        from repro.obs.metrics import split_series_key
         tricky = "a\\n"  # backslash + n, NOT a newline
         registry = MetricsRegistry()
         registry.gauge("g").set(1)
@@ -641,8 +641,54 @@ class TestPromExport:
         assert r'v="a\\n"' in text
         parsed = obs.parse_prometheus(text)
         assert parsed["samples"][0][1]["v"] == tricky
-        assert _unescape_label("\\n") == "\n"
-        assert _unescape_label("\\\\n") == "\\n"
+        assert split_series_key('s{a="\\n",b="\\\\n"}') == (
+            "s", {"a": "\n", "b": "\\n"})
+
+    def test_labeled_series_share_one_help_and_type(self):
+        registry = MetricsRegistry()
+        registry.counter("server.errors", kind="not_found").inc(2)
+        registry.counter("server.errors", kind="internal").inc()
+        registry.gauge("slo.burn_rate", slo="a").set(0.5)
+        registry.gauge("slo.burn_rate", slo="b").set(2.0)
+        text = obs.to_prometheus(registry, labels={"site": "s"})
+        lines = text.splitlines()
+        for family in ("strudel_server_errors_total",
+                       "strudel_slo_burn_rate"):
+            assert lines.count(f"# TYPE {family} "
+                               f"{'counter' if 'total' in family else 'gauge'}"
+                               ) == 1, text
+            assert sum(line.startswith(f"# HELP {family} ")
+                       for line in lines) == 1, text
+        parsed = obs.parse_prometheus(text)
+        samples = {(name, labels.get("kind") or labels.get("slo")): value
+                   for name, labels, value in parsed["samples"]}
+        assert samples == {
+            ("strudel_server_errors_total", "internal"): 1.0,
+            ("strudel_server_errors_total", "not_found"): 2.0,
+            ("strudel_slo_burn_rate", "a"): 0.5,
+            ("strudel_slo_burn_rate", "b"): 2.0,
+        }
+        assert all(labels["site"] == "s"
+                   for _, labels, _ in parsed["samples"])
+
+    def test_series_label_values_round_trip(self):
+        hostile = 'say "hi" \\ back\\slash\nnew line'
+        registry = MetricsRegistry()
+        registry.counter("c", source=hostile).inc(3)
+        registry.gauge("g", source=hostile, kind="x").set(1.5)
+        document = registry.as_dict()
+        assert series_key("c", {"source": hostile}) in \
+            document["counters"]
+        # Keys are sorted whatever order the labels were given in.
+        assert series_key("g", {"source": hostile, "kind": "x"}) == \
+            'g{kind="x",source="' + obs.escape_label_value(hostile) + '"}'
+        for metrics in (registry, document):
+            parsed = obs.parse_prometheus(obs.to_prometheus(metrics))
+            assert [(name, labels, value)
+                    for name, labels, value in parsed["samples"]] == [
+                ("strudel_c_total", {"source": hostile}, 3.0),
+                ("strudel_g", {"kind": "x", "source": hostile}, 1.5),
+            ]
 
     def test_escape_helpers(self):
         assert obs.escape_label_value('a"b') == 'a\\"b'

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -21,6 +22,7 @@ from repro.obs.http import (
     TelemetryHTTPServer,
     serving_recorder,
 )
+from repro.obs.metrics import family_total
 from repro.obs.slo import (
     CanaryProber,
     SLOEvaluator,
@@ -414,7 +416,8 @@ class TestConcurrency:
         assert metrics.counter("server.requests").value == page_fetches
         assert metrics.histogram(
             "server.request_seconds").count == page_fetches
-        assert metrics.counter("server.errors").value == 0
+        assert family_total(metrics.as_dict()["counters"],
+                                "server.errors") is None
         # A mid-load exposition parsed cleanly.
         assert metrics_bodies
         obs.parse_prometheus(metrics_bodies[0])
@@ -635,6 +638,16 @@ class TestDebugLineage:
                           "/debug/lineage?page=YearPage_1997_.html")
         doc = json.loads(text)
         assert doc["derivation"]["fn"] == "YearPage"
+
+    def test_unvisited_page_by_oid_name(self, lineage_plane):
+        # ?page= takes an oid display name as well as a URL; the page
+        # is known to the site graph after warm() but not yet served.
+        target = urllib.parse.quote("YearPage(1997)")
+        _, _, text = _get(lineage_plane.url +
+                          f"/debug/lineage?page={target}")
+        doc = json.loads(text)
+        assert doc["derivation"]["fn"] == "YearPage"
+        assert doc["url"] == "YearPage_1997_.html"
 
     def test_unknown_page_404(self, lineage_plane):
         with pytest.raises(urllib.error.HTTPError) as err:

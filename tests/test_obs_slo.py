@@ -12,6 +12,7 @@ from repro.obs.metrics import (
     DEFAULT_WINDOW_STEP,
     MetricsRegistry,
     WindowedSeries,
+    family_total,
 )
 from repro.obs.slo import (
     DEFAULT_PAIRS,
@@ -64,6 +65,18 @@ class TestWindowedSeries:
         assert series.sample(now=112.0) == 110.0
         assert len(series) == 2
         assert series.coverage() == 10.0
+
+    def test_increase_sums_a_family(self):
+        registry = MetricsRegistry()
+        series = WindowedSeries(registry, step=1.0, retention=60.0)
+        registry.counter("err", kind="a").inc(2)
+        series.sample(now=100.0)
+        registry.counter("err", kind="a").inc(3)
+        registry.counter("err", kind="b").inc(4)
+        registry.counter("error_budget").inc(100)  # another family
+        series.sample(now=110.0)
+        assert series.increase("err", 60.0) == 7
+        assert series.increase("err_total", 60.0) is None
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -372,7 +385,8 @@ class TestSLOEvaluator:
         # One sample: no data, no gauges, nothing fires.
         assert evaluator.worst() is None
         assert metrics.gauge("alerts_firing").value == 0
-        assert "slo.burn_rate.avail" not in metrics.as_dict()["gauges"]
+        assert family_total(metrics.as_dict()["gauges"],
+                                "slo.burn_rate") is None
 
         for now in (101.0, 102.0):
             metrics.counter("req").inc(20)
@@ -384,8 +398,8 @@ class TestSLOEvaluator:
         name, burn = evaluator.worst()
         assert name == "avail" and burn >= FAST_PAIR.factor
         gauges = metrics.as_dict()["gauges"]
-        assert gauges["slo.burn_rate.avail"] == pytest.approx(50.0)
-        assert gauges["slo.compliance.avail"] == pytest.approx(0.5)
+        assert gauges['slo.burn_rate{slo="avail"}'] == pytest.approx(50.0)
+        assert gauges['slo.compliance{slo="avail"}'] == pytest.approx(0.5)
         assert recorder.events.records("warning", name="alert.pending")
         firing_events = recorder.events.records(
             "error", name="alert.firing")
@@ -612,6 +626,33 @@ class TestCheckDocument:
         (status,) = check_document([slo], document)
         assert status["violated"] is False
         assert status["burn_rate"] == pytest.approx(0.0)
+
+    def test_labeled_errors_count_toward_availability(self):
+        document = {"counters": {"req": 100, 'err{kind="not_found"}': 2,
+                                 'err{kind="internal"}': 3}}
+        (status,) = check_document([availability_slo()], document)
+        assert status["bad_ratio"] == pytest.approx(0.05)
+
+    def test_server_failures_counted_once_by_kind(self, monkeypatch):
+        server = DynamicSiteServer(FIG3_QUERY, fig2_data(),
+                                   fig7_templates())
+        with obs.recording() as recorder:
+            assert server.request("nope.html").status == 404
+            server.invalidate()
+
+            def explode(oid):
+                raise ValueError("render blew up")
+
+            monkeypatch.setattr(server.generator, "render", explode)
+            assert server.request(server.roots()[0]).status == 500
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters['server.errors{kind="not_found"}'] == 1
+        assert counters['server.errors{kind="internal"}'] == 1
+        assert "server.errors" not in counters
+        (avail,) = [s for s in default_slos()
+                    if s.name == "server-availability"]
+        (status,) = check_document([avail], {"counters": counters})
+        assert status["bad_ratio"] == pytest.approx(1.0)
 
     def test_no_data_never_violates(self):
         (status,) = check_document([availability_slo()], {})

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graph import Atom, Oid
+from repro.obs.metrics import family_total
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig7_templates
 
@@ -34,7 +35,8 @@ class TestRequests:
         with obs.recording() as rec:
             response = server.request("nope.html")
         assert response.status == 404
-        assert rec.metrics.counter("server.errors").value == 1
+        assert rec.metrics.as_dict()["counters"] == {
+            'server.errors{kind="not_found"}': 1, "server.requests": 1}
 
     def test_latencies_recorded(self, server):
         from repro import obs
@@ -176,7 +178,8 @@ class TestRequestRecords:
         metrics = rec.metrics
         assert metrics.counter("server.requests").value == 4
         assert metrics.histogram("server.request_seconds").count == 4
-        assert metrics.counter("server.errors").value == 1
+        assert family_total(metrics.as_dict()["counters"],
+                                "server.errors") == 1
         spans = [root for root in rec.roots if root.name == "server.request"]
         assert len(spans) == 4
 
@@ -225,7 +228,10 @@ class TestRequestRecords:
         metrics = rec.metrics
         assert metrics.counter("server.requests").value == 8 * 100
         assert metrics.histogram("server.request_seconds").count == 8 * 100
-        assert metrics.counter("server.errors").value == 8 * 50
+        assert metrics.counter(
+            "server.errors", kind="not_found").value == 8 * 50
+        assert family_total(metrics.as_dict()["counters"],
+                                "server.errors") == 8 * 50
         assert len(set(ids)) == len(ids) == 8 * 100
 
     def test_request_events_carry_request_id(self, server):
@@ -282,8 +288,9 @@ class TestErrorClassification:
         assert "500 Internal Server Error" in response.body
         assert "internal" in response.body
         assert response.span.attributes["error"] == "internal"
-        assert rec.metrics.counter("server.errors").value == 1
-        assert rec.metrics.counter("server.errors.internal").value == 1
+        counters = rec.metrics.as_dict()["counters"]
+        assert counters['server.errors{kind="internal"}'] == 1
+        assert family_total(counters, "server.errors") == 1
         errors = [e for e in rec.events.records()
                   if e.name == "server.error"]
         assert errors and errors[-1].attributes["kind"] == "internal"
@@ -295,5 +302,6 @@ class TestErrorClassification:
             response = server.request("nope.html")
         assert response.status == 404
         assert "error" not in response.span.attributes
-        assert rec.metrics.counter(
-            "server.errors.not_found").value == 1
+        counters = rec.metrics.as_dict()["counters"]
+        assert counters['server.errors{kind="not_found"}'] == 1
+        assert family_total(counters, "server.errors") == 1
