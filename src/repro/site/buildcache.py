@@ -60,7 +60,7 @@ from typing import Iterable
 
 from repro.graph.model import Graph, Oid
 from repro.obs.lineage import get_lineage
-from repro.obs.trace import get_recorder
+from repro.obs.trace import TimedResult, get_recorder, timed
 from repro.repository.storage import write_atomic
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
@@ -322,14 +322,14 @@ class BuildCache:
 
 
 @dataclass
-class BuildReport:
-    """The outcome of one (possibly cached) build."""
+class BuildReport(TimedResult):
+    """The outcome of one (possibly cached) build; ``seconds`` reads
+    the ``site.generate`` span that timed it."""
 
     written: dict[Oid, str]
     skipped: list[Oid] = field(default_factory=list)
     removed_files: list[str] = field(default_factory=list)
     reason: str = "full"
-    seconds: float = 0.0
 
     @property
     def pages_rendered(self) -> int:
@@ -365,21 +365,18 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
     page into the lineage index when lineage is on, dropping the
     records of removed pages.
     """
-    import time
-
     if isinstance(cache, str):
         cache = BuildCache(cache)
     recorder = get_recorder()
     lineage = get_lineage()
-    started = time.perf_counter()
     # Recording read sets costs a little per render: without a cache
     # only lineage needs them.
     reads: dict[Oid, set[Oid]] | None = \
         {} if cache is not None or lineage.enabled else None
-    with recorder.span("site.generate", out_dir=out_dir) as span:
+    with timed("site.generate", out_dir=out_dir) as span:
         if cache is None:
             written = generator.generate_site(out_dir, reads=reads)
-            report = BuildReport(written, reason="full")
+            report = BuildReport(written, reason="full", span=span)
         else:
             plan = cache.plan(site, generator, templates, out_dir,
                               options=options)
@@ -398,8 +395,7 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
                              options=options)
             report = BuildReport(written, skipped=list(plan.skipped),
                                  removed_files=removed,
-                                 reason=plan.reason)
-        report.seconds = time.perf_counter() - started
+                                 reason=plan.reason, span=span)
         span.set(pages=report.pages_rendered,
                  skipped=report.pages_skipped, reason=report.reason)
     metrics = recorder.metrics
@@ -410,7 +406,6 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
     metrics.gauge("site.build.cache_hit_ratio").set(
         report.cache_hit_ratio)
     metrics.histogram("site.build.seconds").observe(report.seconds)
-    metrics.counter("site.pages_built").inc(report.pages_rendered)
     if lineage.enabled:
         page_reads: dict[Oid, Iterable] = dict(reads)
         for page in report.skipped:

@@ -33,7 +33,6 @@ the page snapshots here and the rendered bodies of
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -42,14 +41,14 @@ from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.lineage import get_lineage
 from repro.obs.queries import fingerprint, get_query_registry
-from repro.obs.trace import get_recorder
+from repro.obs.trace import get_recorder, timed
 from repro.repository.indexes import GraphIndex
 from repro.repository.stats import GraphStatistics
 from repro.struql.analysis import Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label, runtime_eq
 from repro.struql.construction import TermFn, compile_term
-from repro.struql.evaluator import QueryEngine, _enforce_aggregate_order
+from repro.struql.evaluator import QueryEngine
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.rewriter import ConjunctiveUnit, flatten
@@ -174,20 +173,15 @@ class DynamicSite:
         """
         if oid.skolem_fn is None:
             raise PageNotFoundError(oid)
-        recorder = get_recorder()
-        with self.lock:
-            started = time.perf_counter()
-            with recorder.span("site.compute_page",
-                               page=str(oid)) as span:
-                view = self._compute(oid)
-                span.set(edges=len(view.edges))
-            seconds = time.perf_counter() - started
+        with self.lock, timed("site.compute_page", page=str(oid)) as span:
+            view = self._compute(oid)
+            span.set(edges=len(view.edges))
             self.stats["pages_computed"] += 1
         # Click-time computes are partial evaluations of the one site
         # query, so they aggregate under its fingerprint: the registry's
         # p50/p95 become the site's live page-compute latency.
         get_query_registry().observe(
-            self.query, seconds=seconds,
+            self.query, seconds=span.seconds,
             rows=len(view.edges),
             optimizer=getattr(self.engine.optimizer, "name",
                               str(self.engine.optimizer)),
@@ -304,11 +298,8 @@ class DynamicSite:
         key = (id(unit), frozenset(seeded))
         plan = self._plans.get(key)
         if plan is None:
-            ordered = self.engine.optimizer.order(
-                unit.conditions, set(seeded), self.data, ctx.predicates,
-                self._stats)
-            plan = self._plans[key] = Plan.from_conditions(
-                _enforce_aggregate_order(ordered))
+            plan = self._plans[key] = self.engine.plan(
+                unit.conditions, set(seeded), self.data, self._stats)
         rows = plan.execute(ctx, [dict(seeded)])
         if post_filter:
             rows = [row for row in rows

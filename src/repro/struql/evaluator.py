@@ -20,7 +20,6 @@ queries agree on the identity of Skolem-created pages.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.graph.model import Graph
@@ -171,12 +170,11 @@ class QueryEngine:
         if missing:
             from repro.errors import UnboundVariableError
             raise UnboundVariableError(missing[0])
-        started = time.perf_counter()
-        with get_recorder().span("struql.query", input=query.input_name,
-                                 output=query.output_name,
-                                 optimizer=self.optimizer.name,
-                                 indexed=index is not None,
-                                 fingerprint=result.fingerprint):
+        with timed("struql.query", input=query.input_name,
+                   output=query.output_name,
+                   optimizer=self.optimizer.name,
+                   indexed=index is not None,
+                   fingerprint=result.fingerprint) as span:
             self._run_block(query.root, [seed], set(seed), ctx, builder,
                             result, stats)
             emit_event("info", "struql.query",
@@ -186,7 +184,7 @@ class QueryEngine:
                        nodes=result.output.node_count,
                        edges=result.output.edge_count)
         get_query_registry().observe(
-            query, seconds=time.perf_counter() - started,
+            query, seconds=span.seconds,
             rows=result.total_bindings, plan=result.explain(),
             optimizer=self.optimizer.name,
             misestimates=sum(
@@ -195,6 +193,17 @@ class QueryEngine:
                     t.estimated_rows, t.binding_rows) > MISESTIMATE_RATIO),
             fp=result.fingerprint)
         return result
+
+    def plan(self, conditions: list[Condition], bound: set[str],
+             graph: Graph, stats: GraphStatistics | None) -> Plan:
+        """The physical plan of one conjunction: the optimizer's order
+        with aggregates pinned to their declarative position."""
+        with get_recorder().span("struql.optimize",
+                                 optimizer=self.optimizer.name,
+                                 conditions=len(conditions)):
+            ordered = self.optimizer.order(conditions, bound, graph,
+                                           self.predicates, stats)
+            return Plan.from_conditions(_enforce_aggregate_order(ordered))
 
     def plan_only(self, query: Query | str, graph: Graph,
                   stats: GraphStatistics | None = None) -> QueryResult:
@@ -221,16 +230,13 @@ class QueryEngine:
             block, bound, parent_estimate = pending.pop(0)
             estimate = parent_estimate
             if block.conditions:
-                ordered = self.optimizer.order(
-                    block.conditions, bound, graph, self.predicates, stats)
-                ordered = _enforce_aggregate_order(ordered)
-                plan = Plan.from_conditions(ordered)
+                plan = self.plan(block.conditions, bound, graph, stats)
                 estimate = annotate_plan(plan.ops, bound, stats,
                                          parent_rows=parent_estimate,
                                          graph=graph)
                 decisions = trace_decisions(
-                    ordered, bound, stats, graph, self.predicates,
-                    optimizer=self.optimizer,
+                    [op.condition for op in plan.ops], bound, stats, graph,
+                    self.predicates, optimizer=self.optimizer,
                     parent_rows=parent_estimate) \
                     if self.decision_trace else []
                 result.traces.append(BlockTrace(
@@ -279,14 +285,7 @@ class QueryEngine:
             profiles: list = []
             decisions: list = []
             if block.conditions:
-                with recorder.span("struql.optimize",
-                                   optimizer=self.optimizer.name,
-                                   conditions=len(block.conditions)):
-                    ordered = self.optimizer.order(
-                        block.conditions, bound, ctx.graph,
-                        ctx.predicates, stats)
-                    ordered = _enforce_aggregate_order(ordered)
-                plan = Plan.from_conditions(ordered)
+                plan = self.plan(block.conditions, bound, ctx.graph, stats)
                 if stats is not None:
                     estimated = round(annotate_plan(
                         plan.ops, bound, stats,
@@ -296,8 +295,9 @@ class QueryEngine:
                         span.set(estimated_rows=estimated)
                     if self.decision_trace:
                         decisions = trace_decisions(
-                            ordered, bound, stats, ctx.graph,
-                            ctx.predicates, optimizer=self.optimizer,
+                            [op.condition for op in plan.ops], bound,
+                            stats, ctx.graph, ctx.predicates,
+                            optimizer=self.optimizer,
                             parent_rows=len(parent_rows))
                 rows = plan.execute(ctx,
                                     initial=[dict(r) for r in parent_rows])

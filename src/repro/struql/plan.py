@@ -30,7 +30,6 @@ The optimizers in :mod:`repro.struql.optimizer` decide only the operator
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -38,7 +37,7 @@ from repro.errors import StruQLError, UnboundVariableError, UnknownPredicateErro
 from repro.graph.model import Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.queries import MISESTIMATE_RATIO, misestimate_ratio
-from repro.obs.trace import get_recorder
+from repro.obs.trace import TimedResult, get_recorder, timed
 from repro.repository.indexes import GraphIndex
 from repro.repository.stats import GraphStatistics
 from repro.struql.ast import (
@@ -84,14 +83,8 @@ class ExecutionContext:
         self.predicates = predicates or default_registry()
         self.stats = stats
         self._path_evaluators: dict[RegularPath, PathEvaluator] = {}
-        # Counter handles resolved once per context: one no-op call per
-        # lookup when observability is disabled.
-        metrics = get_recorder().metrics
-        self._index_hits = metrics.counter("repository.index.hits")
-        self._index_misses = metrics.counter("repository.index.misses")
-        # Plain-int mirrors of the counters above, so per-operator
-        # profiling (EXPLAIN ANALYZE) can take deltas even when the
-        # global recorder is disabled.
+        # Lookups served by the index and by graph scans; each
+        # operator's profile takes its deltas of these.
         self.index_hit_count = 0
         self.index_miss_count = 0
 
@@ -109,43 +102,35 @@ class ExecutionContext:
     # organize data physically without the indexes of section 2.2.  The
     # A1 ablation measures exactly this degradation.
 
-    def targets(self, source: Oid, label: str) -> list[GraphObject]:
+    def _indexed(self) -> bool:
+        """Count one lookup as an index hit or a scan; True on a hit."""
         if self.index is not None:
-            self._index_hits.inc()
             self.index_hit_count += 1
-            return self.index.targets(source, label)
-        self._index_misses.inc()
+            return True
         self.index_miss_count += 1
+        return False
+
+    def targets(self, source: Oid, label: str) -> list[GraphObject]:
+        if self._indexed():
+            return self.index.targets(source, label)
         return [e.target for e in self.graph.edges()
                 if e.source == source and e.label == label]
 
     def sources(self, label: str, target: GraphObject) -> list[Oid]:
-        if self.index is not None:
-            self._index_hits.inc()
-            self.index_hit_count += 1
+        if self._indexed():
             return self.index.sources(label, target)
-        self._index_misses.inc()
-        self.index_miss_count += 1
         return [e.source for e in self.graph.edges()
                 if e.label == label and runtime_eq(e.target, target)]
 
     def attribute_extent(self, label: str) -> list[tuple[Oid, GraphObject]]:
-        if self.index is not None:
-            self._index_hits.inc()
-            self.index_hit_count += 1
+        if self._indexed():
             return self.index.attribute_extent(label)
-        self._index_misses.inc()
-        self.index_miss_count += 1
         return [(e.source, e.target) for e in self.graph.edges()
                 if e.label == label]
 
     def labels(self) -> list[str]:
-        if self.index is not None:
-            self._index_hits.inc()
-            self.index_hit_count += 1
+        if self._indexed():
             return self.index.labels()
-        self._index_misses.inc()
-        self.index_miss_count += 1
         return self.graph.labels()
 
 
@@ -164,21 +149,19 @@ def _pred_arg(value: RuntimeValue) -> Union[Oid, Atom]:
 
 
 @dataclass
-class OpProfile:
+class OpProfile(TimedResult):
     """EXPLAIN ANALYZE counters for one operator in one execution.
 
-    Collected unconditionally by :meth:`Plan.execute` (two clock reads
-    and a couple of integer deltas per operator — negligible next to row
-    iteration) so ``repro explain --analyze`` works without enabling the
-    global trace recorder.
+    ``seconds`` reads the ``struql.op`` span :meth:`Plan.execute` ran
+    the operator under; that span exists whether or not a recorder is
+    on, so ``repro explain --analyze`` works without tracing, and
+    under tracing the profile and the trace tree agree by construction.
     """
 
     op: str
     condition: str
     rows_in: int = 0
     rows_out: int = 0
-    invocations: int = 0
-    seconds: float = 0.0
     index_hits: int = 0
     index_misses: int = 0
     est_rows: float | None = None
@@ -199,7 +182,6 @@ class OpProfile:
             "condition": self.condition,
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
-            "invocations": self.invocations,
             "seconds": self.seconds,
             "index_hits": self.index_hits,
             "index_misses": self.index_misses,
@@ -678,6 +660,16 @@ def make_op(condition: Condition) -> PhysicalOp:
     raise TypeError(f"not a condition: {condition!r}")
 
 
+#: Counter name -> the :class:`OpProfile` field it totals, published
+#: once per :meth:`Plan.execute`.
+_PUBLISHED_COUNTERS = (
+    ("struql.rows_scanned", "rows_in"),
+    ("struql.rows_produced", "rows_out"),
+    ("repository.index.hits", "index_hits"),
+    ("repository.index.misses", "index_misses"),
+)
+
+
 class Plan:
     """An ordered pipeline of physical operators.
 
@@ -697,45 +689,42 @@ class Plan:
 
     def execute(self, ctx: ExecutionContext,
                 initial: list[Binding] | None = None) -> list[Binding]:
-        """Run the pipeline; ``initial`` defaults to one empty binding."""
+        """Run the pipeline; ``initial`` defaults to one empty binding.
+
+        Each operator runs under a ``struql.op`` span carrying
+        ``rows_scanned``, ``rows_produced``, ``est_rows`` and
+        ``access_path``; its :class:`OpProfile` reads that span.  The
+        row and index-lookup counters are published once per execution,
+        from the sums over the profiles.
+        """
         rows: list[Binding] = initial if initial is not None else [{}]
-        recorder = get_recorder()
         profiles: list[OpProfile] = []
         self.profiles = profiles
-        if recorder.enabled:
-            scanned = recorder.metrics.counter("struql.rows_scanned")
-            produced = recorder.metrics.counter("struql.rows_produced")
         for op in self.ops:
             before = len(rows)
-            hits0 = ctx.index_hit_count
-            misses0 = ctx.index_miss_count
-            start = time.perf_counter()
-            if recorder.enabled:
-                with recorder.span("struql.op", op=op.explain()) as span:
-                    rows = list(op.extend(rows, ctx))
-                    span.set(rows_scanned=before, rows_produced=len(rows))
-                    if op.est_rows is not None:
-                        span.set(est_rows=op.est_rows)
-                    if op.access_path is not None:
-                        span.set(access_path=op.access_path)
-                scanned.inc(before)
-                produced.inc(len(rows))
-            else:
+            hits = ctx.index_hit_count
+            misses = ctx.index_miss_count
+            with timed("struql.op", op=op.explain()) as span:
                 rows = list(op.extend(rows, ctx))
+                span.set(rows_scanned=before, rows_produced=len(rows),
+                         est_rows=op.est_rows, access_path=op.access_path)
             profiles.append(OpProfile(
-                op=op.explain(),
+                op=span.attributes["op"],
                 condition=str(op.condition),
                 rows_in=before,
                 rows_out=len(rows),
-                invocations=1,
-                seconds=time.perf_counter() - start,
-                index_hits=ctx.index_hit_count - hits0,
-                index_misses=ctx.index_miss_count - misses0,
+                index_hits=ctx.index_hit_count - hits,
+                index_misses=ctx.index_miss_count - misses,
                 est_rows=op.est_rows,
                 access_path=op.access_path,
+                span=span,
             ))
             if not rows:
                 break
+        metrics = get_recorder().metrics
+        for name, field_name in _PUBLISHED_COUNTERS:
+            metrics.counter(name).inc(
+                sum(getattr(p, field_name) for p in profiles))
         return rows
 
     def explain(self) -> str:

@@ -218,13 +218,46 @@ class TestEngineIntegration:
         profiles = [p for t in result.traces for p in t.op_profiles]
         assert profiles
         for profile in profiles:
-            assert profile.invocations == 1
             assert profile.seconds >= 0
             assert profile.rows_out >= 0
         assert any(p.access_path for p in profiles)
         doc_ops = [p.to_dict() for p in profiles]
         assert {"op", "rows_in", "rows_out", "seconds", "est_rows",
                 "access_path", "misestimate"} <= set(doc_ops[0])
+
+    def test_one_timing_record_per_operator(self):
+        with obs.recording() as rec:
+            result = QueryEngine(optimizer="cost").evaluate(
+                MISEST_QUERY, _skewed_graph())
+        (root,) = [r for r in rec.roots if r.name == "struql.query"]
+        profiles = []
+        for trace in result.traces:
+            # Each profile's span is a struql.op span under its block.
+            ops = [s for s in trace.span.children if s.name == "struql.op"]
+            assert len(ops) == len(trace.op_profiles)
+            for profile, span in zip(trace.op_profiles, ops):
+                assert profile.span is span
+                assert profile.seconds == span.seconds
+                assert span.attributes["op"] == profile.op
+                assert span.attributes["rows_scanned"] == profile.rows_in
+                assert span.attributes["rows_produced"] == profile.rows_out
+                assert span.attributes["est_rows"] == profile.est_rows
+                assert span.attributes["access_path"] == \
+                    profile.access_path
+            profiles.extend(trace.op_profiles)
+        assert profiles
+        # The counters are published from the same profiles.
+        counters = rec.metrics.as_dict()["counters"]
+        for name, field in (("struql.rows_scanned", "rows_in"),
+                            ("struql.rows_produced", "rows_out"),
+                            ("repository.index.hits", "index_hits"),
+                            ("repository.index.misses", "index_misses")):
+            assert counters.get(name, 0) == \
+                sum(getattr(p, field) for p in profiles), name
+        assert counters["repository.index.hits"] > 0
+        # The registry's latency is the struql.query span's.
+        entry = get_query_registry().get(result.fingerprint)
+        assert entry.last_seconds == root.seconds
 
     def test_explain_document_shape(self):
         engine = QueryEngine(optimizer="cost", decision_trace=True)

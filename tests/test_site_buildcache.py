@@ -459,8 +459,8 @@ class TestCachedGenerateFacade:
     def test_metrics_emitted(self, tmp_path):
         import repro.obs as obs
         with obs.recording() as rec:
-            _site().build_site(str(tmp_path / "out"),
-                               cache_dir=str(tmp_path / "cache"))
+            report = _site().build_site(str(tmp_path / "out"),
+                                        cache_dir=str(tmp_path / "cache"))
         metrics = rec.metrics
         assert metrics.counter("site.build.pages_rendered").value > 0
         def walk(span):
@@ -471,3 +471,13 @@ class TestCachedGenerateFacade:
                  if s.name == "site.build.page"]
         assert len(spans) == \
             metrics.counter("site.build.pages_rendered").value
+        # One timing record: the report, the trace and the histogram
+        # all read the site.generate span.
+        (generate,) = [s for root in rec.roots for s in walk(root)
+                       if s.name == "site.generate"]
+        assert report.span is generate
+        assert report.seconds == generate.seconds
+        histogram = metrics.as_dict()["histograms"]["site.build.seconds"]
+        assert histogram["count"] == 1
+        assert histogram["sum"] == report.seconds
+        assert "site.pages_built" not in metrics.as_dict()["counters"]
