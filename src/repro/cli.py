@@ -145,8 +145,6 @@ def load_data(paths: list[str], graph_name: str) -> Graph:
                 wrapped = load_data_file(path)
                 merged.import_graph(wrapped)
                 _stamp_file_source(path, wrapped)
-                obs.emit_event("info", "mediator.fetch",
-                               source=os.path.basename(path))
         if html_pages:
             from repro.mediator.sources import record_fetch
             from repro.obs.lineage import get_lineage, \
@@ -355,8 +353,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     path and estimated cardinality, plus the optimizer's step-by-step
     decision trace.  With ``--analyze`` the query runs and every
     operator reports estimated vs actual rows, wall milliseconds and
-    index hits; est/actual divergences beyond 10x are flagged and
-    emitted as ``struql.misestimate`` events.  ``--json`` prints the
+    index hits; est/actual divergences beyond 10x are flagged (and,
+    under ``repro trace``, noted as ``struql.misestimate`` on the
+    block's span).  ``--json`` prints the
     machine-readable document instead (the CI smoke-test shape).
     """
     from repro.obs.queries import explain_document, render_explain
@@ -395,13 +394,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Run another command with the observability layer enabled.
 
     Prints the span tree, the hotspot profile and a metrics digest
-    afterwards (``--quiet``: metrics digest only; ``--profile``:
-    hotspot profile only; ``--json``: a machine-readable document —
-    printed after the wrapped command's own output — holding the
-    profile, plus metrics and events unless ``--profile`` narrows it).
-    ``--metrics-out`` additionally writes the full JSON document
-    (``{"spans": [...], "metrics": {...}}``).  The wrapped command's
-    exit code is propagated.
+    afterwards (``--quiet``: metrics digest only;
+    ``--profile``: hotspot profile only; ``--json``: a machine-readable
+    document — printed after the wrapped command's own output — holding
+    the profile, plus metrics and the spans' notes in time order unless
+    ``--profile`` narrows it).  ``--metrics-out`` additionally writes
+    the full JSON document (``{"spans": [...], "metrics": {...}}``,
+    notes on their spans).  The wrapped command's exit code is
+    propagated.
     """
     from repro.obs.export import (
         render_metrics,
@@ -410,7 +410,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_json,
     )
     from repro.obs.promexport import write_prometheus
-    from repro.obs.trace import aggregate_profile
+    from repro.obs.trace import aggregate_profile, flat_notes
     rest = list(args.rest)
     if rest and rest[0] == "--":
         rest = rest[1:]
@@ -426,7 +426,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             entry.to_dict() for entry in aggregate_profile(recorder)]}
         if not args.profile:
             document["metrics"] = recorder.metrics.as_dict()
-            document["events"] = recorder.events.to_dicts()
+            document["notes"] = flat_notes(recorder.roots)
         print(json.dumps(document, indent=2))
     elif args.profile:
         print("== hotspots " + "=" * 51)
@@ -448,9 +448,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.prom_out:
             write_prometheus(recorder.metrics, args.prom_out)
             print(f"Prometheus exposition saved to {args.prom_out}")
-        if args.events_out:
-            count = recorder.events.write_jsonl(args.events_out)
-            print(f"{count} events saved to {args.events_out}")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return code or 1
@@ -476,8 +473,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     command line is claimed for the dashboard (so
     ``repro monitor build --data ... --out DIR`` puts the dashboard in
     ``DIR``).  Alongside the HTML the directory gets ``metrics.prom``
-    (Prometheus exposition) and ``events.jsonl``.  The wrapped
-    command's exit code is propagated.
+    (Prometheus exposition); the spans' notes are the dashboard's
+    ``EventsPage``.  The wrapped command's exit code is propagated.
     """
     from repro.obs.promexport import write_prometheus
     from repro.sites.monitor import build_monitor_site
@@ -508,7 +505,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     pages = site.generate(out_dir)
     write_prometheus(recorder.metrics,
                      os.path.join(out_dir, "metrics.prom"))
-    recorder.events.write_jsonl(os.path.join(out_dir, "events.jsonl"))
     print(f"\nmonitoring dashboard: {len(pages)} pages in {out_dir} "
           f"(start at Dashboard__.html)")
     return code
@@ -529,7 +525,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     every ``--canary-interval`` seconds and each probe ticks the SLO
     evaluator (objectives from ``--slo-config`` or the stock set), so
     burn-rate alerts fire with zero organic traffic.  SIGINT or
-    SIGTERM drain in-flight requests and flush a final metrics/events
+    SIGTERM drain in-flight requests and flush a final metrics/traces
     snapshot (including alert state) to ``--snapshot-dir``.
     """
     from repro.obs.http import TelemetryHTTPServer, serving_recorder
@@ -580,7 +576,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     set_slo_evaluator(evaluator)
     print(f"serving on http://{args.host}:{plane.port}", flush=True)
     print("telemetry: /metrics /healthz /readyz /debug/traces "
-          "/debug/events /debug/profile /debug/queries "
+          "/debug/profile /debug/queries "
           "/debug/lineage /debug/matviews /debug/slo /debug/alerts",
           flush=True)
     thread = plane.start_background()
@@ -893,8 +889,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="write the spans+metrics JSON document here")
     trace.add_argument("--prom-out",
                        help="write Prometheus exposition text here")
-    trace.add_argument("--events-out",
-                       help="write the event log (JSONL) here")
     trace.add_argument("--quiet", action="store_true",
                        help="suppress the span tree and hotspot table "
                             "(metrics digest only)")
@@ -902,7 +896,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="print only the hotspot profile")
     trace.add_argument("--json", action="store_true",
                        help="machine-readable JSON output (profile, "
-                            "plus metrics and events unless --profile)")
+                            "plus metrics and notes unless --profile)")
     trace.add_argument("rest", nargs=argparse.REMAINDER,
                        help="the command to run, e.g. build --data ...")
     trace.set_defaults(fn=cmd_trace)
@@ -949,7 +943,7 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port; 0 picks an ephemeral one")
     serve.add_argument("--snapshot-dir", default="serve-snapshot",
-                       help="where the final metrics/events snapshot "
+                       help="where the final metrics/traces snapshot "
                             "is flushed on shutdown")
     serve.add_argument("--max-age", type=float, default=None,
                        help="freshness threshold in seconds for "

@@ -120,11 +120,16 @@ class Graph:
     relies on when no explicit ``ORDER`` is requested.
 
     ``name`` identifies the graph inside a :class:`Database` ("input
-    graph" / "output graph" in StruQL queries).
+    graph" / "output graph" in StruQL queries).  ``version`` is the
+    graph's data version: it grows by one with every mutation that
+    changes the graph (a repeated, idempotent add leaves it alone), so
+    anything derived from the graph is fresh exactly while the version
+    it was built at is current.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self.version = 0
         self._nodes: dict[Oid, None] = {}
         self._out: dict[Oid, list[Edge]] = {}
         self._in: dict[GraphObject, list[Edge]] = {}
@@ -139,6 +144,7 @@ class Graph:
         if oid not in self._nodes:
             self._nodes[oid] = None
             self._out.setdefault(oid, [])
+            self.version += 1
         return oid
 
     def has_node(self, oid: Oid) -> bool:
@@ -197,6 +203,7 @@ class Graph:
             self._edges.add(edge)
             self._out[source].append(edge)
             self._in.setdefault(target, []).append(edge)
+            self.version += 1
         return edge
 
     def has_edge(self, source: Oid, label: str, target: GraphObject) -> bool:
@@ -271,11 +278,18 @@ class Graph:
         """Add ``obj`` to collection ``name``, creating it if absent."""
         if isinstance(obj, Oid):
             self.add_node(obj)
-        self._collections.setdefault(name, {})[obj] = None
+        members = self._collections.get(name)
+        if members is None:
+            members = self._collections[name] = {}
+        if obj not in members:
+            members[obj] = None
+            self.version += 1
 
     def declare_collection(self, name: str) -> None:
         """Ensure collection ``name`` exists (possibly empty)."""
-        self._collections.setdefault(name, {})
+        if name not in self._collections:
+            self._collections[name] = {}
+            self.version += 1
 
     def collection(self, name: str) -> list[GraphObject]:
         """Members of collection ``name`` in insertion order.

@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.errors import MediatorError, SourceLoadError
 from repro.graph.model import Graph
 from repro.obs.queries import fingerprint
-from repro.obs.trace import emit_event, get_recorder
+from repro.obs.trace import get_recorder
 from repro.repository.repository import Repository
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine
@@ -126,10 +126,6 @@ class Mediator:
                         raise SourceLoadError(source.name, exc) from exc
                     span.set(nodes=source_graph.node_count,
                              edges=source_graph.edge_count)
-                    emit_event("info", "mediator.fetch",
-                               source=mapping.input_name,
-                               nodes=source_graph.node_count,
-                               edges=source_graph.edge_count)
                 with recorder.span("mediator.map",
                                    source=mapping.input_name,
                                    fingerprint=fingerprint(mapping)):

@@ -21,7 +21,7 @@ from repro.errors import AccessPatternError, MediatorError
 from repro.graph.model import Graph
 from repro.obs.lineage import SourceRecord, get_lineage, \
     graph_content_hash
-from repro.obs.trace import emit_event, get_recorder
+from repro.obs.trace import get_recorder
 
 #: Most recent fetch stamps per source, kept even when lineage is off
 #: so the ``/debug`` snapshot can always answer "what did we load,
@@ -103,8 +103,6 @@ class DataSource:
                 raise MediatorError(
                     f"source {self.name!r} loader returned "
                     f"{type(graph).__name__}, not a Graph")
-            emit_event("debug", "source.load", source=self.name,
-                       version=self.version, load_count=self.load_count)
         recorder.metrics.counter("mediator.source_loads").inc()
         graph.name = self.name
         self.last_content_hash = graph_content_hash(graph)

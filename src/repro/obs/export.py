@@ -3,39 +3,33 @@
 Two output shapes:
 
 * :func:`export_state` / :func:`to_json` — a plain-data document
-  (``{"spans": [...], "metrics": {...}, "events": [...]}``) that
-  benchmark harnesses can write next to their timing tables and diff
-  across runs;
+  (``{"spans": [...], "metrics": {...}}``, each span with its notes)
+  that benchmark harnesses can write next to their timing tables and
+  diff across runs;
 * :func:`render_tree` / :func:`render_metrics` / :func:`render_profile`
   — human-readable forms: the span tree with millisecond durations, the
   metrics digest, and the "top hotspots" flat/cumulative profile table,
   the console forms shown by ``repro trace <command>``.
 
-:func:`from_json` reconstructs :class:`~repro.obs.trace.Span` trees and
-:class:`~repro.obs.events.Event` records from the JSON document, so
-exported traces round-trip for offline analysis.
+:func:`from_json` reconstructs :class:`~repro.obs.trace.Span` trees,
+notes included, from the JSON document, so exported traces round-trip
+for offline analysis.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.trace import (
     NullRecorder,
     Span,
     TraceRecorder,
     aggregate_profile,
+    json_safe,
 )
 
 Recorder = TraceRecorder | NullRecorder
-
-
-def _json_safe(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def span_to_dict(span: Span, max_depth: int | None = None) -> dict:
@@ -44,12 +38,14 @@ def span_to_dict(span: Span, max_depth: int | None = None) -> dict:
     ``max_depth`` prunes the tree: ``1`` keeps only the span itself,
     ``2`` its direct children, and so on.  Pruned subtrees are replaced
     by a ``"pruned"`` descendant count so readers can tell truncation
-    from a genuine leaf.
+    from a genuine leaf.  Pruning never drops a note: the notes of
+    pruned descendants move onto the deepest span kept, each naming its
+    own span under ``"span"``.
     """
     data = {
         "name": span.name,
         "seconds": span.seconds,
-        "attributes": {k: _json_safe(v)
+        "attributes": {k: json_safe(v)
                        for k, v in span.attributes.items()},
         "children": [],
     }
@@ -57,13 +53,23 @@ def span_to_dict(span: Span, max_depth: int | None = None) -> dict:
         data["span_id"] = span.span_id
     if span.trace_id:
         data["trace_id"] = span.trace_id
+    notes = list(span.notes)
     if max_depth is not None and max_depth <= 1:
-        pruned = sum(1 for c in span.children for _ in c.walk())
+        pruned = 0
+        for child in span.children:
+            for descendant in child.walk():
+                pruned += 1
+                notes.extend(dict(record, span=descendant.name)
+                             for record in descendant.notes)
         if pruned:
             data["pruned"] = pruned
-        return data
-    deeper = None if max_depth is None else max_depth - 1
-    data["children"] = [span_to_dict(c, deeper) for c in span.children]
+        notes.sort(key=lambda record: record["ts"])
+    else:
+        deeper = None if max_depth is None else max_depth - 1
+        data["children"] = [span_to_dict(c, deeper)
+                            for c in span.children]
+    if notes:
+        data["notes"] = notes
     return data
 
 
@@ -71,12 +77,13 @@ def span_from_dict(data: dict) -> Span:
     """Rebuild a span subtree from :func:`span_to_dict` output.
 
     Start/end are re-anchored at zero: only durations, names,
-    attributes and structure survive the round trip.
+    attributes, notes and structure survive the round trip.
     """
     span = Span(data["name"], dict(data.get("attributes", ())),
                 start=0.0, end=float(data.get("seconds", 0.0)),
                 span_id=int(data.get("span_id", 0)),
-                trace_id=str(data.get("trace_id", "")))
+                trace_id=str(data.get("trace_id", "")),
+                notes=[dict(record) for record in data.get("notes", ())])
     span.children = [span_from_dict(c) for c in data.get("children", ())]
     return span
 
@@ -94,7 +101,6 @@ def export_state(recorder: Recorder,
         "spans": [span_to_dict(root, max_depth)
                   for root in recorder.roots],
         "metrics": recorder.metrics.as_dict(),
-        "events": recorder.events.to_dicts(),
     }
 
 
@@ -103,13 +109,12 @@ def to_json(recorder: Recorder, indent: int | None = 2) -> str:
     return json.dumps(export_state(recorder), indent=indent)
 
 
-def from_json(text: str) -> tuple[list[Span], dict, list[Event]]:
-    """Parse :func:`to_json` output back into spans, the metrics dict,
-    and the buffered event records."""
+def from_json(text: str) -> tuple[list[Span], dict]:
+    """Parse :func:`to_json` output back into spans and the metrics
+    dict."""
     data = json.loads(text)
     spans = [span_from_dict(d) for d in data.get("spans", ())]
-    events = [Event.from_dict(d) for d in data.get("events", ())]
-    return spans, data.get("metrics", {}), events
+    return spans, data.get("metrics", {})
 
 
 def write_json(recorder: Recorder, path: str) -> None:
@@ -124,7 +129,7 @@ def write_json(recorder: Recorder, path: str) -> None:
 def _format_attrs(attributes: dict) -> str:
     if not attributes:
         return ""
-    inner = ", ".join(f"{k}={_json_safe(v)}"
+    inner = ", ".join(f"{k}={json_safe(v)}"
                       for k, v in attributes.items())
     return f"  {{{inner}}}"
 

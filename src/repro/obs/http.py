@@ -21,9 +21,7 @@ answers two kinds of traffic on one port:
   ``/readyz``     readiness — 503 until the data graph and site query
                   are loaded and warmed, 200 after
   ``/debug/traces``   the tail sampler's recent / slowest / error
-                  traces as JSON span trees
-  ``/debug/events``   the most recent structured events (filter with
-                  ``?level=`` and ``?name=``)
+                  traces as JSON span trees, with their notes
   ``/debug/profile``  the per-stage hotspot profile
   ``/debug/queries``  the bounded query plan registry: per-fingerprint
                   counts, p50/p95 latency, rows, last plan
@@ -40,12 +38,13 @@ answers two kinds of traffic on one port:
   ============== =====================================================
 
 Every request gets a ``req-N`` id stamped into its span attributes,
-its events, an access-log line on stderr, and the ``X-Request-Id``
-response header, so one request correlates across every signal.
+an access-log line on stderr, and the ``X-Request-Id`` response
+header, so one request correlates across every signal; a request that
+fails gets an ``http.error`` note on its ``http.request`` span.
 ``SIGINT``/``SIGTERM`` trigger graceful shutdown: the accept loop
 stops, in-flight requests drain (non-daemon handler threads are joined
-by ``server_close``), and a final metrics/events snapshot is written to
-disk.  ``repro serve <command> --port N`` is the CLI front end.
+by ``server_close``), and a final metrics/traces snapshot is written
+to disk.  ``repro serve <command> --port N`` is the CLI front end.
 """
 
 from __future__ import annotations
@@ -87,10 +86,6 @@ SERVE_MAX_ROOTS = 256
 #: (override per-request with ``?depth=N``; ``0`` means unlimited).
 DEBUG_TRACE_DEPTH = 4
 
-#: Default number of events ``/debug/events`` returns, newest last
-#: (override with ``?limit=N``).
-DEBUG_EVENT_LIMIT = 200
-
 #: Default number of fingerprints ``/debug/queries`` returns, slowest
 #: (by p95) first (override with ``?limit=N``).
 DEBUG_QUERY_LIMIT = 50
@@ -101,8 +96,6 @@ DEBUG_QUERY_LIMIT = 50
 DEBUG_ENDPOINTS: dict[str, str] = {
     "/debug/traces": ("tail-sampled recent / slowest / error traces "
                       "(?depth=N)"),
-    "/debug/events": ("recent structured events "
-                      "(?level=&name=&limit=N)"),
     "/debug/profile": "per-stage hotspot profile (?limit=N)",
     "/debug/queries": ("query plan registry: counts, p50/p95, "
                        "last plan (?limit=N)"),
@@ -231,32 +224,25 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
     def install_signal_handlers(self) -> None:
         """Route ``SIGINT``/``SIGTERM`` into graceful shutdown."""
         for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, self._on_signal)
-
-    def _on_signal(self, signum, frame) -> None:
-        self.recorder.events.emit(
-            "info", "http.shutdown",
-            f"signal {signal.Signals(signum).name}: draining")
-        self.request_shutdown()
+            signal.signal(signum,
+                          lambda signum, frame: self.request_shutdown())
 
     def write_snapshot(self, directory: str) -> dict:
         """Flush the final telemetry state to ``directory``.
 
-        Writes ``metrics.prom`` (Prometheus exposition),
-        ``events.jsonl`` (the event ring) and ``snapshot.json`` (hotspot
-        profile, tail-sampled trace summaries, SLO and alert state,
-        uptime); returns ``{name: path}`` for what was written.  Request
-        counts live in ``metrics.prom``; the slowest requests are the
-        ``traces`` section's ``slowest`` roots.
+        Writes ``metrics.prom`` (Prometheus exposition) and
+        ``snapshot.json`` (hotspot profile, tail-sampled traces with
+        their notes, SLO and alert state, uptime); returns
+        ``{name: path}`` for what was written.  Request counts live in
+        ``metrics.prom``; the slowest requests are the ``traces``
+        section's ``slowest`` roots.
         """
         os.makedirs(directory, exist_ok=True)
         paths = {
             "metrics": os.path.join(directory, "metrics.prom"),
-            "events": os.path.join(directory, "events.jsonl"),
             "snapshot": os.path.join(directory, "snapshot.json"),
         }
         write_prometheus(self.recorder.metrics, paths["metrics"])
-        self.recorder.events.write_jsonl(paths["events"])
         from repro.mediator.sources import recent_fetches
         site = self.site_server
         cache_snapshot = getattr(site, "cache_snapshot", None)
@@ -322,19 +308,13 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
                 status, content_type = 500, CONTENT_TEXT
                 body = f"internal error: {type(exc).__name__}\n"
                 span.set(error=type(exc).__name__)
+                span.note("error", "http.error", str(exc))
                 recorder.metrics.counter("http.errors").inc()
-                recorder.events.emit("error", "http.error", str(exc),
-                                     span=span, request=request_id,
-                                     path=path)
             span.set(status=status)
             seconds = span.seconds
             recorder.metrics.counter("http.requests").inc()
             recorder.metrics.histogram(
                 "http.request_seconds").observe(seconds)
-            recorder.events.emit(
-                "info", "http.access", span=span, request=request_id,
-                method=method, path=path, status=status,
-                ms=round(seconds * 1000, 3))
         payload = body if isinstance(body, bytes) \
             else body.encode("utf-8")
         try:
@@ -394,9 +374,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             depth = _int_param(query, "depth", DEBUG_TRACE_DEPTH)
             return 200, CONTENT_JSON, json.dumps(
                 self._traces_payload(depth), indent=2)
-        if path == "/debug/events":
-            return 200, CONTENT_JSON, json.dumps(
-                self._events_payload(query), indent=2)
         if path == "/debug/profile":
             limit = _int_param(query, "limit", 0) or None
             return 200, CONTENT_JSON, json.dumps(
@@ -527,15 +504,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "slowest": dump(tail.slowest),
             "errors": dump(tail.errors),
         }
-
-    def _events_payload(self, query: dict) -> list[dict]:
-        limit = _int_param(query, "limit", DEBUG_EVENT_LIMIT)
-        level = query.get("level", [None])[0]
-        name = query.get("name", [None])[0]
-        events = self.recorder.events.records(level, name=name)
-        if limit > 0:
-            events = events[-limit:]
-        return [event.to_dict() for event in events]
 
     def _profile_payload(self, limit: int | None) -> list[dict]:
         entries = aggregate_profile(self.recorder)

@@ -17,11 +17,11 @@ the paper's section 2.4 query processor:
   and machine-readable (``--json``) EXPLAIN [ANALYZE] forms consumed by
   ``repro explain`` and the ``/debug/queries`` endpoint.
 
-Evaluations slower than the registry's threshold emit a
-``struql.slow_query`` WARN event; mis-estimated blocks (est/actual
-cardinality ratio beyond
-:data:`~repro.struql.plan.MISESTIMATE_RATIO`) are flagged by the
-evaluator as ``struql.misestimate`` events and tallied here.  Registry
+Evaluations slower than the registry's threshold get a
+``struql.slow_query`` warning note on the span that timed them;
+mis-estimated blocks (est/actual cardinality ratio beyond
+:data:`MISESTIMATE_RATIO`) get a ``struql.misestimate`` note on their
+``struql.block`` span from the evaluator and are tallied here.  Registry
 activity is mirrored into ``struql.*`` metrics, which reach the
 Prometheus export as ``strudel_struql_*`` series.
 
@@ -38,19 +38,20 @@ import threading
 from collections import OrderedDict
 
 from repro.obs.metrics import Histogram
-from repro.obs.trace import emit_event, get_recorder
+from repro.obs.trace import Span, get_recorder
 
 #: Default eviction bound: at most this many distinct fingerprints.
 DEFAULT_MAX_FINGERPRINTS = 256
 
-#: Evaluations at or above this wall time emit ``struql.slow_query``.
+#: Evaluations at or above this wall time get a ``struql.slow_query``
+#: note.
 DEFAULT_SLOW_QUERY_SECONDS = 0.5
 
 #: Normalized query text kept per fingerprint is truncated to this.
 MAX_TEXT_KEPT = 400
 
 #: Estimated/actual cardinality ratio beyond which an operator or block
-#: is flagged as mis-estimated (``struql.misestimate`` events).
+#: is flagged as mis-estimated (``struql.misestimate`` notes).
 MISESTIMATE_RATIO = 10.0
 
 _STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -173,16 +174,19 @@ class QueryStatsRegistry:
         self._entries: "OrderedDict[str, QueryStats]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def observe(self, query, seconds: float, rows: int = 0,
+    def observe(self, query, span: Span, rows: int = 0,
                 plan: str = "", optimizer: str = "",
                 misestimates: int = 0, fp: str | None = None) -> QueryStats:
-        """Record one evaluation; returns the (updated) entry.
+        """Record one evaluation, timed by ``span``; returns the
+        (updated) entry.
 
         ``fp`` is the query's fingerprint when the caller already has
-        it; otherwise it is computed from the query text.  Emits
-        ``struql.slow_query`` at WARN and bumps ``struql.*`` metrics on
-        the active recorder (no-ops while disabled).
+        it; otherwise it is computed from the query text.  A slow
+        evaluation gets a ``struql.slow_query`` warning note on
+        ``span``; ``struql.*`` metrics go to the active recorder.  Both
+        are no-ops while recording is disabled.
         """
+        seconds = span.seconds
         fp = fp or fingerprint(query)
         text = getattr(query, "text", None) or str(query)
         with self._lock:
@@ -201,18 +205,17 @@ class QueryStatsRegistry:
                 self._entries.popitem(last=False)
                 self.evicted += 1
             population = len(self._entries)
-        metrics = get_recorder().metrics
+        recorder = get_recorder()
+        metrics = recorder.metrics
         metrics.counter("struql.queries_observed").inc()
         metrics.gauge("struql.query_fingerprints").set(population)
         if misestimates:
             metrics.counter("struql.misestimates").inc(misestimates)
         if slow:
             metrics.counter("struql.slow_queries").inc()
-            emit_event("warning", "struql.slow_query",
-                       fingerprint=fp, seconds=round(seconds, 6),
-                       rows=rows, optimizer=optimizer,
-                       threshold_s=self.slow_seconds,
-                       query=entry.text)
+            if recorder.enabled:
+                span.note("warning", "struql.slow_query", rows=rows,
+                          threshold_s=self.slow_seconds)
         return entry
 
     def get(self, fp: str) -> QueryStats | None:

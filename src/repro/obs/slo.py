@@ -1,6 +1,6 @@
 """Service-level objectives, burn-rate alerting, and the canary.
 
-PRs 1–8 made the server *observable* — spans, events, Prometheus
+PRs 1–8 made the server *observable* — spans, Prometheus
 metrics, query stats, lineage — but every signal is cumulative since
 start and none of it says when the site is unhealthy.  This module
 turns signals into judgements:
@@ -16,7 +16,7 @@ turns signals into judgements:
   factor, which makes fast pairs (5 m / 1 h, 14.4×) page-worthy without
   flapping and slow pairs (30 m / 6 h, 6×) catch smoulders.  Each rule
   runs a pending → firing → resolved state machine and its transitions
-  emit ``alert.*`` structured events;
+  become ``alert.*`` notes on the tick's ``slo.evaluate`` span;
 
 * :class:`SLOEvaluator` — samples the registry each tick, updates
   ``slo.*`` gauges (compliance, burn rate, budget remaining) and the
@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from .metrics import WindowedSeries, DEFAULT_WINDOW_STEP
+from .trace import Span, timed
 
 try:  # Python 3.11+
     import tomllib
@@ -285,10 +286,11 @@ class AlertRule:
 class SLOEvaluator:
     """Samples the registry and judges every objective each tick.
 
-    One :meth:`evaluate` call: sample the windowed series, refresh the
-    per-SLO gauges (``slo.compliance``, ``slo.burn_rate`` and
-    ``slo.budget_remaining``, labeled ``slo``), step every alert rule,
-    emit ``alert.*`` events for transitions, and set ``alerts_firing``.
+    One :meth:`evaluate` call, under one ``slo.evaluate`` span: sample
+    the windowed series, refresh the per-SLO gauges (``slo.compliance``,
+    ``slo.burn_rate`` and ``slo.budget_remaining``, labeled ``slo``),
+    step every alert rule, note each transition as ``alert.*`` on the
+    span, and set ``alerts_firing``.
     Ticks are driven either by the :class:`CanaryProber` (each probe
     ends with an evaluation) or by :meth:`start_background`.
     """
@@ -324,7 +326,7 @@ class SLOEvaluator:
         """One tick: sample, judge, alert.  Returns per-SLO status."""
         if now is None:
             now = time.time()
-        with self._lock:
+        with self.recorder.span("slo.evaluate") as span, self._lock:
             first = not len(self.series)
             aligned = self.series.sample(now)
             if first:
@@ -358,17 +360,19 @@ class SLOEvaluator:
                 if rule.state == "firing":
                     firing += 1
                 if transition is not None:
-                    self._emit(rule, transition)
+                    self._note(span, rule, transition)
+            span.set(firing=firing)
             metrics.gauge("alerts_firing").set(firing)
             self.ticks += 1
             self.last_tick = now
             self._status = status
             return status
 
-    def _emit(self, rule: AlertRule, transition: str) -> None:
+    @staticmethod
+    def _note(span: Span, rule: AlertRule, transition: str) -> None:
         level = {"pending": "warning", "firing": "error",
                  "resolved": "info"}[transition]
-        self.recorder.events.emit(
+        span.note(
             level, f"alert.{transition}",
             f"{rule.slo.describe()} [{rule.pair.severity}]",
             slo=rule.slo.name, severity=rule.pair.severity,
@@ -463,9 +467,10 @@ class CanaryProber:
     materialisation, the site-definition query, template rendering —
     under a ``canary.probe`` span, then records ``canary.probes`` /
     ``canary.failures`` counters and the ``canary.probe_seconds``
-    histogram that the canary SLOs read.  Each probe ends by ticking
-    the evaluator, so alert latency is bounded by the probe interval
-    even with zero organic traffic.
+    histogram (that span's duration) which the canary SLOs read.  A
+    failed probe gets a ``canary.failed`` note on its span.  Each probe
+    ends by ticking the evaluator, so alert latency is bounded by the
+    probe interval even with zero organic traffic.
     """
 
     def __init__(self, site_server, recorder,
@@ -484,10 +489,7 @@ class CanaryProber:
         """One end-to-end probe; returns whether it succeeded."""
         metrics = self.recorder.metrics
         roots = self.site_server.roots()
-        start = time.perf_counter()
-        ok = False
-        detail = ""
-        with self.recorder.span("canary.probe"):
+        with timed("canary.probe") as span:
             try:
                 if not roots:
                     raise RuntimeError("site has no root pages")
@@ -495,17 +497,15 @@ class CanaryProber:
                 ok = response.status == 200
                 detail = f"status {response.status}"
             except Exception as exc:  # a broken probe is the signal
-                detail = str(exc)
-        seconds = time.perf_counter() - start
+                ok, detail = False, str(exc)
+            if not ok:
+                span.note("warning", "canary.failed", detail)
         self.probes += 1
         metrics.counter("canary.probes").inc()
-        metrics.histogram("canary.probe_seconds").observe(seconds)
+        metrics.histogram("canary.probe_seconds").observe(span.seconds)
         if not ok:
             self.failures += 1
             metrics.counter("canary.failures").inc()
-            self.recorder.events.emit(
-                "warning", "canary.failed", detail,
-                probe=self.probes)
         if self.evaluator is not None:
             self.evaluator.evaluate()
         return ok

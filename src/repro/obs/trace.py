@@ -26,6 +26,14 @@ Two span APIs with different disabled-cost trade-offs:
   attaches it to the trace only when recording.  Use where the result
   object itself carries the timing (:class:`TimedResult`), so reported
   ``seconds`` and the trace tree agree by construction.
+
+Something that *happens* inside a span (an error, a slow query, an
+alert transition) is a **note** on that span: a timestamped, leveled
+record with a name, an optional message and attributes of its own
+(:meth:`Span.note`, or :func:`note` for the innermost open span).
+There is no separate event log: a note lives, is sampled, exported and
+pruned with the span it happened in, and :func:`flat_notes` gives a
+time-ordered list for readers that want one.
 """
 
 from __future__ import annotations
@@ -40,12 +48,24 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.obs.events import EventLog, NULL_EVENTS, NullEventLog
 from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetricsRegistry,
 )
+
+#: Note severities, least to most severe.
+LEVELS: tuple[str, ...] = ("debug", "info", "warning", "error")
+
+#: Levels whose notes keep a trace in :class:`TailSampler`'s error ring.
+SEVERE_LEVELS = frozenset(("warning", "error"))
+
+
+def json_safe(value):
+    """``value`` if JSON can carry it as is, else its ``str``."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
 @dataclass
@@ -55,7 +75,8 @@ class Span:
     ``span_id`` and ``trace_id`` are assigned by the recorder when the
     span joins a trace: ids are unique and stable within one recorder's
     lifetime, and every span of a tree shares its root's ``trace_id`` —
-    the join key used by the event log and the request log.
+    the join key of a request's records.  ``notes`` are the things that
+    happened inside the span (:meth:`note`), oldest first.
     """
 
     name: str
@@ -65,6 +86,7 @@ class Span:
     children: list["Span"] = field(default_factory=list)
     span_id: int = 0
     trace_id: str = ""
+    notes: list[dict] = field(default_factory=list)
 
     @property
     def seconds(self) -> float:
@@ -75,6 +97,25 @@ class Span:
     def set(self, **attrs) -> "Span":
         """Attach or overwrite attributes; returns self for chaining."""
         self.attributes.update(attrs)
+        return self
+
+    def note(self, level: str, name: str, message: str = "",
+             **attrs) -> "Span":
+        """Record that ``name`` happened inside this span.
+
+        ``level`` is one of :data:`LEVELS`; ``attrs`` should hold only
+        what the span's own attributes do not already say.  Returns self.
+        """
+        if level not in LEVELS:
+            raise ValueError(
+                f"unknown note level {level!r}; expected one of {LEVELS}")
+        record = {"ts": time.time(), "level": level, "name": name}
+        if message:
+            record["message"] = message
+        if attrs:
+            record["attributes"] = {key: json_safe(value)
+                                    for key, value in attrs.items()}
+        self.notes.append(record)
         return self
 
     def walk(self) -> Iterator["Span"]:
@@ -105,8 +146,13 @@ class _NoopSpan:
     seconds = 0.0
     span_id = 0
     trace_id = ""
+    notes: list = []
 
     def set(self, **attrs) -> "_NoopSpan":
+        return self
+
+    def note(self, level: str, name: str, message: str = "",
+             **attrs) -> "_NoopSpan":
         return self
 
     def walk(self):
@@ -154,8 +200,8 @@ class TailSampler:
     * the :attr:`slowest` table (top :data:`TAIL_SLOWEST_KEPT` by
       duration, min-heap, never evicted by newer-but-faster traces);
     * the :attr:`errors` ring (last :data:`TAIL_ERRORS_KEPT` traces in
-      which any span carries a truthy ``error`` attribute or an integer
-      ``status`` >= 500).
+      which any span carries a truthy ``error`` attribute, an integer
+      ``status`` >= 500, or a note at ``warning`` or above).
 
     Attach one to a :class:`TraceRecorder` (the ``tail`` constructor
     argument) and every root span is offered as its trace finishes;
@@ -175,13 +221,15 @@ class TailSampler:
 
     @staticmethod
     def is_error_trace(root: Span) -> bool:
-        """Whether any span of the tree looks failed (``error`` attr or
-        an integer ``status`` >= 500)."""
+        """Whether any span of the tree looks failed (``error`` attr,
+        an integer ``status`` >= 500, or a warning/error note)."""
         for span in root.walk():
             if span.attributes.get("error"):
                 return True
             status = span.attributes.get("status")
             if isinstance(status, int) and status >= 500:
+                return True
+            if any(n["level"] in SEVERE_LEVELS for n in span.notes):
                 return True
         return False
 
@@ -236,7 +284,6 @@ class NullRecorder:
 
     def __init__(self) -> None:
         self.metrics: NullMetricsRegistry = NULL_METRICS
-        self.events: NullEventLog = NULL_EVENTS
 
     @property
     def roots(self) -> list[Span]:
@@ -282,7 +329,6 @@ class TraceRecorder:
                  max_roots: int | None = None) -> None:
         self.name = name
         self.metrics = MetricsRegistry()
-        self.events = EventLog()
         self.roots: list[Span] = []
         self.tail = tail
         self.max_roots = max_roots
@@ -356,12 +402,11 @@ class TraceRecorder:
             self.pop(span)
 
     def clear(self) -> None:
-        """Drop collected spans, events, and reset every metric."""
+        """Drop collected spans and reset every metric."""
         with self._lock:
             self.roots.clear()
             self.roots_dropped = 0
         self.metrics.reset()
-        self.events.clear()
         if self.tail is not None:
             self.tail.clear()
 
@@ -441,17 +486,30 @@ def histogram(name: str, buckets=None):
     return _recorder.metrics.histogram(name, buckets=buckets)
 
 
-def emit_event(level: str, name: str, message: str = "",
-               **attributes):
-    """Emit a structured event on the active recorder's event log.
+def note(level: str, name: str, message: str = "", **attrs) -> None:
+    """Note ``name`` on the innermost open span of this thread.
 
-    The record carries the ids of the innermost open span on this
-    thread (if any), so log lines join the span tree.  A no-op (one
-    attribute lookup plus a no-op call) while recording is disabled.
+    Does nothing while recording is disabled or when no span is open.
     """
-    recorder = _recorder
-    return recorder.events.emit(level, name, message,
-                                span=recorder.current(), **attributes)
+    span = _recorder.current()
+    if span is not None:
+        span.note(level, name, message, **attrs)
+
+
+def flat_notes(roots: Iterable[Span]) -> list[dict]:
+    """Every note of the span forest ``roots``, oldest first.
+
+    Each entry is the note plus the ``span_id`` and ``trace_id`` of the
+    span it sits on and that span's name as ``span`` (unless the note
+    already names the pruned span it came from): the flat view for
+    readers that list notes rather than walk trees.
+    """
+    notes = [{"span": span.name, **record, "span_id": span.span_id,
+              "trace_id": span.trace_id}
+             for root in roots for span in root.walk()
+             for record in span.notes]
+    notes.sort(key=lambda record: record["ts"])
+    return notes
 
 
 @contextmanager

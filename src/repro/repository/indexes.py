@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
-from repro.obs.trace import emit_event, get_recorder
+from repro.obs.trace import get_recorder
 
 
 class GraphIndex:
@@ -40,8 +40,7 @@ class GraphIndex:
         self._forward: dict[tuple[Oid, str], list[GraphObject]] = {}
         self._backward: dict[str, dict[GraphObject, list[Oid]]] = {}
         self._value_index: dict[Atom, list[tuple[Oid, str]]] = {}
-        self._epoch = -1
-        self._built = False
+        self._version = -1
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -64,13 +63,9 @@ class GraphIndex:
             self._value_index.clear()
             for edge in self.graph.edges():
                 self._insert_edge(edge)
-            self._epoch = self._snapshot_key()
-            self._built = True
+            self._version = self.graph.version
             span.set(labels=len(self._labels),
                      values=len(self._value_index))
-            emit_event("info", "index.build", graph=self.graph.name,
-                       labels=len(self._labels),
-                       values=len(self._value_index))
         recorder.metrics.counter("repository.index.builds").inc()
         recorder.metrics.gauge("repository.index.labels").set(
             len(self._labels))
@@ -87,14 +82,10 @@ class GraphIndex:
         if isinstance(target, Atom):
             self._value_index.setdefault(target, []).append((source, label))
 
-    def _snapshot_key(self) -> int:
-        return (self.graph.edge_count << 24) ^ (self.graph.node_count << 8) \
-            ^ len(self.graph.collection_names())
-
     @property
     def fresh(self) -> bool:
-        """Whether the snapshot still matches the graph's size signature."""
-        return self._built and self._epoch == self._snapshot_key()
+        """Whether the graph is still at the data version indexed."""
+        return self._version == self.graph.version
 
     # -- schema index -----------------------------------------------------------
 

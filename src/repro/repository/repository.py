@@ -35,7 +35,7 @@ class Repository:
         self.indexing = indexing
         self._indexes: dict[str, GraphIndex] = {}
         self._stats: dict[str, GraphStatistics] = {}
-        self._stats_epoch: dict[str, tuple[int, int]] = {}
+        self._stats_epoch: dict[str, int] = {}
 
     # -- graph management -------------------------------------------------------
 
@@ -97,10 +97,10 @@ class Repository:
     def statistics(self, name: str) -> GraphStatistics:
         """Statistics snapshot for graph ``name`` (rebuilt when stale)."""
         graph = self.graph(name)
-        epoch = (graph.node_count, graph.edge_count)
-        if self._stats.get(name) is None or self._stats_epoch.get(name) != epoch:
+        if self._stats.get(name) is None \
+                or self._stats_epoch.get(name) != graph.version:
             self._stats[name] = GraphStatistics.gather(graph)
-            self._stats_epoch[name] = epoch
+            self._stats_epoch[name] = graph.version
         return self._stats[name]
 
     def invalidate(self, name: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.errors import SiteError
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
-from repro.obs.trace import TimedResult, emit_event, get_recorder, timed
+from repro.obs.trace import TimedResult, get_recorder, timed
 from repro.struql.ast import Query
 from repro.struql.bindings import Binding
 from repro.struql.evaluator import QueryEngine
@@ -120,8 +120,6 @@ class FormHandler:
                 self.stats["cache_hits"] += 1
                 metrics.counter("forms.cache_hits").inc()
                 span.set(cached=True)
-                emit_event("info", "form.submit", cached=True,
-                           result_fn=self.result_fn)
                 cached = self._cache[key]
                 return FormResponse(cached.html, cached.page, True,
                                     span=span)
@@ -139,8 +137,6 @@ class FormHandler:
                                       loader=self.loader)
             html = generator.render(page)
             response = FormResponse(html, page, False, span=span)
-            emit_event("info", "form.submit", cached=False,
-                       result_fn=self.result_fn, page=str(page))
         metrics.histogram("forms.submit_seconds").observe(span.seconds)
         if self._caching:
             self._cache[key] = response

@@ -173,7 +173,8 @@ class DynamicSite:
         """
         if oid.skolem_fn is None:
             raise PageNotFoundError(oid)
-        with self.lock, timed("site.compute_page", page=str(oid)) as span:
+        with self.lock, timed("site.compute_page", page=str(oid),
+                              fingerprint=self.fingerprint) as span:
             view = self._compute(oid)
             span.set(edges=len(view.edges))
             self.stats["pages_computed"] += 1
@@ -181,7 +182,7 @@ class DynamicSite:
         # query, so they aggregate under its fingerprint: the registry's
         # p50/p95 become the site's live page-compute latency.
         get_query_registry().observe(
-            self.query, seconds=span.seconds,
+            self.query, span=span,
             rows=len(view.edges),
             optimizer=getattr(self.engine.optimizer, "name",
                               str(self.engine.optimizer)),

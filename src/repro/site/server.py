@@ -17,7 +17,8 @@ recorded once, through the shared observability layer
 (:mod:`repro.obs`): one ``server.request`` span, one
 ``server.request_seconds`` observation and one ``server.requests``
 count, so the materialized-vs-dynamic trade-off of benchmark A3 can be
-measured in bounded memory.  With observability off,
+measured in bounded memory.  A failed request adds one
+``server.error`` note to that span.  With observability off,
 :attr:`Response.seconds` still carries each request's latency.
 """
 
@@ -30,9 +31,9 @@ from repro.graph.model import Graph, Oid
 from repro.obs.lineage import get_lineage
 from repro.obs.trace import (
     TimedResult,
-    emit_event,
     get_recorder,
     next_request_id,
+    note,
     timed,
 )
 from repro.site.incremental import DynamicSite, LazySiteGraph
@@ -188,16 +189,17 @@ class DynamicSiteServer:
         """Serve one page by oid or URL path.
 
         Every request gets a process-unique id (``req-N``) stamped onto
-        its span, its :class:`Response`, and the events it emits, so one
-        request's records correlate across the span tree, the event
-        log and the tail sampler's slowest traces.  A front end that already
-        assigned an id (the HTTP plane's ``X-Request-Id``) passes it as
+        its ``server.request`` span and its :class:`Response`, so one
+        request's records correlate across the span tree and the tail
+        sampler's slowest traces.  A front end that already assigned an
+        id (the HTTP plane's ``X-Request-Id``) passes it as
         ``request_id`` so all layers tell one story.
 
         Failures are classified (:func:`classify_error`): unknown pages
         are 404s; any other error is answered as a 500 whose span gains
-        an ``error`` attribute, which keeps the trace in the tail
-        sampler's error ring.
+        an ``error`` attribute and a ``server.error`` note carrying the
+        exception message, which keeps the trace in the tail sampler's
+        error ring.
         """
         if request_id is None:
             request_id = next_request_id()
@@ -216,21 +218,12 @@ class DynamicSiteServer:
                     "server.errors", kind=kind).inc()
                 if status == 404:
                     body = "<h1>404 Not Found</h1>"
-                    emit_event("warning", "server.not_found",
-                               f"no page for {page}",
-                               request=request_id, page=str(page))
                 else:
                     body = (f"<h1>500 Internal Server Error</h1>"
                             f"<p>{kind}</p>")
                     span.set(error=kind)
-                    emit_event("error", "server.error", str(exc),
-                               request=request_id, page=str(page),
-                               kind=kind)
+                    note("error", "server.error", str(exc))
             span.set(page=str(page), status=status)
-            # Emit before the span closes so the event carries its ids.
-            emit_event("info", "server.request", request=request_id,
-                       page=str(page), status=status,
-                       ms=round(span.seconds * 1000, 3))
         metrics = get_recorder().metrics
         metrics.histogram("server.request_seconds").observe(span.seconds)
         metrics.counter("server.requests").inc()

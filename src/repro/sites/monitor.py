@@ -4,11 +4,12 @@ The paper's thesis is that *any* data graph can be published as a
 browsable site through a StruQL site-definition query plus HTML
 templates.  This module applies that thesis to STRUDEL's own
 observability data: :func:`telemetry_graph` converts a trace recorder
-(spans, metrics, events, tail-sampled slowest requests) into an
+(spans and their notes, metrics, tail-sampled slowest requests) into an
 ordinary STRUDEL data graph, :data:`MONITOR_QUERY` restructures it into
 a site graph, and :func:`monitor_templates` renders the result — an
 overview page linking to per-stage hotspot pages, span-tree trace
-drilldowns, metrics tables, a slowest-requests page and the event log.
+drilldowns, metrics tables, a slowest-requests page and the notes the
+spans carry.
 No HTML is hand-written per run: the dashboard is a generated STRUDEL
 site like any other, exposed as ``repro monitor <command> --out DIR``.
 """
@@ -26,6 +27,7 @@ from repro.obs.trace import (
     Span,
     TraceRecorder,
     aggregate_profile,
+    flat_notes,
 )
 from repro.site.builder import Website
 from repro.templates.generator import TemplateSet
@@ -113,7 +115,7 @@ def _metric_nodes(graph: Graph, metrics: dict) -> None:
 #: The telemetry-plane paths a live ``repro serve`` process exposes
 #: (mirrored on the dashboard when a ``live_url`` is given).
 LIVE_ENDPOINTS = ("/metrics", "/healthz", "/readyz", "/debug/traces",
-                  "/debug/events", "/debug/profile", "/debug/queries",
+                  "/debug/profile", "/debug/queries",
                   "/debug/lineage", "/debug/slo", "/debug/alerts")
 
 
@@ -162,22 +164,20 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
     metrics = recorder.metrics.as_dict()
     _metric_nodes(graph, metrics)
 
-    events = recorder.events.records()
-    for event in events:
-        oid = graph.add_node(Oid(f"event-{event.seq}"))
+    notes = flat_notes(recorder.roots)
+    for seq, record in enumerate(notes, 1):
+        oid = graph.add_node(Oid(f"note-{seq}"))
         graph.add_to_collection("Events", oid)
-        graph.add_edge(oid, "seq", Atom.int(event.seq))
-        graph.add_edge(oid, "level", Atom.string(event.level))
-        graph.add_edge(oid, "name", Atom.string(event.name))
-        if event.message:
-            graph.add_edge(oid, "message", Atom.string(event.message))
-        if event.span:
-            graph.add_edge(oid, "span", Atom.string(event.span))
-        if event.trace_id:
-            graph.add_edge(oid, "trace", Atom.string(event.trace_id))
-        if event.attributes:
+        graph.add_edge(oid, "seq", Atom.int(seq))
+        graph.add_edge(oid, "level", Atom.string(record["level"]))
+        graph.add_edge(oid, "name", Atom.string(record["name"]))
+        if record.get("message"):
+            graph.add_edge(oid, "message", Atom.string(record["message"]))
+        graph.add_edge(oid, "span", Atom.string(record["span"]))
+        graph.add_edge(oid, "trace", Atom.string(record["trace_id"]))
+        if record.get("attributes"):
             detail = ", ".join(f"{k}={v}"
-                               for k, v in event.attributes.items())
+                               for k, v in record["attributes"].items())
             graph.add_edge(oid, "detail", Atom.string(detail))
 
     tail = recorder.tail
@@ -297,7 +297,7 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
                    Atom.int(len(metrics.get("gauges", {}))))
     graph.add_edge(summary, "histograms",
                    Atom.int(len(metrics.get("histograms", {}))))
-    graph.add_edge(summary, "events", Atom.int(len(events)))
+    graph.add_edge(summary, "notes", Atom.int(len(notes)))
     graph.add_edge(summary, "queries",
                    Atom.int(query_snapshot.get("fingerprints", 0)))
     graph.add_edge(summary, "sources", Atom.int(len(stamps)))
@@ -390,7 +390,7 @@ LINK Dashboard() -> "Stages" -> StageIndex(),
   LINK RequestRow(r) -> l -> v,
        RequestsPage() -> "Request" -> RequestRow(r)
 }
-// Event log
+// Notes on spans, oldest first
 { WHERE Events(e), e -> l -> v
   CREATE EventRow(e)
   LINK EventRow(e) -> l -> v,
@@ -433,7 +433,7 @@ def monitor_templates() -> TemplateSet:
 <UL>
 <LI><SFMT @spans> spans in <SFMT @traces> traces</LI>
 <LI><SFMT @counters> counters, <SFMT @gauges> gauges, <SFMT @histograms> histograms</LI>
-<LI><SFMT @events> events</LI>
+<LI><SFMT @notes> notes on spans</LI>
 <SIF @sources><LI><SFMT @sources> tracked sources<SIF @stale_pages>
 (<SFMT @stale_pages> stale pages)</SIF></LI></SIF>
 <SIF @slos><LI><SFMT @slos> SLOs, <SFMT @alerts_firing> alerts firing</LI></SIF>
@@ -444,7 +444,7 @@ def monitor_templates() -> TemplateSet:
 <LI><SFMT @Traces TAG="Trace drilldowns"></LI>
 <LI><SFMT @Metrics TAG="Metrics tables"></LI>
 <LI><SFMT @Requests TAG="Slowest requests"></LI>
-<LI><SFMT @Events TAG="Event log"></LI>
+<LI><SFMT @Events TAG="Notes on spans"></LI>
 <LI><SFMT @Queries TAG="Query registry"></LI>
 <LI><SFMT @Freshness TAG="Source freshness"></LI>
 <LI><SFMT @Alerts TAG="SLOs and alerts"></LI>
@@ -524,19 +524,19 @@ cumulative <SFMT @cum_ms> ms, mean <SFMT @avg_ms> ms</P>
     templates.add("RequestRow", """<TR><TD><SFMT @rank></TD><TD><SFMT @id></TD>
 <TD><SFMT @page></TD><TD><SFMT @status></TD><TD><SFMT @ms></TD></TR>""",
                   as_page=False)
-    templates.add("EventsPage", """<HTML><HEAD><TITLE>Events</TITLE></HEAD>
+    templates.add("EventsPage", """<HTML><HEAD><TITLE>Notes</TITLE></HEAD>
 <BODY>
-<H1>Event log</H1>
+<H1>Notes on spans</H1>
 <SIF @Event>
-<TABLE><TR><TH>#</TH><TH>level</TH><TH>event</TH><TH>span</TH>
-<TH>detail</TH></TR>
+<TABLE><TR><TH>#</TH><TH>level</TH><TH>note</TH><TH>span</TH>
+<TH>trace</TH><TH>detail</TH></TR>
 <SFMTLIST @Event FORMAT=EMBED ORDER=ascend KEY=seq DELIM="">
 </TABLE>
-<SELSE><P>No events recorded.</P></SIF>
+<SELSE><P>No notes recorded.</P></SIF>
 </BODY></HTML>""")
     templates.add("EventRow", """<TR><TD><SFMT @seq></TD><TD><SFMT @level></TD>
 <TD><SFMT @name><SIF @message> — <SFMT @message></SIF></TD>
-<TD><SIF @span><SFMT @span></SIF></TD>
+<TD><SFMT @span></TD><TD><SFMT @trace></TD>
 <TD><SIF @detail><SFMT @detail></SIF></TD></TR>""", as_page=False)
     templates.add("QueriesPage", """<HTML><HEAD><TITLE>Queries</TITLE></HEAD>
 <BODY>

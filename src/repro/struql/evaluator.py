@@ -31,7 +31,7 @@ from repro.obs.queries import (
     render_explain,
 )
 from repro.obs.lineage import get_lineage
-from repro.obs.trace import TimedResult, emit_event, get_recorder, timed
+from repro.obs.trace import TimedResult, get_recorder, note, timed
 from repro.repository.indexes import GraphIndex
 from repro.repository.repository import Repository
 from repro.repository.stats import GraphStatistics
@@ -177,14 +177,8 @@ class QueryEngine:
                    fingerprint=result.fingerprint) as span:
             self._run_block(query.root, [seed], set(seed), ctx, builder,
                             result, stats)
-            emit_event("info", "struql.query",
-                       input=query.input_name, output=query.output_name,
-                       fingerprint=result.fingerprint,
-                       blocks=len(result.traces),
-                       nodes=result.output.node_count,
-                       edges=result.output.edge_count)
         get_query_registry().observe(
-            query, seconds=span.seconds,
+            query, span=span,
             rows=result.total_bindings, plan=result.explain(),
             optimizer=self.optimizer.name,
             misestimates=sum(
@@ -312,11 +306,8 @@ class QueryEngine:
             if estimated is not None:
                 ratio = misestimate_ratio(estimated, len(rows))
                 if ratio > MISESTIMATE_RATIO:
-                    emit_event("warning", "struql.misestimate",
-                               block=block.label or "(top)",
-                               estimated=estimated, actual=len(rows),
-                               ratio=round(ratio, 1),
-                               optimizer=self.optimizer.name)
+                    note("warning", "struql.misestimate",
+                         ratio=round(ratio, 1))
             with recorder.span("struql.construct", rows=len(rows)):
                 lineage = get_lineage()
                 with lineage.query_context(

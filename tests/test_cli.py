@@ -301,10 +301,12 @@ class TestTraceFlags:
         assert "self ms" in printed
 
     def test_trace_prom_and_events_out(self, workspace, capsys):
+        """--prom-out writes the exposition; --events-out is gone (the
+        spans and their notes go to --metrics-out)."""
         from repro import obs
         code = main(["trace", "--quiet",
                      "--prom-out", str(workspace / "m.prom"),
-                     "--events-out", str(workspace / "e.jsonl"),
+                     "--metrics-out", str(workspace / "obs.json"),
                      "build",
                      "--data", str(workspace / "pubs.ddl"),
                      "--query", str(workspace / "site.struql")])
@@ -312,8 +314,14 @@ class TestTraceFlags:
         parsed = obs.parse_prometheus((workspace / "m.prom").read_text())
         names = {n for n, _, _ in parsed["samples"]}
         assert any(n.startswith("strudel_struql") for n in names)
-        events = obs.read_jsonl((workspace / "e.jsonl").read_text())
-        assert any(e.name == "mediator.fetch" for e in events)
+        spans, _ = obs.from_json((workspace / "obs.json").read_text())
+        assert any(span.name == "mediator.fetch"
+                   for root in spans for span in root.walk())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--events-out", str(workspace / "e.jsonl"),
+                  "check", "--query", str(workspace / "site.struql")])
+        assert exit_info.value.code == 2
+        assert not (workspace / "e.jsonl").exists()
 
 
 class TestMonitorCommand:
@@ -335,7 +343,8 @@ class TestMonitorCommand:
         assert (out / "Dashboard__.html").exists()
         assert (out / "StageIndex__.html").exists()
         assert (out / "metrics.prom").exists()
-        assert (out / "events.jsonl").exists()
+        assert not (out / "events.jsonl").exists()
+        assert (out / "EventsPage__.html").exists()
         dashboard = (out / "Dashboard__.html").read_text()
         assert "STRUDEL Monitor" in dashboard
 
@@ -486,7 +495,9 @@ class TestTraceJsonAndProfile:
                      "--query", str(workspace / "site.struql")])
         assert code == 0
         document = _trailing_json(capsys.readouterr().out)
-        assert {"profile", "metrics", "events"} <= set(document)
+        assert {"profile", "metrics", "notes"} <= set(document)
+        assert "events" not in document
+        assert document["notes"] == []  # a clean build notes nothing
         assert any(entry["name"] == "struql.query"
                    for entry in document["profile"])
         entry = document["profile"][0]

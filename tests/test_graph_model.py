@@ -128,6 +128,24 @@ class TestGraphBasics:
         assert len(graph) == 2
         assert "g" in repr(graph)
 
+    def test_version_counts_real_changes_only(self):
+        graph = Graph("g")
+        assert graph.version == 0
+        steps = [
+            lambda: graph.add_node(Oid("a")),
+            lambda: graph.add_edge(Oid("a"), "l", Atom.int(1)),
+            lambda: graph.declare_collection("C"),
+            lambda: graph.add_to_collection("C", Oid("a")),
+            lambda: graph.add_to_collection("D", Atom.int(1)),
+        ]
+        for step in steps:
+            before = graph.version
+            step()
+            assert graph.version > before
+            changed = graph.version
+            step()  # an idempotent repeat
+            assert graph.version == changed
+
     def test_atoms_iteration_distinct(self):
         graph = Graph("g")
         shared = Atom.string("s")

@@ -244,7 +244,7 @@ class TestExport:
     def test_json_round_trip(self):
         recorder = self._sample_recorder()
         text = obs.to_json(recorder)
-        spans, metrics, _events = obs.from_json(text)
+        spans, metrics = obs.from_json(text)
         assert len(spans) == 1
         root = spans[0]
         assert root.name == "root"
@@ -302,7 +302,7 @@ class TestExport:
         recorder = self._sample_recorder()
         path = tmp_path / "obs.json"
         obs.write_json(recorder, str(path))
-        spans, _, _ = obs.from_json(path.read_text())
+        spans, _ = obs.from_json(path.read_text())
         assert spans[0].name == "root"
 
 
@@ -395,81 +395,88 @@ class TestPipelineIntegration:
 
 
 class TestEvents:
+    """Events are notes on the span they happened in."""
+
     def test_emit_captures_span_ids(self):
         with obs.recording() as rec:
             with rec.span("work") as span:
-                event = obs.emit_event("info", "thing.happened",
-                                       "message here", detail=3)
-        assert event.level == "info"
-        assert event.name == "thing.happened"
-        assert event.message == "message here"
-        assert event.attributes == {"detail": 3}
-        assert event.span_id == span.span_id > 0
-        assert event.trace_id == span.trace_id != ""
-        assert event.span == "work"
+                obs.note("info", "thing.happened", "message here", detail=3)
+        [record] = span.notes
+        assert record["level"] == "info"
+        assert record["name"] == "thing.happened"
+        assert record["message"] == "message here"
+        assert record["attributes"] == {"detail": 3}
+        [flat] = obs.flat_notes(rec.roots)
+        assert flat["span"] == "work"
+        assert flat["span_id"] == span.span_id > 0
+        assert flat["trace_id"] == span.trace_id != ""
 
     def test_emit_outside_span(self):
         with obs.recording() as rec:
-            event = rec.events.emit("warning", "loose")
-        assert event.span_id == 0 and event.trace_id == ""
+            obs.note("warning", "loose")
+        assert rec.roots == [] and obs.flat_notes(rec.roots) == []
 
-    def test_level_filtering(self):
-        log = obs.EventLog(level="warning")
-        assert log.emit("debug", "quiet") is None
-        assert log.emit("info", "quiet") is None
-        assert log.emit("error", "loud") is not None
-        assert [e.name for e in log.records()] == ["loud"]
-        log.set_level("debug")
-        log.debug("now-visible")
-        assert len(log) == 2
+    def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
-            log.emit("shout", "x")
-
-    def test_ring_buffer_bounded(self):
-        log = obs.EventLog(capacity=4)
-        for i in range(10):
-            log.info(f"e{i}")
-        assert len(log) == 4
-        assert log.dropped == 6
-        assert [e.name for e in log.records()] == \
-            ["e6", "e7", "e8", "e9"]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = obs.EventLog()
-        log.info("a", "first", k=1)
-        log.error("b", span=None)
-        path = tmp_path / "events.jsonl"
-        assert log.write_jsonl(str(path)) == 2
-        events = obs.read_jsonl(path.read_text())
-        assert [e.name for e in events] == ["a", "b"]
-        assert events[0].attributes == {"k": 1}
-        assert events[1].level == "error"
-
-    def test_streaming_sink(self, tmp_path):
-        log = obs.EventLog()
-        path = tmp_path / "stream.jsonl"
-        log.open_sink(str(path))
-        log.info("streamed", n=7)
-        log.close_sink()
-        events = obs.read_jsonl(path.read_text())
-        assert events[0].name == "streamed"
-        assert events[0].attributes == {"n": 7}
+            Span("s").note("shout", "x")
 
     def test_non_json_attributes_coerced(self):
-        log = obs.EventLog()
-        event = log.info("e", oid=object())
-        assert isinstance(event.attributes["oid"], str)
-        json.dumps(event.to_dict())  # must not raise
+        span = Span("s").note("info", "e", oid=object())
+        assert isinstance(span.notes[0]["attributes"]["oid"], str)
+        json.dumps(obs.span_to_dict(span))  # must not raise
 
     def test_null_log_is_silent(self):
-        null = obs.NULL_EVENTS
-        assert null.emit("info", "x") is None
-        assert null.debug("x") is None
-        assert null.error("x", k=1) is None
-        assert null.records() == [] and len(null) == 0
+        with NULL_RECORDER.span("x") as span:
+            assert span.note("error", "x", k=1) is span
+        assert span.notes == []
 
     def test_disabled_recorder_drops_events(self):
-        assert obs.emit_event("info", "ignored") is None
+        assert obs.note("info", "ignored") is None
+        with obs.timed("real-when-off") as span:
+            obs.note("error", "ignored")
+        assert span.notes == []
+
+    def test_flat_notes_in_time_order(self):
+        with obs.recording() as rec:
+            with rec.span("a") as a:
+                a.note("info", "first")
+                with rec.span("b"):
+                    obs.note("info", "second")
+            with rec.span("c"):
+                obs.note("info", "third")
+        assert [n["name"] for n in obs.flat_notes(rec.roots)] == \
+            ["first", "second", "third"]
+        assert [n["span"] for n in obs.flat_notes(rec.roots)] == \
+            ["a", "b", "c"]
+
+    def test_pruned_dump_keeps_deep_note(self):
+        with obs.recording() as rec:
+            with rec.span("a"):
+                with rec.span("b"):
+                    with rec.span("c"):
+                        with rec.span("d"):
+                            obs.note("warning", "deep", "down here", n=4)
+        dumped = obs.span_to_dict(rec.roots[0], max_depth=2)
+        b = dumped["children"][0]
+        assert b["children"] == [] and b["pruned"] == 2
+        [record] = b["notes"]
+        assert record["name"] == "deep" and record["span"] == "d"
+        assert record["level"] == "warning"
+        assert record["attributes"] == {"n": 4}
+        assert "notes" not in dumped
+        [flat] = obs.flat_notes([obs.span_from_dict(dumped)])
+        assert flat["span"] == "d" and flat["span_id"] == b["span_id"]
+
+    def test_notes_round_trip_through_json(self):
+        with obs.recording() as rec:
+            with rec.span("r"):
+                with rec.span("inner"):
+                    obs.note("error", "broke", "why", code=7)
+        spans, _ = obs.from_json(obs.to_json(rec))
+        inner = spans[0].children[0]
+        assert inner.notes == rec.roots[0].children[0].notes
+        assert inner.notes[0]["message"] == "why"
+        assert obs.flat_notes(spans)[0]["span_id"] == inner.span_id
 
 
 class TestTraceIds:
@@ -488,13 +495,13 @@ class TestTraceIds:
     def test_ids_survive_json_round_trip(self):
         with obs.recording() as rec:
             with rec.span("r"):
-                obs.emit_event("info", "evt")
-        spans, _, events = obs.from_json(obs.to_json(rec))
+                obs.note("info", "evt")
+        spans, _ = obs.from_json(obs.to_json(rec))
         assert spans[0].span_id == rec.roots[0].span_id
         assert spans[0].trace_id == rec.roots[0].trace_id
-        assert len(events) == 1
-        assert events[0].trace_id == spans[0].trace_id
-        assert events[0].span_id == spans[0].span_id
+        [record] = obs.flat_notes(spans)
+        assert record["trace_id"] == spans[0].trace_id
+        assert record["span_id"] == spans[0].span_id
 
 
 class TestProfile:

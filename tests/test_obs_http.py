@@ -90,6 +90,21 @@ class TestTailSampler:
         assert TailSampler.is_error_trace(_span("s", 0, status=500))
         # Non-integer status attributes never classify as errors.
         assert not TailSampler.is_error_trace(_span("s", 0, status="bad"))
+        assert not TailSampler.is_error_trace(
+            _span("n", 0).note("info", "fine"))
+        assert TailSampler.is_error_trace(
+            _span("n", 0).note("warning", "odd"))
+
+    def test_warning_noted_trace_survives_recent_turnover(self):
+        tail = TailSampler()
+        parent = _span("parent", 0.001)
+        parent.children.append(
+            _span("child", 0.001).note("warning", "struql.slow_query"))
+        tail.offer(parent)
+        for i in range(TAIL_RECENT_KEPT):
+            tail.offer(_span(f"t{i}", 0.001, status=200))
+        assert parent not in tail.recent
+        assert tail.errors == [parent]
 
     def test_clear(self):
         tail = TailSampler()
@@ -292,27 +307,26 @@ class TestEndpoints:
                                   for r in page_roots)
 
     def test_debug_events_correlate_request_id(self, plane):
+        """One request id on the plane's span and the site's span."""
         _, headers, _ = _get(plane.url + "/")
         request_id = headers["X-Request-Id"]
-        _, _, text = _get(plane.url + "/debug/events")
-        events = json.loads(text)
-        access = [e for e in events if e["name"] == "http.access"]
-        assert request_id in {e["attributes"].get("request")
-                              for e in access}
-        # The site layer logged the same id (one request, one story).
-        served = [e for e in events if e["name"] == "server.request"]
-        assert request_id in {e["attributes"].get("request")
-                              for e in served}
+        _, _, text = _get(plane.url + "/debug/traces?depth=0")
+        [root] = [r for r in json.loads(text)["recent"]
+                  if r["attributes"].get("request") == request_id]
+        assert root["name"] == "http.request"
+        [served] = [c for c in root["children"]
+                    if c["name"] == "server.request"]
+        assert served["attributes"]["request"] == request_id
+        assert served["trace_id"] == root["trace_id"]
 
     def test_debug_events_level_and_limit(self, plane):
-        with pytest.raises(urllib.error.HTTPError):
-            _get(plane.url + "/nope.html")  # emits a warning event
-        _, _, text = _get(plane.url + "/debug/events?level=warning")
-        events = json.loads(text)
-        assert events
-        assert all(e["level"] in ("warning", "error") for e in events)
-        _, _, text = _get(plane.url + "/debug/events?limit=1")
-        assert len(json.loads(text)) == 1
+        """The event log's endpoint is gone; traces carry the notes."""
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(plane.url + "/debug/events?level=warning&limit=1")
+        assert err.value.code == 404
+        assert "/debug/events" not in DEBUG_ENDPOINTS
+        _, _, index = _get(plane.url + "/debug/")
+        assert "/debug/events" not in index
 
     def test_debug_profile(self, plane):
         _get(plane.url + "/")
@@ -333,7 +347,13 @@ class TestEndpoints:
         errors = plane.recorder.metrics.counter("http.errors").value
         assert errors == 1
         _, _, text = _get(plane.url + "/debug/traces")
-        assert json.loads(text)["errors"], "error trace tail-sampled"
+        errors = json.loads(text)["errors"]
+        assert errors, "error trace tail-sampled"
+        [failed] = [r for r in errors if r["name"] == "http.request"]
+        assert failed["attributes"]["error"] == "RuntimeError"
+        [record] = failed["notes"]
+        assert (record["level"], record["name"], record["message"]) == \
+            ("error", "http.error", "boom")
 
 
 def _served_total(path) -> float:
@@ -349,9 +369,10 @@ class TestRequestIds:
         """The HTTP plane and the canary mint from one counter."""
         _get(plane.url + "/")
         CanaryProber(plane.site_server, plane.recorder).probe()
-        ids = [e.attributes["request"]
-               for e in plane.recorder.events.records()
-               if e.name == "server.request"]
+        ids = [span.attributes["request"]
+               for root in plane.recorder.roots
+               if root.name in ("http.request", "canary.probe")
+               for span in root.walk() if span.name == "server.request"]
         assert len(ids) == 2
         assert ids[0] != ids[1]
 
@@ -365,9 +386,10 @@ class TestSnapshot:
     def test_write_snapshot_files(self, plane, tmp_path):
         _get(plane.url + "/")
         paths = plane.write_snapshot(str(tmp_path / "snap"))
+        assert set(paths) == {"metrics", "snapshot"}
         assert os.path.isfile(paths["metrics"])
-        assert os.path.isfile(paths["events"])
         assert os.path.isfile(paths["snapshot"])
+        assert not (tmp_path / "snap" / "events.jsonl").exists()
         obs.parse_prometheus(
             open(paths["metrics"], encoding="utf-8").read())
         with open(paths["snapshot"], encoding="utf-8") as handle:
@@ -494,11 +516,9 @@ class TestServeCLI:
                    for root in traces["recent"]}
             assert request_id in ids
 
-            _, _, events_text = _get(base + "/debug/events")
-            events = json.loads(events_text)
-            assert request_id in {
-                e["attributes"].get("request") for e in events
-                if e["name"] == "http.access"}
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(base + "/debug/events")
+            assert err.value.code == 404
         finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
@@ -511,7 +531,7 @@ class TestServeCLI:
         assert proc.returncode == 0
         # Graceful shutdown flushed the final snapshot.
         assert (snap / "metrics.prom").is_file()
-        assert (snap / "events.jsonl").is_file()
+        assert not (snap / "events.jsonl").exists()
         assert (snap / "snapshot.json").is_file()
         assert _served_total(snap / "metrics.prom") >= 1
 
@@ -551,14 +571,15 @@ class TestDebugQueries:
     def test_debug_queries_limit_param(self, plane):
         from repro.obs.queries import get_query_registry
         for i in range(3):
-            get_query_registry().observe(f"where C{i}(x)", seconds=0.001)
+            get_query_registry().observe(
+                f"where C{i}(x)", span=_span("q", 0.001))
         _, _, text = _get(plane.url + "/debug/queries?limit=2")
         snapshot = json.loads(text)
         assert len(snapshot["queries"]) == 2
         assert snapshot["fingerprints"] >= 3  # population unaffected
 
     def test_debug_endpoints_json_content_type(self, plane):
-        for path in ("/debug/traces", "/debug/events", "/debug/profile",
+        for path in ("/debug/traces", "/debug/profile",
                      "/debug/queries"):
             _, headers, _ = _get(plane.url + path)
             assert headers["Content-Type"] == \

@@ -16,7 +16,13 @@ from repro.obs.queries import (
     render_explain,
     set_query_registry,
 )
+from repro.obs.trace import Span
 from repro.struql import QueryEngine, parse_query
+
+
+def _timed(seconds: float) -> Span:
+    """A closed span that took ``seconds``."""
+    return Span("q", start=0.0, end=seconds)
 
 
 @pytest.fixture(autouse=True)
@@ -71,9 +77,9 @@ class TestFingerprint:
 class TestRegistry:
     def test_aggregates_per_fingerprint(self):
         registry = QueryStatsRegistry()
-        registry.observe("where C(x)", seconds=0.010, rows=5,
+        registry.observe("where C(x)", span=_timed(0.010), rows=5,
                          plan="scan", optimizer="cost")
-        entry = registry.observe("where  C(x)", seconds=0.030, rows=7,
+        entry = registry.observe("where  C(x)", span=_timed(0.030), rows=7,
                                  plan="scan", optimizer="cost")
         assert len(registry) == 1
         assert entry.count == 2
@@ -85,7 +91,7 @@ class TestRegistry:
     def test_lru_bound_and_eviction_counter(self):
         registry = QueryStatsRegistry(max_fingerprints=3)
         for i in range(5):
-            registry.observe(f"where C{i}(x)", seconds=0.001)
+            registry.observe(f"where C{i}(x)", span=_timed(0.001))
         assert len(registry) == 3
         assert registry.evicted == 2
         assert registry.observed == 5
@@ -95,39 +101,48 @@ class TestRegistry:
 
     def test_reobserving_refreshes_lru_position(self):
         registry = QueryStatsRegistry(max_fingerprints=2)
-        registry.observe("where A(x)", seconds=0.001)
-        registry.observe("where B(x)", seconds=0.001)
-        registry.observe("where A(x)", seconds=0.001)  # A is now newest
-        registry.observe("where C(x)", seconds=0.001)  # evicts B
+        registry.observe("where A(x)", span=_timed(0.001))
+        registry.observe("where B(x)", span=_timed(0.001))
+        registry.observe("where A(x)", span=_timed(0.001))  # A is now newest
+        registry.observe("where C(x)", span=_timed(0.001))  # evicts B
         assert registry.get(fingerprint("where A(x)")) is not None
         assert registry.get(fingerprint("where B(x)")) is None
 
     def test_slow_query_event_and_metrics(self):
+        span = _timed(0.002)
         with obs.recording() as rec:
             registry = QueryStatsRegistry(slow_seconds=0.0)
-            entry = registry.observe("where C(x)", seconds=0.002,
+            entry = registry.observe("where C(x)", span=span,
                                      rows=3, optimizer="heuristic")
         assert entry.slow == 1
-        events = rec.events.records(name="struql.slow_query")
-        assert len(events) == 1
-        assert events[0].level == "warning"
-        assert events[0].attributes["fingerprint"] == entry.fingerprint
+        [record] = span.notes
+        assert (record["level"], record["name"]) == \
+            ("warning", "struql.slow_query")
+        assert record["attributes"] == {"rows": 3, "threshold_s": 0.0}
         metrics = rec.metrics.as_dict()
         assert metrics["counters"]["struql.slow_queries"] == 1
         assert metrics["counters"]["struql.queries_observed"] == 1
         assert metrics["gauges"]["struql.query_fingerprints"] == 1
 
     def test_fast_query_is_not_slow(self):
-        with obs.recording() as rec:
+        span = _timed(0.001)
+        with obs.recording():
             registry = QueryStatsRegistry(slow_seconds=10.0)
-            entry = registry.observe("where C(x)", seconds=0.001)
+            entry = registry.observe("where C(x)", span=span)
         assert entry.slow == 0
-        assert rec.events.records(name="struql.slow_query") == []
+        assert span.notes == []
+
+    def test_slow_query_unnoted_while_recording_is_off(self):
+        span = _timed(0.002)
+        entry = QueryStatsRegistry(slow_seconds=0.0).observe(
+            "where C(x)", span=span)
+        assert entry.slow == 1
+        assert span.notes == []
 
     def test_snapshot_sorted_and_limited(self):
         registry = QueryStatsRegistry()
-        registry.observe("where Fast(x)", seconds=0.001)
-        registry.observe("where Slow(x)", seconds=0.100)
+        registry.observe("where Fast(x)", span=_timed(0.001))
+        registry.observe("where Slow(x)", span=_timed(0.100))
         snap = registry.snapshot()
         assert snap["fingerprints"] == 2
         assert snap["queries"][0]["text"].startswith("where Slow")
@@ -137,8 +152,8 @@ class TestRegistry:
 
     def test_clear(self):
         registry = QueryStatsRegistry(max_fingerprints=1)
-        registry.observe("where A(x)", seconds=0.001)
-        registry.observe("where B(x)", seconds=0.001)
+        registry.observe("where A(x)", span=_timed(0.001))
+        registry.observe("where B(x)", span=_timed(0.001))
         registry.clear()
         assert len(registry) == 0
         assert registry.evicted == 0
@@ -196,10 +211,26 @@ class TestEngineIntegration:
         flagged = misestimates_of(result)
         assert flagged, "skewed graph should trip the misestimate flag"
         assert all(f["ratio"] > MISESTIMATE_RATIO for f in flagged)
-        events = rec.events.records(name="struql.misestimate")
-        assert events and events[0].level == "warning"
+        noted = [span for span in rec.roots[-1].walk() if span.notes]
+        assert noted and all(span.name == "struql.block" for span in noted)
+        record = noted[0].notes[0]
+        assert (record["level"], record["name"]) == \
+            ("warning", "struql.misestimate")
+        assert record["attributes"]["ratio"] > MISESTIMATE_RATIO
+        # Label, estimate and actual rows are the span's own fields.
+        assert {"label", "estimated_rows", "actual_rows"} <= \
+            set(noted[0].attributes)
         entry = get_query_registry().get(result.fingerprint)
         assert entry.misestimates >= 1
+
+    def test_slow_query_noted_on_query_span(self):
+        set_query_registry(QueryStatsRegistry(slow_seconds=0.0))
+        with obs.recording() as rec:
+            result = QueryEngine().evaluate(MISEST_QUERY, _skewed_graph())
+        root = rec.roots[-1]
+        assert root.name == "struql.query"
+        assert root.attributes["fingerprint"] == result.fingerprint
+        assert [n["name"] for n in root.notes] == ["struql.slow_query"]
 
     def test_explain_analyze_rendering(self):
         engine = QueryEngine(optimizer="cost", decision_trace=True)

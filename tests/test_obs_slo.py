@@ -424,11 +424,16 @@ class TestSLOEvaluator:
         gauges = metrics.as_dict()["gauges"]
         assert gauges['slo.burn_rate{slo="avail"}'] == pytest.approx(50.0)
         assert gauges['slo.compliance{slo="avail"}'] == pytest.approx(0.5)
-        assert recorder.events.records("warning", name="alert.pending")
-        firing_events = recorder.events.records(
-            "error", name="alert.firing")
-        assert firing_events
-        assert firing_events[0].attributes["slo"] == "avail"
+        notes = obs.flat_notes(recorder.roots)
+        assert [(n["level"], n["name"]) for n in notes] == \
+            [("warning", "alert.pending"), ("error", "alert.firing")]
+        assert {n["span"] for n in notes} == {"slo.evaluate"}
+        assert notes[1]["attributes"]["slo"] == "avail"
+        assert notes[1]["message"] == \
+            f"{evaluator.rules[0].slo.describe()} [page]"
+        # One slo.evaluate span per tick, each holding its transitions.
+        assert [r.name for r in recorder.roots] == ["slo.evaluate"] * 3
+        assert recorder.roots[-1].attributes["firing"] == 1
 
         now = 103.0
         for _ in range(12):
@@ -437,7 +442,9 @@ class TestSLOEvaluator:
             now += 1.0
         assert evaluator.firing() == []
         assert metrics.gauge("alerts_firing").value == 0
-        assert recorder.events.records("info", name="alert.resolved")
+        resolved = obs.flat_notes(recorder.roots)[-1]
+        assert (resolved["level"], resolved["name"]) == \
+            ("info", "alert.resolved")
 
     def test_snapshot_shape(self):
         recorder = obs.TraceRecorder()
@@ -550,15 +557,30 @@ class TestCanaryProber:
             def roots(self):
                 return []
 
-        recorder = obs.TraceRecorder()
-        prober = CanaryProber(Rootless(), recorder)
-        assert prober.probe() is False
+        with obs.recording() as recorder:
+            prober = CanaryProber(Rootless(), recorder)
+            assert prober.probe() is False
         metrics = recorder.metrics.as_dict()
         assert metrics["counters"]["canary.probes"] == 1
         assert metrics["counters"]["canary.failures"] == 1
-        (event,) = recorder.events.records("warning",
-                                           name="canary.failed")
-        assert "no root pages" in event.message
+        [probe] = recorder.roots
+        assert probe.name == "canary.probe"
+        [record] = probe.notes
+        assert (record["level"], record["name"]) == \
+            ("warning", "canary.failed")
+        assert "no root pages" in record["message"]
+        assert metrics["histograms"]["canary.probe_seconds"]["sum"] == \
+            pytest.approx(probe.seconds)
+
+    def test_probe_timed_while_recording_is_off(self):
+        class Rootless:
+            def roots(self):
+                return []
+
+        recorder = obs.TraceRecorder()
+        CanaryProber(Rootless(), recorder).probe()
+        histogram = recorder.metrics.histogram("canary.probe_seconds")
+        assert histogram.count == 1 and histogram.total > 0
 
     def test_background_start_stop(self):
         recorder = obs.TraceRecorder()

@@ -66,6 +66,17 @@ class TestGraphIndex:
         assert index.fresh
         assert index.label_cardinality("note") == 1
 
+    def test_membership_edit_makes_index_stale(self, fig2_graph):
+        late = Oid("pub3")
+        fig2_graph.add_edge(late, "year", Atom.int(2003))
+        index = GraphIndex.build(fig2_graph)
+        fig2_graph.add_to_collection("Publications", late)
+        assert not index.fresh
+        index.refresh()
+        assert index.fresh
+        fig2_graph.add_to_collection("Publications", late)  # a repeat
+        assert index.fresh
+
     def test_stale_index_falls_back_to_scans(self):
         from repro.struql import QueryEngine
         graph = Graph("G")

@@ -42,6 +42,33 @@ class TestDynamicSite:
                             for e in fig4_site.out_edges(node)}
             assert set(view.edges) == materialized, str(node)
 
+    def test_membership_edit_starts_a_new_data_version(self, fig2_graph,
+                                                       monkeypatch):
+        """Adding an existing node to a collection changes neither the
+        node, edge nor collection count, yet the statistics and unit
+        plans built before it must go."""
+        from repro.repository.stats import GraphStatistics
+        gather = GraphStatistics.gather
+        gathered = []
+
+        def counting(graph):
+            gathered.append(graph.edge_count)
+            return gather(graph)
+
+        monkeypatch.setattr(GraphStatistics, "gather",
+                            staticmethod(counting))
+        late = Oid("pub3")
+        fig2_graph.add_edge(late, "year", Atom.int(2003))
+        site = DynamicSite(FIG3_QUERY, fig2_graph)
+        root = Oid.skolem("RootPage", ())
+        year = Oid.skolem("YearPage", (Atom.int(2003),))
+        assert ("YearPage", year) not in site.get_page(root).edges
+        assert len(gathered) == 1
+        fig2_graph.add_to_collection("Publications", late)
+        assert ("YearPage", year) in site.get_page(root).edges
+        assert len(gathered) == 2
+        assert gathered[0] == gathered[1]  # no edge changed
+
     def test_get_page_reuses_the_site_fingerprint(self, fig2_graph,
                                                   monkeypatch):
         """A page compute feeds the query registry under the site

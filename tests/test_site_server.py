@@ -239,12 +239,22 @@ class TestRequestRecords:
         with obs.recording() as rec:
             server.invalidate()  # fresh caches under the recorder
             response = server.request(server.roots()[0])
-        events = [e for e in rec.events.records()
-                  if e.name == "server.request"]
-        assert events
-        assert events[-1].attributes["request"] == response.request_id
-        assert events[-1].trace_id
+        served = [root for root in rec.roots
+                  if root.name == "server.request"]
+        assert served and served[-1] is response.span
+        assert served[-1].attributes["request"] == response.request_id
+        assert served[-1].trace_id
         obs.disable()
+
+    def test_served_200_and_404_add_no_note(self, server):
+        from repro import obs
+        with obs.recording() as rec:
+            server.invalidate()
+            ok = server.request(server.roots()[0])
+            missing = server.request("nope.html")
+        assert (ok.status, missing.status) == (200, 404)
+        assert obs.flat_notes(rec.roots) == []
+        assert missing.span.attributes["page"] == "nope.html"
 
 
 class TestRequestIdPassThrough:
@@ -260,9 +270,11 @@ class TestRequestIdPassThrough:
             response = server.request(server.roots()[0],
                                       request_id="req-ext")
         assert response.span.attributes["request"] == "req-ext"
-        served = [e for e in rec.events.records()
-                  if e.name == "server.request"]
+        served = [root for root in rec.roots
+                  if root.name == "server.request"]
         assert served[-1].attributes["request"] == "req-ext"
+        assert all(span.trace_id == served[-1].trace_id
+                   for span in served[-1].walk())
 
 
 class TestErrorClassification:
@@ -291,9 +303,10 @@ class TestErrorClassification:
         counters = rec.metrics.as_dict()["counters"]
         assert counters['server.errors{kind="internal"}'] == 1
         assert family_total(counters, "server.errors") == 1
-        errors = [e for e in rec.events.records()
-                  if e.name == "server.error"]
-        assert errors and errors[-1].attributes["kind"] == "internal"
+        [record] = response.span.notes
+        assert (record["level"], record["name"], record["message"]) == \
+            ("error", "server.error", "render blew up")
+        assert "attributes" not in record  # kind is the span's error
 
     def test_404_keeps_not_found_classification(self, server):
         from repro import obs

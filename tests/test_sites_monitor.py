@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.graph import Oid
-from repro.obs.trace import TailSampler, TraceRecorder
+from repro.obs.trace import Span, TailSampler, TraceRecorder
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
 from repro.sites.monitor import (
@@ -13,6 +13,11 @@ from repro.sites.monitor import (
     monitor_templates,
     telemetry_graph,
 )
+
+
+def _timed(seconds: float) -> Span:
+    """A closed span that took ``seconds``."""
+    return Span("q", start=0.0, end=seconds)
 
 
 @pytest.fixture(autouse=True)
@@ -24,12 +29,23 @@ def _clean_recorder():
 
 @pytest.fixture
 def busy_recorder():
-    """A recorder with real pipeline telemetry and tail-sampled traces."""
-    with obs.recording(TraceRecorder(tail=TailSampler())) as rec:
-        server = DynamicSiteServer(FIG3_QUERY, fig2_data(),
-                                   fig7_templates())
-        server.crawl()
-        server.request("missing.html")
+    """A recorder with real pipeline telemetry and tail-sampled traces;
+    a zero slow-query threshold notes every click-time compute."""
+    from repro.obs.queries import (
+        QueryStatsRegistry,
+        get_query_registry,
+        set_query_registry,
+    )
+    previous = get_query_registry()
+    set_query_registry(QueryStatsRegistry(slow_seconds=0.0))
+    try:
+        with obs.recording(TraceRecorder(tail=TailSampler())) as rec:
+            server = DynamicSiteServer(FIG3_QUERY, fig2_data(),
+                                       fig7_templates())
+            server.crawl()
+            server.request("missing.html")
+    finally:
+        set_query_registry(previous)
     return rec
 
 
@@ -50,8 +66,15 @@ class TestTelemetryGraph:
             str(graph.get_one(oid, "name").value)
             for oid in graph.collection("Stages")}
         assert "server.request" in stage_names
-        assert graph.collection("Events")
         assert graph.collection("Requests")
+        notes = graph.collection("Events")
+        assert len(notes) == len(obs.flat_notes(recorder.roots)) > 0
+        for oid in notes:
+            assert graph.get_one(oid, "name").value == "struql.slow_query"
+            assert graph.get_one(oid, "span").value == "site.compute_page"
+            assert str(graph.get_one(oid, "trace").value)
+        seqs = sorted(graph.get_one(oid, "seq").value for oid in notes)
+        assert seqs == list(range(1, len(notes) + 1))
         counters = {str(graph.get_one(oid, "name").value)
                     for oid in graph.collection("Counters")}
         assert "server.requests" in counters
@@ -120,9 +143,12 @@ class TestDashboardSite:
         # Slowest requests table has ranked ids.
         requests_page = (out / "RequestsPage__.html").read_text()
         assert "req-" in requests_page
-        # 404 warning made it into the event log page.
+        # The slow-query notes made it onto the notes page, each with
+        # the span it sits on.
         events_page = (out / "EventsPage__.html").read_text()
-        assert "server.not_found" in events_page
+        assert "struql.slow_query" in events_page
+        assert "site.compute_page" in events_page
+        assert "notes on spans" in dashboard
         assert len(pages) > 5
 
     def test_site_is_query_generated(self):
@@ -145,7 +171,7 @@ class TestDashboardSite:
         requests_page = (out / "RequestsPage__.html").read_text()
         assert "No request log attached" in requests_page
         events_page = (out / "EventsPage__.html").read_text()
-        assert "No events recorded" in events_page
+        assert "No notes recorded" in events_page
 
     def test_templates_cover_every_skolem(self):
         """Every Skolem function the query creates has a template."""
@@ -212,9 +238,9 @@ class TestQueriesPage:
     def registry(self):
         from repro.obs.queries import QueryStatsRegistry
         reg = QueryStatsRegistry()
-        reg.observe('where Big(x), x = "a"', seconds=0.002, rows=5,
+        reg.observe('where Big(x), x = "a"', span=_timed(0.002), rows=5,
                     plan="member/filter", optimizer="cost")
-        reg.observe('where Small(y)', seconds=0.050, rows=2,
+        reg.observe('where Small(y)', span=_timed(0.050), rows=2,
                     plan="member", optimizer="heuristic", misestimates=1)
         return reg
 
@@ -247,7 +273,7 @@ class TestQueriesPage:
         previous = get_query_registry()
         try:
             set_query_registry(QueryStatsRegistry())
-            get_query_registry().observe("where C(x)", seconds=0.001)
+            get_query_registry().observe("where C(x)", span=_timed(0.001))
             graph = telemetry_graph(obs.TraceRecorder())
             assert len(graph.collection("Queries")) == 1
         finally:
