@@ -10,8 +10,6 @@ site a short browsing session actually computes.
 
 import time
 
-import pytest
-
 from repro.datagen import generate_bibtex
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig7_templates
@@ -56,24 +54,19 @@ def test_click_time_first_and_cached(benchmark, experiment):
                    note=f"{cached.seconds * 1000:.3f} ms")
 
 
-@pytest.mark.parametrize("cache", [True, False])
-def test_browsing_session(benchmark, experiment, cache):
-    """A 12-click session touches a small fraction of the site.  A
-    crawl visits each page once, so the body cache does not change
-    what it computes: the pages' snapshots are computed once either
-    way."""
+def test_browsing_session(benchmark, experiment):
+    """A 12-click session touches a small fraction of the site."""
     data = _data()
 
     def session():
-        server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates(),
-                                   cache=cache)
+        server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
         server.crawl(limit=12)
         return server
 
     server = benchmark(session)
     total = sum(1 for n in QueryEngine().evaluate(FIG3_QUERY, data)
                 .output.nodes() if n.skolem_fn is not None)
-    experiment.row(mode=f"12-click session (cache={'on' if cache else 'off'})",
+    experiment.row(mode="12-click session",
                    pages=f"{server.graph.materialized_count}/{total} computed",
                    note=f"{server.site.stats['unit_evaluations']} unit "
                         f"evaluations, "

@@ -597,8 +597,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if interval > 0:
             # Each probe ends by ticking the evaluator, so alerting
             # works with zero organic traffic.
-            canary = CanaryProber(site_server, recorder,
-                                  interval=interval,
+            canary = CanaryProber(site_server, interval=interval,
                                   evaluator=evaluator)
             plane.canary = canary
             canary.start()

@@ -20,6 +20,8 @@ This module provides:
   collections, multi-valued attributes, and an immutability fence used by
   StruQL's construction semantics.
 * :class:`Database` — a set of named graphs that may share objects.
+* **read keys** — names for the parts of a graph one read depends on,
+  which :attr:`Graph.journal` collects for each mutation.
 
 Both the raw data served by a Web site (the *data graph*) and the site
 itself (the *site graph*) are instances of :class:`Graph`.
@@ -110,6 +112,31 @@ class Edge(NamedTuple):
     target: GraphObject
 
 
+# -- read keys -----------------------------------------------------------------
+#
+# A read key names the part of a graph that one read returned:
+#
+# * ``("out", s)`` / ``("in", t)`` — every edge out of ``s`` / into ``t``;
+# * ``("out", s, l)`` / ``("in", t, l)`` — the ``l`` edges out of ``s`` /
+#   into ``t``;
+# * ``("label", l)`` — the extent of label ``l``;
+# * ``("collection", c)`` — the members (and existence) of collection ``c``;
+# * :data:`EVERYTHING` — a full edge scan or the active domain.
+#
+# A mutation *meets* the keys whose reads it may change.  The graph is
+# add-only, so a read whose keys no mutation met returns what it did.
+
+#: The key of a read of the whole graph; every new node or edge meets it.
+EVERYTHING = ("everything",)
+
+
+def edge_keys(edge: Edge) -> tuple[tuple, ...]:
+    """The read keys a new edge meets."""
+    source, label, target = edge
+    return (("out", source), ("out", source, label), ("in", target),
+            ("in", target, label), ("label", label), EVERYTHING)
+
+
 class Graph:
     """A labeled directed graph with named collections.
 
@@ -124,18 +151,28 @@ class Graph:
     graph's data version: it grows by one with every mutation that
     changes the graph (a repeated, idempotent add leaves it alone), so
     anything derived from the graph is fresh exactly while the version
-    it was built at is current.
+    it was built at is current.  While :attr:`journal` is a set, each
+    such mutation also adds to it the read keys it meets.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.version = 0
+        self.journal: set[tuple] | None = None
         self._nodes: dict[Oid, None] = {}
         self._out: dict[Oid, list[Edge]] = {}
         self._in: dict[GraphObject, list[Edge]] = {}
         self._edges: set[Edge] = set()
         self._collections: dict[str, dict[GraphObject, None]] = {}
         self._frozen: set[Oid] = set()
+
+    def _changed(self, change: tuple) -> None:
+        """Count one mutation and journal the read keys it meets:
+        ``change`` is a new :class:`Edge`, or the one key it meets."""
+        self.version += 1
+        if self.journal is not None:
+            self.journal.update(edge_keys(change)
+                                if isinstance(change, Edge) else (change,))
 
     # -- nodes ---------------------------------------------------------------
 
@@ -144,7 +181,7 @@ class Graph:
         if oid not in self._nodes:
             self._nodes[oid] = None
             self._out.setdefault(oid, [])
-            self.version += 1
+            self._changed(EVERYTHING)
         return oid
 
     def has_node(self, oid: Oid) -> bool:
@@ -203,7 +240,7 @@ class Graph:
             self._edges.add(edge)
             self._out[source].append(edge)
             self._in.setdefault(target, []).append(edge)
-            self.version += 1
+            self._changed(edge)
         return edge
 
     def has_edge(self, source: Oid, label: str, target: GraphObject) -> bool:
@@ -283,13 +320,13 @@ class Graph:
             members = self._collections[name] = {}
         if obj not in members:
             members[obj] = None
-            self.version += 1
+            self._changed(("collection", name))
 
     def declare_collection(self, name: str) -> None:
         """Ensure collection ``name`` exists (possibly empty)."""
         if name not in self._collections:
             self._collections[name] = {}
-            self.version += 1
+            self._changed(("collection", name))
 
     def collection(self, name: str) -> list[GraphObject]:
         """Members of collection ``name`` in insertion order.

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from .metrics import WindowedSeries, DEFAULT_WINDOW_STEP
-from .trace import Span, timed
+from .trace import Span, get_recorder, timed
 
 try:  # Python 3.11+
     import tomllib
@@ -468,16 +468,16 @@ class CanaryProber:
     under a ``canary.probe`` span, then records ``canary.probes`` /
     ``canary.failures`` counters and the ``canary.probe_seconds``
     histogram (that span's duration) which the canary SLOs read.  A
-    failed probe gets a ``canary.failed`` note on its span.  Each probe
-    ends by ticking the evaluator, so alert latency is bounded by the
-    probe interval even with zero organic traffic.
+    failed probe gets a ``canary.failed`` note on its span.  Spans and
+    metrics go to the recorder installed when the probe runs, so they
+    land in one place.  Each probe ends by ticking the evaluator, so
+    alert latency is bounded by the probe interval even with zero
+    organic traffic.
     """
 
-    def __init__(self, site_server, recorder,
-                 interval: float = 5.0,
+    def __init__(self, site_server, interval: float = 5.0,
                  evaluator: SLOEvaluator | None = None) -> None:
         self.site_server = site_server
-        self.recorder = recorder
         self.interval = interval
         self.evaluator = evaluator
         self.probes = 0
@@ -487,7 +487,7 @@ class CanaryProber:
 
     def probe(self) -> bool:
         """One end-to-end probe; returns whether it succeeded."""
-        metrics = self.recorder.metrics
+        metrics = get_recorder().metrics
         roots = self.site_server.roots()
         with timed("canary.probe") as span:
             try:

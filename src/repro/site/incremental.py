@@ -22,19 +22,22 @@ query processor" is the view's immutable page snapshots, read without a
 lock — and :class:`~repro.site.server.DynamicSiteServer` keeps the
 rendered bodies.
 
-A data change reaches both stores through one decision:
-:meth:`DynamicSite.invalidate` drops the data version's index,
-statistics and plans and returns the Skolem functions whose pages it
-may affect (:meth:`DynamicSite.affected_fns`); every store above it,
-the page snapshots here and the rendered bodies of
-:class:`~repro.site.server.DynamicSiteServer`, drops by that set.
+One dependency model runs from data to page.  Each page compute
+records the read keys of the data-graph reads its units made
+(:class:`~repro.struql.plan.ExecutionContext`, keys as in
+:mod:`repro.graph.model`), and its snapshot keeps them.  A data change
+is the set of read keys its mutations met (the data graph's
+``journal``); :meth:`LazySiteGraph.unmaterialize` drops the snapshots
+whose keys it meets and names their pages, and the rendered bodies of
+:class:`~repro.site.server.DynamicSiteServer` that read one of those
+pages go with them.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 from repro.errors import PageNotFoundError, UnboundTermError
 from repro.graph.model import Edge, Graph, GraphObject, Oid
@@ -44,7 +47,6 @@ from repro.obs.queries import fingerprint, get_query_registry
 from repro.obs.trace import get_recorder, timed
 from repro.repository.indexes import GraphIndex
 from repro.repository.stats import GraphStatistics
-from repro.struql.analysis import Footprint, unit_footprint
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label, runtime_eq
 from repro.struql.construction import TermFn, compile_term
@@ -63,14 +65,17 @@ class PageView:
     oid: Oid
     edges: list[tuple[str, GraphObject]] = field(default_factory=list)
     collections: list[str] = field(default_factory=list)
+    #: The read keys of every data-graph read the compute made.
+    reads: set[tuple] = field(default_factory=set)
 
 
 class DynamicSite:
     """Serves site pages computed at click time from the data graph.
 
     :meth:`get_page` computes a page's view on every call, evaluating
-    each contributing unit once with the page's Skolem arguments bound;
-    the per-page store is :class:`LazySiteGraph`'s page snapshots.
+    each contributing unit once with the page's Skolem arguments bound,
+    and records what those evaluations read; the per-page store is
+    :class:`LazySiteGraph`'s page snapshots.
     What it keeps is per data version: the data graph's index, its
     optimizer statistics, and one plan per (unit, names of the bound
     variables), built on first use.  The bound names come from the
@@ -95,10 +100,6 @@ class DynamicSite:
         self.data = data
         self.engine = engine or QueryEngine()
         self.units = flatten(query)
-        #: Skolem function -> union of the footprints of every unit
-        #: that contributes links or collections to its pages: the data
-        #: a page of that function may read when computed.
-        self.fn_footprints = self._compute_fn_footprints()
         self.skolem = SkolemRegistry()
         #: Each unit's links, parallel to :attr:`units`, with their
         #: label and target terms compiled once into the closures the
@@ -125,24 +126,6 @@ class DynamicSite:
         #: equals ``get_page`` calls.
         self.stats = {"pages_computed": 0, "unit_evaluations": 0,
                       "invalidations": 0}
-
-    def _compute_fn_footprints(self) -> dict[str, Footprint]:
-        out: dict[str, Footprint] = {
-            fn: Footprint() for fn in self.query.skolem_functions()}
-        for unit in self.units:
-            footprint = unit_footprint(unit)
-            touched = {link.source.fn for link in unit.links}
-            touched.update(c.term.fn for c in unit.collects
-                           if isinstance(c.term, SkolemTerm))
-            for fn in touched:
-                out[fn] = out.get(fn, Footprint()).union(footprint)
-        return out
-
-    def affected_fns(self, change) -> set[str]:
-        """Skolem functions whose pages ``change`` may affect: all of
-        them for a full or an unknown (``None``) change."""
-        return {fn for fn, footprint in self.fn_footprints.items()
-                if footprint.intersects(change)}
 
     # -- roots -----------------------------------------------------------------
 
@@ -189,12 +172,9 @@ class DynamicSite:
             fp=self.fingerprint)
         return view
 
-    def invalidate(self, change=None) -> set[str]:
+    def invalidate(self) -> None:
         """Drop the data version's index, statistics and plans after a
-        data-graph update, and return :meth:`affected_fns` of
-        ``change`` (a :class:`~repro.struql.matview.ChangeSummary`;
-        every function when omitted or full), the one answer every
-        store above drops by.
+        data-graph update.
 
         Atomic with in-flight :meth:`get_page` calls: waits for any
         compute holding :attr:`lock`, then drops at once.
@@ -202,7 +182,6 @@ class DynamicSite:
         with self.lock:
             self._drop_data_version()
             self.stats["invalidations"] += 1
-            return self.affected_fns(change)
 
     def stats_snapshot(self) -> dict:
         """A consistent copy of :attr:`stats`."""
@@ -220,6 +199,15 @@ class DynamicSite:
         assert fn is not None
         arity = len(oid.skolem_args)
         view = PageView(oid)
+        if self._index is None or not self._index.fresh:
+            # A new data version: its statistics may order units
+            # differently, so the plans go with the old index.
+            self._drop_data_version()
+            self._index = GraphIndex.build(self.data)
+            self._stats = GraphStatistics.gather(self.data)
+        ctx = ExecutionContext(self.data, index=self._index,
+                               predicates=self.engine.predicates)
+        ctx.reads = view.reads
         seen_edges: set[tuple[str, GraphObject]] = set()
         for unit, unit_links in zip(self.units, self._unit_links):
             links = [entry for entry in unit_links
@@ -239,7 +227,7 @@ class DynamicSite:
                 # and shared by the links and collects that have it.
                 terms = [link.source for link, _, _ in links]
                 terms.extend(c.term for c in collecting)
-                rows_of = {term: self._unit_rows(unit, term, oid)
+                rows_of = {term: self._unit_rows(unit, term, oid, ctx)
                            for term in dict.fromkeys(terms)}
                 for link, label_of, target_of in links:
                     for row in rows_of[link.source]:
@@ -262,7 +250,7 @@ class DynamicSite:
         return view
 
     def _unit_rows(self, unit: ConjunctiveUnit, source: SkolemTerm,
-                   oid: Oid) -> list[Binding]:
+                   oid: Oid, ctx: ExecutionContext) -> list[Binding]:
         """Bindings of the unit's conditions consistent with ``oid``'s
         Skolem arguments bound into the source term's variables.
 
@@ -275,14 +263,6 @@ class DynamicSite:
             elif isinstance(arg_term, Const):
                 if not runtime_eq(arg_term.value, arg_value):
                     return []
-        if self._index is None or not self._index.fresh:
-            # A new data version: its statistics may order units
-            # differently, so the plans go with the old index.
-            self._drop_data_version()
-            self._index = GraphIndex.build(self.data)
-            self._stats = GraphStatistics.gather(self.data)
-        ctx = ExecutionContext(self.data, index=self._index,
-                               predicates=self.engine.predicates)
         # Aggregates partition the FULL binding relation.  Seeding the
         # page's Skolem arguments before an aggregate whose group does
         # not cover them would aggregate over the restricted rows and
@@ -322,13 +302,15 @@ def _resolve(term_of: TermFn, row: Binding) -> RuntimeValue | None:
 
 class _PageSnapshot(NamedTuple):
     """One computed page, never mutated: attribute label -> targets in
-    computed order, and the page's collections, sorted."""
+    computed order, the page's collections, sorted, and the read keys
+    of its compute."""
 
     attrs: dict[str, tuple[GraphObject, ...]]
     collections: tuple[str, ...]
+    reads: frozenset[tuple]
 
 
-_EMPTY = _PageSnapshot({}, ())
+_EMPTY = _PageSnapshot({}, (), frozenset())
 
 
 class LazySiteGraph:
@@ -337,7 +319,8 @@ class LazySiteGraph:
     outgoing edges and collection memberships).
 
     Each page is computed on first read into an immutable snapshot held
-    in a dict keyed by oid; :meth:`unmaterialize` drops snapshots so
+    in a dict keyed by oid, with the read keys of its compute;
+    :meth:`unmaterialize` drops the snapshots a data change meets so
     they recompute.  Thread-safety without a lock on the read path:
 
     * snapshots are never mutated after they are built;
@@ -385,21 +368,23 @@ class LazySiteGraph:
                 page = _PageSnapshot(
                     {label: tuple(targets)
                      for label, targets in attrs.items()},
-                    tuple(sorted(view.collections)))
+                    tuple(sorted(view.collections)),
+                    frozenset(view.reads))
                 self._known.setdefault(oid)
                 self._pages[oid] = page
             return page
 
-    def unmaterialize(self, fns: set[str]) -> int:
-        """Drop the snapshots of pages minted by the Skolem functions
-        ``fns`` (:meth:`DynamicSite.affected_fns` names them all for a
-        full change), so the next read recomputes them against the
-        updated data.  Their oids stay known."""
+    def unmaterialize(self, keys: AbstractSet[tuple] | None) -> list[Oid]:
+        """Drop the snapshots whose recorded read keys meet ``keys``
+        (every snapshot when ``None``), so the next read recomputes
+        them against the updated data, and return their oids.  Their
+        oids stay known."""
         with self._site.lock:
-            victims = [oid for oid in self._pages if oid.skolem_fn in fns]
+            victims = [oid for oid, page in self._pages.items()
+                       if keys is None or not page.reads.isdisjoint(keys)]
             for oid in victims:
                 del self._pages[oid]
-            return len(victims)
+            return victims
 
     # -- the Graph reads the HTML generator uses ------------------------------
 

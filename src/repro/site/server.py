@@ -11,9 +11,11 @@ per data version, and the page snapshots of
 the ordinary HTML generator.  Rendered bodies are cached as
 materialized views that keep the site-graph nodes their render read
 (:meth:`~repro.templates.generator.HtmlGenerator.render_recorded`), the same
-dependency record the offline build cache keeps, and a data change
-drops the bodies that read a page it may affect.  Each request is
-recorded once, through the shared observability layer
+dependency record the offline build cache keeps.  Each page snapshot
+keeps the data-graph reads of its compute, so a data change, journaled
+while :meth:`DynamicSiteServer.update` applies it, drops the snapshots
+whose reads it meets and the bodies that read one of those pages.
+Each request is recorded once, through the shared observability layer
 (:mod:`repro.obs`): one ``server.request`` span, one
 ``server.request_seconds`` observation and one ``server.requests``
 count, so the materialized-vs-dynamic trade-off of benchmark A3 can be
@@ -25,6 +27,7 @@ measured in bounded memory.  A failed request adds one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from repro.errors import PageNotFoundError, StrudelError
 from repro.graph.model import Graph, Oid
@@ -39,7 +42,7 @@ from repro.obs.trace import (
 from repro.site.incremental import DynamicSite, LazySiteGraph
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine
-from repro.struql.matview import ChangeSummary, MatViewRegistry
+from repro.struql.matview import MatViewRegistry
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
 
@@ -79,30 +82,30 @@ class DynamicSiteServer:
     (single-flight), with at most
     :data:`~repro.struql.matview.DEFAULT_MAX_INFLIGHT` computations
     running at a time.  Each body's view keeps the site-graph nodes its
-    render read, so :meth:`invalidate` with a
-    :class:`~repro.struql.matview.ChangeSummary` drops only the bodies
-    that read a page the change may affect.
+    render read.
 
     Below the body views sit :class:`LazySiteGraph`'s immutable page
     snapshots, computed by :class:`DynamicSite` from plans it builds
-    once per data version; :attr:`graph` and :attr:`generator` are the
-    same objects for the server's lifetime, and every invalidation,
-    full or selective, takes one path through both cache layers.
-    ``cache=False`` turns off the body views only.  The site lock is
-    held only to compute a page, to drop pages, or to scan newly known
-    pages into the router: a render over computed pages, and a
-    body-view hit by oid or by URL, take none.
+    once per data version; each keeps the read keys of the data-graph
+    reads its compute made.  :meth:`update` journals the read keys its
+    mutation meets and drops the snapshots that recorded one of them,
+    then the bodies that read one of those pages; the rest keep serving
+    from cache.  :attr:`graph` and :attr:`generator` are the same
+    objects for the server's lifetime, and every invalidation, full or
+    selective, takes one path through both cache layers.  The site
+    lock is held only to compute a page, to drop pages, or to scan
+    newly known pages into the router: a render over computed pages,
+    and a body-view hit by oid or by URL, take none.
     """
 
     def __init__(self, query: Query | str, data: Graph,
                  templates: TemplateSet,
                  engine: QueryEngine | None = None,
-                 cache: bool = True, loader=None) -> None:
+                 loader=None) -> None:
         self.site = DynamicSite(query, data, engine=engine)
         self.graph = LazySiteGraph(self.site)
         self.generator = HtmlGenerator(self.graph, templates, loader=loader)
         self.matviews = MatViewRegistry()
-        self._cache_bodies = cache
         self._url_map: dict[str, Oid] = {}
         self._url_map_size = -1
 
@@ -180,8 +183,6 @@ class DynamicSiteServer:
                                     reads)
             return html
 
-        if not self._cache_bodies:
-            return compute()
         return self.matviews.get_or_compute(str(oid), compute, reads)
 
     def request(self, page: Oid | str,
@@ -268,38 +269,37 @@ class DynamicSiteServer:
         ``unit_evaluations``, ``invalidations``)."""
         return self.site.stats_snapshot()
 
-    def invalidate(self, change: ChangeSummary | None = None) -> None:
+    def invalidate(self, keys: AbstractSet[tuple] | None = None) -> None:
         """Propagate a data-graph update: drop what it may affect.
 
-        :meth:`DynamicSite.invalidate` drops the data version's plans
-        and names the Skolem functions whose pages the
-        :class:`~repro.struql.matview.ChangeSummary` may affect; the
-        page snapshots of those functions and the rendered bodies that
-        read one of them are dropped, and the rest keep serving from
-        cache.
-        Without a summary (the sound fallback when the caller cannot
-        describe what changed), or with a full one, everything is
+        :meth:`DynamicSite.invalidate` drops the data version's plans;
+        the page snapshots whose recorded read keys meet ``keys`` (the
+        keys a change met, see :mod:`repro.graph.model`) and the
+        rendered bodies that read one of those pages are dropped, and
+        the rest keep serving from cache.  Without ``keys`` (the sound
+        fallback when the caller cannot say what changed) everything is
         dropped.
         """
         with self.site.lock:
-            fns = self.site.invalidate(change)
-            self.graph.unmaterialize(fns)
-            self.matviews.invalidate(fns)
+            self.site.invalidate()
+            pages = self.graph.unmaterialize(keys)
+            self.matviews.invalidate(None if keys is None else pages)
 
-    def update(self, mutate, change: ChangeSummary | None = None):
+    def update(self, mutate):
         """Apply a data mutation and propagate invalidation atomically.
 
-        ``mutate(data_graph)`` runs under the site lock, so concurrent
-        page computes never observe a half-applied change; ``change``
-        then drives :meth:`invalidate` before the lock is released.
-        When ``change`` is omitted and ``mutate`` returns a
-        :class:`~repro.struql.matview.ChangeSummary`, that summary
-        drives the invalidation; any other return value falls back to
-        the full flush.  Returns whatever ``mutate`` returned.
+        ``mutate(data_graph)`` runs under the site lock with a journal
+        open on the data graph, so concurrent page computes never
+        observe a half-applied change; the read keys the journal
+        collected then drive :meth:`invalidate` before the lock is
+        released, also when ``mutate`` raises.  Returns whatever
+        ``mutate`` returned.
         """
+        data = self.site.data
         with self.site.lock:
-            result = mutate(self.site.data)
-            if change is None and isinstance(result, ChangeSummary):
-                change = result
-            self.invalidate(change)
-            return result
+            data.journal = keys = set()
+            try:
+                return mutate(data)
+            finally:
+                data.journal = None
+                self.invalidate(keys)

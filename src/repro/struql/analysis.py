@@ -25,7 +25,6 @@ as the paper's prototype did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.struql.ast import (
     AggregateCond,
@@ -34,16 +33,10 @@ from repro.struql.ast import (
     Condition,
     Const,
     InCond,
-    LabelEquals,
     MembershipCond,
     NotCond,
     PathCond,
     Query,
-    RAlt,
-    RConcat,
-    RLabel,
-    RStar,
-    RegularPath,
     Var,
     condition_variables,
 )
@@ -187,179 +180,3 @@ def analyze(query: Query | str) -> list[Warning]:
 def is_range_restricted(query: Query | str) -> bool:
     """Whether the query's meaning is independent of the active domain."""
     return not analyze(query)
-
-
-# --------------------------------------------------------------------------
-# Read footprints — what part of the data graph a query depends on.
-#
-# A materialized query result stays valid until the data it *read*
-# changes.  The footprint is the static over-approximation of that read
-# set: which collections the conditions enumerate and which edge labels
-# they traverse.  ``any_label``/``any_collection`` mark the wildcard
-# reads (``->*->``, arc variables without a narrowing equality, blocks
-# that are not range restricted) where precision is impossible and the
-# only sound answer is "everything".
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """Collections and edge labels a set of conditions may read.
-
-    Soundness contract: if a data change is not matched by
-    :meth:`intersects`, re-evaluating the conditions is guaranteed to
-    produce the same result.  Over-approximation is fine (a spurious
-    invalidation recomputes an identical view); missing a read is not.
-    """
-
-    collections: frozenset[str] = frozenset()
-    labels: frozenset[str] = frozenset()
-    any_label: bool = False
-    any_collection: bool = False
-
-    def union(self, other: "Footprint") -> "Footprint":
-        return Footprint(
-            collections=self.collections | other.collections,
-            labels=self.labels | other.labels,
-            any_label=self.any_label or other.any_label,
-            any_collection=self.any_collection or other.any_collection)
-
-    def intersects(self, change) -> bool:
-        """Whether ``change`` (duck-typed: ``labels``, ``collections``,
-        ``full``) may affect data this footprint reads."""
-        if change is None or getattr(change, "full", False):
-            return True
-        labels = getattr(change, "labels", frozenset())
-        collections = getattr(change, "collections", frozenset())
-        if labels and (self.any_label or (self.labels & labels)):
-            return True
-        if collections and (self.any_collection
-                            or (self.collections & collections)):
-            return True
-        return False
-
-    def as_dict(self) -> dict:
-        return {
-            "collections": sorted(self.collections),
-            "labels": sorted(self.labels),
-            "any_label": self.any_label,
-            "any_collection": self.any_collection,
-        }
-
-    def __str__(self) -> str:
-        parts = []
-        if self.any_collection:
-            parts.append("collections:*")
-        elif self.collections:
-            parts.append("collections:" + ",".join(sorted(self.collections)))
-        if self.any_label:
-            parts.append("labels:*")
-        elif self.labels:
-            parts.append("labels:" + ",".join(sorted(self.labels)))
-        return " ".join(parts) or "(empty)"
-
-
-#: The footprint that intersects every change — the sound fallback.
-ANY_FOOTPRINT = Footprint(any_label=True, any_collection=True)
-
-
-def _path_footprint(path: RegularPath) -> Footprint:
-    """Labels a regular path expression may traverse."""
-    if isinstance(path, RLabel):
-        if isinstance(path.pred, LabelEquals):
-            return Footprint(labels=frozenset({path.pred.label}))
-        # AnyLabel and named label predicates range over all edges.
-        return Footprint(any_label=True)
-    if isinstance(path, (RConcat, RAlt)):
-        parts = path.parts if isinstance(path, RConcat) else path.options
-        out = Footprint()
-        for part in parts:
-            out = out.union(_path_footprint(part))
-        return out
-    if isinstance(path, RStar):
-        return _path_footprint(path.inner)
-    return ANY_FOOTPRINT
-
-
-def _arc_constants(conditions: Iterable[Condition]) -> dict[str, set[str]]:
-    """Arc variable -> the constant labels it is pinned to, if any.
-
-    ``x -> l -> v, l = "year"`` reads only ``year`` edges: the equality
-    (or an ``in`` enumeration) narrows the wildcard.  Only top-level
-    positive constraints narrow; anything inside ``not(...)`` does not
-    restrict the rows the path itself enumerates.
-    """
-    pinned: dict[str, set[str]] = {}
-    for condition in conditions:
-        if isinstance(condition, ComparisonCond) and condition.op == "=":
-            pairs = [(condition.left, condition.right),
-                     (condition.right, condition.left)]
-            for var, const in pairs:
-                if isinstance(var, Var) and isinstance(const, Const):
-                    pinned.setdefault(var.name, set()).add(
-                        str(const.value.value))
-        elif isinstance(condition, InCond):
-            pinned.setdefault(condition.var.name, set()).update(
-                str(v.value.value) for v in condition.values)
-    return pinned
-
-
-def conditions_footprint(
-        conditions: Iterable[Condition]) -> Footprint:
-    """The read footprint of one conjunction of conditions."""
-    conditions = list(conditions)
-    pinned = _arc_constants(conditions)
-    out = Footprint()
-
-    def visit(condition: Condition, narrowing: bool) -> None:
-        nonlocal out
-        if isinstance(condition, MembershipCond):
-            # Arity-1 is a collection read (or a pure predicate over an
-            # already-bound value — treating it as a collection read is
-            # a harmless over-approximation).  Multi-argument conditions
-            # are external predicates: pure functions, no data read.
-            if len(condition.args) == 1:
-                out = out.union(Footprint(
-                    collections=frozenset({condition.name})))
-        elif isinstance(condition, PathCond):
-            if condition.path is not None:
-                out = out.union(_path_footprint(condition.path))
-            else:
-                labels = pinned.get(condition.arc_var) if narrowing else None
-                if labels:
-                    out = out.union(Footprint(labels=frozenset(labels)))
-                else:
-                    out = out.union(Footprint(any_label=True))
-        elif isinstance(condition, NotCond):
-            # The negation flips when data matching the inner condition
-            # appears; its reads count.  Narrowing equalities scoped
-            # outside the negation do not restrict what the inner path
-            # ranges over, so the inner arc variables stay wildcards.
-            visit(condition.inner, narrowing=False)
-        # Comparisons, in-lists and aggregates consume values that flow
-        # from the conditions above: no direct data read.
-
-    for condition in conditions:
-        visit(condition, narrowing=True)
-    return out
-
-
-def _restricted(conditions: list[Condition]) -> bool:
-    """Whether a condition list is range restricted on its own."""
-    block = Block(conditions=list(conditions))
-    warnings: list[Warning] = []
-    _block_warnings(block, set(), warnings)
-    return not warnings
-
-
-def unit_footprint(unit) -> Footprint:
-    """Footprint of one flattened conjunctive unit.
-
-    A unit whose conditions are not range restricted evaluates under
-    active-domain semantics: *any* new object can change its meaning,
-    so the only sound footprint is :data:`ANY_FOOTPRINT`.
-    """
-    conditions = list(unit.conditions)
-    if not _restricted(conditions):
-        return ANY_FOOTPRINT
-    return conditions_footprint(conditions)
-

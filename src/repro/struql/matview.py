@@ -8,11 +8,12 @@ page bodies) keyed by a stable identifier, and each entry keeps its
 *read set*: the site-graph nodes the computation read, the same record
 the offline build cache keeps per page
 (:meth:`~repro.templates.generator.HtmlGenerator.render_recorded`).  The caller
-decides which Skolem functions a data change affects and passes them to
-:meth:`MatViewRegistry.invalidate`, which drops only the views that read
-a page of one of them.  A view stored without a read set has unknown
-dependencies and is dropped on every invalidation, which is the sound
-default.
+names the pages a data change met (the page snapshots whose recorded
+data-graph reads it meets, see :mod:`repro.site.incremental`) and
+passes them to :meth:`MatViewRegistry.invalidate`, which drops only the
+views that read one of them.  A view stored without a read set has
+unknown dependencies and is dropped on every invalidation, which is the
+sound default.
 
 Two serving-path guards ride along:
 
@@ -36,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.graph.model import Oid
 from repro.obs.trace import get_recorder
@@ -50,53 +51,20 @@ DEFAULT_MAX_VIEWS = 4096
 
 @dataclass(frozen=True)
 class ChangeSummary:
-    """What a data mutation touched, as seen by click-time invalidation.
+    """The edge labels a data mutation touched.
 
-    ``labels`` are the edge labels added or modified, ``collections``
-    the collection names whose membership changed.  ``full=True`` (via
-    :meth:`ChangeSummary.full_change`), like no summary at all, means
-    "assume everything changed".
+    Invalidation no longer reads it: :meth:`DynamicSiteServer.update
+    <repro.site.server.DynamicSiteServer.update>` journals what a
+    mutation changed and ignores the mutation's return value.  It stays
+    only because ``bench/workloads.py`` imports it and returns
+    :meth:`for_labels` from its data edit.
     """
 
     labels: frozenset[str] = frozenset()
-    collections: frozenset[str] = frozenset()
-    full: bool = False
 
     @classmethod
     def for_labels(cls, *labels: str) -> "ChangeSummary":
         return cls(labels=frozenset(labels))
-
-    @classmethod
-    def for_collections(cls, *names: str) -> "ChangeSummary":
-        return cls(collections=frozenset(names))
-
-    @classmethod
-    def full_change(cls) -> "ChangeSummary":
-        return cls(full=True)
-
-    def union(self, other: "ChangeSummary") -> "ChangeSummary":
-        return ChangeSummary(
-            labels=self.labels | other.labels,
-            collections=self.collections | other.collections,
-            full=self.full or other.full)
-
-    def as_dict(self) -> dict:
-        return {
-            "labels": sorted(self.labels),
-            "collections": sorted(self.collections),
-            "full": self.full,
-        }
-
-    def __str__(self) -> str:
-        if self.full:
-            return "(full)"
-        parts = []
-        if self.labels:
-            parts.append("labels:" + ",".join(sorted(self.labels)))
-        if self.collections:
-            parts.append(
-                "collections:" + ",".join(sorted(self.collections)))
-        return " ".join(parts) or "(empty)"
 
 
 @dataclass
@@ -258,19 +226,20 @@ class MatViewRegistry:
 
     # -- invalidation -----------------------------------------------------
 
-    def invalidate(self, fns: Optional[AbstractSet[str]] = None) -> int:
-        """Drop the views that read a page of a Skolem function in
-        ``fns`` (all of them if ``None``).
+    def invalidate(self, pages: Optional[Iterable[Oid]] = None) -> int:
+        """Drop the views whose read sets hold one of ``pages`` (all of
+        them if ``None``).
 
         Returns the number of views dropped.  Views without a recorded
         read set are always dropped — unknown dependencies make a full
         drop the only sound choice.
         """
+        met = None if pages is None else frozenset(pages)
         with self._lock:
             self._generation += 1
             victims = [k for k, v in self._views.items()
-                       if fns is None or v.reads is None
-                       or any(oid.skolem_fn in fns for oid in v.reads)]
+                       if met is None or v.reads is None
+                       or not v.reads.isdisjoint(met)]
             for k in victims:
                 del self._views[k]
             dropped = len(victims)

@@ -176,6 +176,10 @@ class PathEvaluator:
     Construct once per (expression, graph, registry) and reuse: label
     tests are memoized per distinct label, which matters on graphs with
     many edges but few labels (the common case for site graphs).
+
+    The searches read ``graph`` only through ``out_edges``, ``in_edges``
+    and ``nodes``, so the query stage passes its
+    :class:`~repro.struql.plan.ExecutionContext`, which records each read.
     """
 
     def __init__(self, expr: RegularPath, registry: PredicateRegistry) -> None:

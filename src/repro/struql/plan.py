@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from repro.errors import StruQLError, UnboundVariableError, UnknownPredicateError
-from repro.graph.model import Graph, GraphObject, Oid
+from repro.graph.model import EVERYTHING, Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.queries import MISESTIMATE_RATIO, misestimate_ratio
 from repro.obs.trace import TimedResult, get_recorder, timed
@@ -69,6 +69,11 @@ from repro.struql.predicates import PredicateRegistry, default_registry
 class ExecutionContext:
     """Everything an operator needs: graph, optional index, predicates.
 
+    Every data read of the operators goes through the context.  While
+    :attr:`reads` is a set, each read adds to it the read key it
+    depends on (see :mod:`repro.graph.model`), so a caller learns what
+    a plan read and can tell whether a later data change meets it.
+
     Path evaluators are cached per regular path expression, so repeated
     rows share automata and label-test memoization.
     """
@@ -82,6 +87,7 @@ class ExecutionContext:
         self.index = index if (index is not None and index.fresh) else None
         self.predicates = predicates or default_registry()
         self.stats = stats
+        self.reads: set[tuple] | None = None
         self._path_evaluators: dict[RegularPath, PathEvaluator] = {}
         # Lookups served by the index and by graph scans; each
         # operator's profile takes its deltas of these.
@@ -94,6 +100,10 @@ class ExecutionContext:
             evaluator = PathEvaluator(expr, self.predicates)
             self._path_evaluators[expr] = evaluator
         return evaluator
+
+    def _read(self, key: tuple) -> None:
+        if self.reads is not None:
+            self.reads.add(key)
 
     # -- label-aware edge access (index-backed when available) ----------------
     #
@@ -111,27 +121,67 @@ class ExecutionContext:
         return False
 
     def targets(self, source: Oid, label: str) -> list[GraphObject]:
+        self._read(("out", source, label))
         if self._indexed():
             return self.index.targets(source, label)
         return [e.target for e in self.graph.edges()
                 if e.source == source and e.label == label]
 
     def sources(self, label: str, target: GraphObject) -> list[Oid]:
+        self._read(("in", _pred_arg(target), label))
         if self._indexed():
             return self.index.sources(label, target)
         return [e.source for e in self.graph.edges()
                 if e.label == label and runtime_eq(e.target, target)]
 
     def attribute_extent(self, label: str) -> list[tuple[Oid, GraphObject]]:
+        self._read(("label", label))
         if self._indexed():
             return self.index.attribute_extent(label)
         return [(e.source, e.target) for e in self.graph.edges()
                 if e.label == label]
 
     def labels(self) -> list[str]:
+        self._read(EVERYTHING)
         if self._indexed():
             return self.index.labels()
         return self.graph.labels()
+
+    # -- unlabeled graph reads --------------------------------------------------
+
+    def out_edges(self, source: Oid) -> list[Edge]:
+        self._read(("out", source))
+        return self.graph.out_edges(source)
+
+    def in_edges(self, target: GraphObject) -> list[Edge]:
+        self._read(("in", _pred_arg(target)))
+        return self.graph.in_edges(target)
+
+    def edges(self) -> Iterator[Edge]:
+        self._read(EVERYTHING)
+        return self.graph.edges()
+
+    def nodes(self) -> Iterator[Oid]:
+        self._read(EVERYTHING)
+        return self.graph.nodes()
+
+    def atoms(self) -> Iterator[Atom]:
+        self._read(EVERYTHING)
+        return self.graph.atoms()
+
+    # -- collections -------------------------------------------------------------
+
+    def has_collection(self, name: str) -> bool:
+        self._read(("collection", name))
+        return self.graph.has_collection(name)
+
+    def collection(self, name: str) -> list[GraphObject]:
+        self._read(("collection", name))
+        return self.graph.collection(name)
+
+    def in_collection(self, name: str, obj: GraphObject) -> bool:
+        self._read(("collection", name))
+        return self.graph.in_collection(name, obj)
 
 
 def _resolve(term: Union[Var, Const], binding: Binding) -> RuntimeValue | None:
@@ -237,7 +287,7 @@ class MembershipOp(PhysicalOp):
     def extend(self, rows: Iterable[Binding],
                ctx: ExecutionContext) -> Iterator[Binding]:
         name = self.condition.name
-        if ctx.graph.has_collection(name):
+        if ctx.has_collection(name):
             yield from self._collection(rows, ctx)
         elif ctx.predicates.has(name):
             yield from self._predicate(rows, ctx)
@@ -251,7 +301,7 @@ class MembershipOp(PhysicalOp):
             raise StruQLError(
                 f"collection membership {name}(...) takes one argument")
         arg = self.condition.args[0]
-        members = ctx.graph.collection(name)
+        members = ctx.collection(name)
         for row in rows:
             value = _resolve(arg, row)
             if value is None:
@@ -263,7 +313,7 @@ class MembershipOp(PhysicalOp):
             else:
                 lookup = value if isinstance(value, (Oid, Atom)) \
                     else Atom.string(value)
-                if ctx.graph.in_collection(name, lookup):
+                if ctx.in_collection(name, lookup):
                     yield row
 
     def _predicate(self, rows: Iterable[Binding],
@@ -315,14 +365,14 @@ class EdgeStepOp(PhysicalOp):
                 labels = itertools.repeat(label)
                 pairs = zip(candidates, labels)
             else:
-                edges = ctx.graph.out_edges(source)
+                edges = ctx.out_edges(source)
                 pairs = (((e.source, e.target), e.label) for e in edges)
         elif target is not None:
             if label is not None:
                 pairs = ((((s, target), label))
                          for s in ctx.sources(label, target))
             else:
-                edges = ctx.graph.in_edges(target)
+                edges = ctx.in_edges(target)
                 pairs = (((e.source, e.target), e.label) for e in edges)
         else:
             if label is not None:
@@ -330,7 +380,7 @@ class EdgeStepOp(PhysicalOp):
                          for s, t in ctx.attribute_extent(label))
             else:
                 pairs = (((e.source, e.target), e.label)
-                         for e in ctx.graph.edges())
+                         for e in ctx.edges())
         for (edge_source, edge_target), edge_label in pairs:
             extended: Binding | None = row
             if isinstance(cond.source, Var):
@@ -421,26 +471,26 @@ class PathOp(PhysicalOp):
             if source is not None and target is not None:
                 origin = _pred_arg(source)
                 goal = _pred_arg(target)
-                if evaluator.connects(ctx.graph, origin, goal):
+                if evaluator.connects(ctx, origin, goal):
                     yield row
             elif source is not None:
                 origin = _pred_arg(source)
                 assert isinstance(cond.target, Var)
-                for hit in evaluator.forward(ctx.graph, origin):
+                for hit in evaluator.forward(ctx, origin):
                     extended = extend_binding(row, cond.target.name, hit)
                     if extended is not None:
                         yield extended
             elif target is not None:
                 goal = _pred_arg(target)
                 assert isinstance(cond.source, Var)
-                for hit in evaluator.backward(ctx.graph, goal):
+                for hit in evaluator.backward(ctx, goal):
                     extended = extend_binding(row, cond.source.name, hit)
                     if extended is not None:
                         yield extended
             else:
                 assert isinstance(cond.source, Var)
                 assert isinstance(cond.target, Var)
-                for pair_source, pair_target in evaluator.pairs(ctx.graph):
+                for pair_source, pair_target in evaluator.pairs(ctx):
                     extended = extend_binding(row, cond.source.name,
                                               pair_source)
                     if extended is None:
@@ -556,9 +606,9 @@ class NegationOp(PhysicalOp):
             if inner.arc_var == name:
                 return list(ctx.labels())
             if isinstance(inner.source, Var) and inner.source.name == name:
-                return list(ctx.graph.nodes())
-        out: list[RuntimeValue] = list(ctx.graph.nodes())
-        out.extend(ctx.graph.atoms())
+                return list(ctx.nodes())
+        out: list[RuntimeValue] = list(ctx.nodes())
+        out.extend(ctx.atoms())
         return out
 
     def explain(self) -> str:

@@ -9,6 +9,7 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.graph import Atom, Database, Edge, Graph, Oid, ensure_object
+from repro.graph.model import EVERYTHING
 
 
 class TestOid:
@@ -145,6 +146,22 @@ class TestGraphBasics:
             changed = graph.version
             step()  # an idempotent repeat
             assert graph.version == changed
+
+    def test_journal_collects_the_keys_each_change_meets(self):
+        graph = Graph("g")
+        graph.add_edge(Oid("a"), "l", Atom.int(1))
+        graph.journal = keys = set()
+        graph.add_edge(Oid("a"), "l", Atom.int(1))  # a repeat: no change
+        graph.add_node(Oid("a"))
+        assert keys == set()
+        graph.add_to_collection("C", Oid("a"))
+        graph.declare_collection("D")
+        assert keys == {("collection", "C"), ("collection", "D")}
+        keys.clear()
+        graph.add_edge(Oid("a"), "m", Oid("b"))  # b is a new node
+        assert keys == {("out", Oid("a")), ("out", Oid("a"), "m"),
+                        ("in", Oid("b")), ("in", Oid("b"), "m"),
+                        ("label", "m"), EVERYTHING}
 
     def test_atoms_iteration_distinct(self):
         graph = Graph("g")

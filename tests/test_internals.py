@@ -252,6 +252,38 @@ class TestPlanInternals:
             assert type(op).__name__ in repr(op)
             assert op.explain()
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_context_records_the_keys_of_its_reads(self, fig2_graph,
+                                                    indexed):
+        """Every operator read goes through the context, which adds its
+        read key to ``reads``, with or without an index."""
+        from repro.graph.model import EVERYTHING
+        from repro.repository.indexes import GraphIndex
+        index = GraphIndex.build(fig2_graph) if indexed else None
+        pub1 = Oid("pub1")
+
+        def reads_of(text: str, seed: dict | None = None) -> set:
+            conditions = next(b for b in parse_query(
+                f"input BIBTEX where {text} create F() output O"
+            ).blocks() if b.conditions).conditions
+            ctx = ExecutionContext(fig2_graph, index=index)
+            ctx.reads = set()
+            Plan.from_conditions(conditions).execute(ctx, [seed or {}])
+            return ctx.reads
+
+        assert reads_of('Publications(x), x -> "year" -> y') == {
+            ("collection", "Publications"), ("out", pub1, "year"),
+            ("out", Oid("pub2"), "year")}
+        assert reads_of("x -> l -> y", {"x": pub1}) == {("out", pub1)}
+        assert reads_of('x -> "year" -> y', {"y": Atom.int(1997)}) == {
+            ("in", Atom.int(1997), "year")}
+        assert reads_of('x -> "year" -> y') == {("label", "year")}
+        assert reads_of("x -> l -> y") == {EVERYTHING}
+        assert reads_of('x -> ("title" | "year") -> y', {"x": pub1}) \
+            == {("out", pub1)}
+        assert EVERYTHING in reads_of(
+            'Publications(x), not(x -> l -> x)')
+
     def test_pipeline_short_circuits_on_empty(self, fig2_graph):
         ctx = ExecutionContext(fig2_graph)
         query = parse_query("""

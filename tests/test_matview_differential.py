@@ -21,9 +21,9 @@ that down:
   set-identity is.
 
 The harness applies hundreds of random additive mutations (the graph
-model is additive by design), describes each with a
-:class:`~repro.struql.matview.ChangeSummary`, invalidates selectively,
-and re-compares **every page**.
+model is additive by design) through ``server.update``, which journals
+the read keys each one meets and invalidates selectively, and
+re-compares **every page**.
 
 Randomness is stdlib ``random`` with pinned seeds (no hypothesis
 dependency): every run, locally and in CI, replays the same mutation
@@ -40,7 +40,6 @@ from repro.graph import Atom, Graph, Oid
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
 from repro.struql import QueryEngine
-from repro.struql.matview import ChangeSummary
 from repro.templates import HtmlGenerator, TemplateSet
 
 #: Total randomized mutation rounds across all seeds (acceptance floor
@@ -59,6 +58,12 @@ EXTRA_LABELS = ["note", "keyword", "doi", "award"]
 
 #: Rounds that may add a whole new publication (caps page growth).
 NEW_PUB_ROUNDS = 40
+
+#: The node-level mutations, each also checked on its own: an edge on
+#: a node no page read under a label some page scanned, a membership of
+#: an existing node, a brand-new label, an edge that creates a page.
+NODE_LEVEL = ("unread_node_scanned_label", "membership", "new_label",
+              "new_page")
 
 
 def oracle_pages(data: Graph, query: str = FIG3_QUERY,
@@ -101,45 +106,73 @@ def assert_server_matches_oracle(server: DynamicSiteServer,
 
 
 class Mutator:
-    """Random additive mutations with their accurate change summaries."""
+    """Random additive mutations of the Fig 2 data, including the
+    node-level cases of :data:`NODE_LEVEL`."""
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
         self.pub_count = 0
+        self.node_count = 0
 
     def existing_pub(self, data: Graph) -> Oid:
         return self.rng.choice(list(data.collection("Publications")))
 
-    def mutate(self, data: Graph, round_no: int) -> ChangeSummary:
-        choices = ["attribute", "year", "category"]
+    def mutate(self, data: Graph, round_no: int) -> None:
+        choices = ["attribute", "year", "category", *NODE_LEVEL]
         if round_no < NEW_PUB_ROUNDS:
             choices.append("new_pub")
-        kind = self.rng.choice(choices)
+        self.apply(self.rng.choice(choices), data)
+
+    def apply(self, kind: str, data: Graph) -> None:
+        rng = self.rng
         if kind == "attribute":
-            label = self.rng.choice(EXTRA_LABELS)
-            data.add_edge(self.existing_pub(data), label,
-                          Atom.string(f"v{self.rng.randrange(10_000)}"))
-            return ChangeSummary.for_labels(label)
-        if kind == "year":
+            data.add_edge(self.existing_pub(data),
+                          rng.choice(EXTRA_LABELS),
+                          Atom.string(f"v{rng.randrange(10_000)}"))
+        elif kind == "year":
             data.add_edge(self.existing_pub(data), "year",
-                          Atom.int(self.rng.choice(YEARS)))
-            return ChangeSummary.for_labels("year")
-        if kind == "category":
+                          Atom.int(rng.choice(YEARS)))
+        elif kind == "category":
             data.add_edge(self.existing_pub(data), "category",
-                          Atom.string(self.rng.choice(CATEGORIES)))
-            return ChangeSummary.for_labels("category")
-        # A whole new publication: collection membership + attributes.
-        self.pub_count += 1
-        pub = Oid(f"gen-pub{self.pub_count}")
-        data.add_to_collection("Publications", pub)
-        data.add_edge(pub, "title",
-                      Atom.string(f"Generated Paper {self.pub_count}"))
-        data.add_edge(pub, "year", Atom.int(self.rng.choice(YEARS)))
-        data.add_edge(pub, "category",
-                      Atom.string(self.rng.choice(CATEGORIES)))
-        return ChangeSummary(
-            labels=frozenset({"title", "year", "category"}),
-            collections=frozenset({"Publications"}))
+                          Atom.string(rng.choice(CATEGORIES)))
+        elif kind == "unread_node_scanned_label":
+            # A node outside Publications, which no page reads, gains
+            # an edge under a label the year pages and the root scan.
+            self.node_count += 1
+            node = Oid(f"gen-person{self.node_count}")
+            data.add_to_collection("People", node)
+            data.add_edge(node, "year", Atom.int(rng.choice(YEARS)))
+        elif kind == "membership":
+            # An existing node joins the collection every page reads;
+            # its edges all exist already.
+            candidates = [node for node in data.nodes()
+                          if not data.in_collection("Publications", node)]
+            if not candidates:
+                self.apply("unread_node_scanned_label", data)
+                candidates = [node for node in data.nodes()
+                              if not data.in_collection("Publications",
+                                                        node)]
+            data.add_to_collection("Publications", rng.choice(candidates))
+        elif kind == "new_label":
+            self.node_count += 1
+            data.add_edge(self.existing_pub(data),
+                          f"label{self.node_count}",
+                          Atom.string(f"v{rng.randrange(10_000)}"))
+        elif kind == "new_page":
+            # A year no page has shown: a new YearPage the root links.
+            self.node_count += 1
+            data.add_edge(self.existing_pub(data), "year",
+                          Atom.int(3000 + self.node_count))
+        else:
+            # A whole new publication: collection membership + attributes.
+            self.pub_count += 1
+            pub = Oid(f"gen-pub{self.pub_count}")
+            data.add_to_collection("Publications", pub)
+            data.add_edge(pub, "title",
+                          Atom.string(f"Generated Paper {self.pub_count}"))
+            data.add_edge(pub, "year", Atom.int(rng.choice(YEARS)))
+            data.add_edge(pub, "category",
+                          Atom.string(rng.choice(CATEGORIES)))
 
 
 class TestDifferentialOracle:
@@ -152,24 +185,33 @@ class TestDifferentialOracle:
         assert_server_matches_oracle(server, data, "seed start")
         rounds = max(1, ROUNDS // len(SEEDS))
         for round_no in range(rounds):
-            # Mostly selective invalidation (update() adopts the
-            # ChangeSummary the mutator returns); every ~10th round
-            # forces the full-drop path so both stay verified.
+            # Mostly selective invalidation by the journal update()
+            # keeps; every ~10th round also forces the full drop, so
+            # both paths stay verified.
+            server.update(lambda graph: mutator.mutate(graph, round_no))
             if rng.random() < 0.1:
-                server.update(
-                    lambda graph: mutator.mutate(graph, round_no),
-                    ChangeSummary.full_change())
-            else:
-                server.update(
-                    lambda graph: mutator.mutate(graph, round_no))
+                server.invalidate()
             assert_server_matches_oracle(
                 server, data, f"seed={seed:#x} round={round_no}")
         # The LRU bounds held throughout.
         assert len(server.matviews) <= server.matviews.max_views
 
+    @pytest.mark.parametrize("kind", NODE_LEVEL)
+    def test_node_level_mutation(self, kind):
+        """Each node-level mutation, applied to a fully served site,
+        leaves every page equal to the cold oracle."""
+        data = fig2_data()
+        server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
+        mutator = Mutator(random.Random(7))
+        assert_server_matches_oracle(server, data, "start")
+        for round_no in range(3):
+            server.update(lambda graph: mutator.apply(kind, graph))
+            assert_server_matches_oracle(
+                server, data, f"{kind} round={round_no}")
+
     #: A site whose every read is narrow — no ``x -> l -> v`` wildcard
-    #: anywhere — so body footprints stay precise and selective drops
-    #: are observable at the matview layer.
+    #: anywhere — so its pages' recorded reads stay precise and
+    #: selective drops are observable at the matview layer.
     NARROW_QUERY = """
         input G
         where Pubs(x), x -> "year" -> y
@@ -199,7 +241,8 @@ Year <SFMT @Year>
         return data
 
     def test_footprint_precision_keeps_unrelated_views(self):
-        """A change outside a view's footprint must not recompute it."""
+        """A change that meets none of a page's recorded reads must not
+        recompute its body."""
         data = self._narrow_data()
         server = DynamicSiteServer(
             self.NARROW_QUERY, data, self.narrow_templates())
@@ -209,21 +252,20 @@ Year <SFMT @Year>
         server.request(year_page)
         misses_before = server.matviews.stats["misses"]
 
-        # A "note" edge is outside every footprint here (all reads
-        # narrow to Pubs + "year"), so both bodies survive the drop.
+        # A "note" edge meets no recorded read here (the pages read
+        # Pubs and "year" edges), so both bodies survive the update.
         server.update(
             lambda graph: graph.add_edge(
-                Oid("pub1"), "note", Atom.string("kept")),
-            ChangeSummary.for_labels("note"))
+                Oid("pub1"), "note", Atom.string("kept")))
         server.request(root)
         server.request(year_page)
         assert server.matviews.stats["misses"] == misses_before
 
-        # A "year" edge intersects both: they recompute — correctly.
+        # A "year" edge out of pub1 meets the root's reads: it
+        # recomputes, correctly.
         server.update(
             lambda graph: graph.add_edge(
-                Oid("pub1"), "year", Atom.int(2003)),
-            ChangeSummary.for_labels("year"))
+                Oid("pub1"), "year", Atom.int(2003)))
         fresh = server.request(root)
         assert "2003" in fresh.body
         assert server.matviews.stats["misses"] > misses_before
@@ -232,17 +274,15 @@ Year <SFMT @Year>
             templates_factory=self.narrow_templates)
 
     def test_collection_precision_on_fig3(self):
-        """Fig 3 bodies traverse the ``x -> l -> v`` wildcard, so any
-        *label* change drops them — but a change confined to a
-        collection none of them read leaves every body cached."""
+        """A change confined to a collection no page read leaves every
+        body cached."""
         data = fig2_data()
         server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
         for page in oracle_pages(data).pages():
             server.request(page)
         misses_before = server.matviews.stats["misses"]
         server.update(
-            lambda graph: graph.add_to_collection("People", Oid("mff")),
-            ChangeSummary.for_collections("People"))
+            lambda graph: graph.add_to_collection("People", Oid("mff")))
         for page in oracle_pages(data).pages():
             server.request(page)
         assert server.matviews.stats["misses"] == misses_before
@@ -285,13 +325,10 @@ class TestConcurrentStress:
             try:
                 start.wait(10)
                 for i in range(self.WRITER_MUTATIONS):
+                    server.update(
+                        lambda graph, i=i: mutator.mutate(graph, i))
                     if rng.random() < 0.2:  # full drop path
-                        server.update(
-                            lambda graph, i=i: mutator.mutate(graph, i),
-                            ChangeSummary.full_change())
-                    else:
-                        server.update(
-                            lambda graph, i=i: mutator.mutate(graph, i))
+                        server.invalidate()
             except BaseException as exc:  # noqa: BLE001 — collected
                 failures.append(exc)
 

@@ -242,8 +242,8 @@ class TestEndpoints:
     def test_slo_and_alerts_endpoints_with_evaluator(self, plane):
         evaluator = SLOEvaluator(plane.recorder, step=0.05)
         plane.slo_evaluator = evaluator
-        canary = CanaryProber(plane.site_server, plane.recorder,
-                              interval=60.0, evaluator=evaluator)
+        canary = CanaryProber(plane.site_server, interval=60.0,
+                              evaluator=evaluator)
         plane.canary = canary
         canary.probe()
         time.sleep(0.06)
@@ -368,7 +368,7 @@ class TestRequestIds:
     def test_plane_and_canary_ids_differ(self, plane):
         """The HTTP plane and the canary mint from one counter."""
         _get(plane.url + "/")
-        CanaryProber(plane.site_server, plane.recorder).probe()
+        CanaryProber(plane.site_server).probe()
         ids = [span.attributes["request"]
                for root in plane.recorder.roots
                if root.name in ("http.request", "canary.probe")

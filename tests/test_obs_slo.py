@@ -526,11 +526,8 @@ class TestCanaryProber:
                                  fig7_templates())
 
     def test_successful_probe_feeds_canary_series(self):
-        # The server instruments the *global* recorder, so probe under
-        # a recording context to see server.* alongside canary.*.
         with obs.recording() as recorder:
-            prober = CanaryProber(self._server(), recorder,
-                                  interval=60.0)
+            prober = CanaryProber(self._server(), interval=60.0)
             assert prober.probe() is True
         metrics = recorder.metrics.as_dict()
         assert metrics["counters"]["canary.probes"] == 1
@@ -547,8 +544,7 @@ class TestCanaryProber:
         recorder = obs.TraceRecorder()
         evaluator = SLOEvaluator(recorder, slos=default_slos(),
                                  step=0.05)
-        prober = CanaryProber(self._server(), recorder,
-                              evaluator=evaluator)
+        prober = CanaryProber(self._server(), evaluator=evaluator)
         prober.probe()
         assert evaluator.ticks == 1
 
@@ -558,7 +554,7 @@ class TestCanaryProber:
                 return []
 
         with obs.recording() as recorder:
-            prober = CanaryProber(Rootless(), recorder)
+            prober = CanaryProber(Rootless())
             assert prober.probe() is False
         metrics = recorder.metrics.as_dict()
         assert metrics["counters"]["canary.probes"] == 1
@@ -577,14 +573,32 @@ class TestCanaryProber:
             def roots(self):
                 return []
 
-        recorder = obs.TraceRecorder()
-        CanaryProber(Rootless(), recorder).probe()
-        histogram = recorder.metrics.histogram("canary.probe_seconds")
-        assert histogram.count == 1 and histogram.total > 0
+        # With no recorder installed the probe still runs and counts
+        # on the prober, and records nothing anywhere.
+        prober = CanaryProber(Rootless())
+        assert prober.probe() is False
+        assert (prober.probes, prober.failures) == (1, 1)
+        assert obs.get_recorder().roots == []
+
+    def test_spans_and_metrics_land_in_one_recorder(self):
+        """Each probe records into the recorder installed when it runs:
+        its failure counter and its ``canary.failed`` note together."""
+        class Rootless:
+            def roots(self):
+                return []
+
+        prober = CanaryProber(Rootless())
+        for _ in range(2):
+            with obs.recording() as recorder:
+                assert prober.probe() is False
+            counters = recorder.metrics.as_dict()["counters"]
+            assert counters["canary.failures"] == 1
+            [probe] = recorder.roots
+            assert [note["name"] for note in probe.notes] == \
+                ["canary.failed"]
 
     def test_background_start_stop(self):
-        recorder = obs.TraceRecorder()
-        prober = CanaryProber(self._server(), recorder, interval=0.02)
+        prober = CanaryProber(self._server(), interval=0.02)
         prober.start()
         try:
             deadline = time.time() + 2.0

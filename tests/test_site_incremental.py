@@ -293,7 +293,6 @@ class TestOneInvalidationPath:
         return DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
 
     def test_full_change_keeps_graph_and_serves_fresh(self, fig2_graph):
-        from repro.struql.matview import ChangeSummary
         server = self._server(fig2_graph)
         server.crawl()
         graph, generator = server.graph, server.generator
@@ -305,7 +304,8 @@ class TestOneInvalidationPath:
             data.add_edge(pub, "title", Atom.string("Late Addition"))
             data.add_edge(pub, "category", Atom.string("Compilers"))
 
-        server.update(add_pub, ChangeSummary.full_change())
+        server.update(add_pub)
+        server.invalidate()
         assert server.graph is graph
         assert server.generator is generator
         assert server.graph.materialized_count == 0
@@ -318,7 +318,6 @@ class TestOneInvalidationPath:
     def test_statistics_gathered_once_per_data_version(self, fig2_graph,
                                                        monkeypatch):
         from repro.repository.stats import GraphStatistics
-        from repro.struql.matview import ChangeSummary
         gather = GraphStatistics.gather
         versions = []
 
@@ -332,11 +331,45 @@ class TestOneInvalidationPath:
         assert len(server.crawl()) > 3
         assert len(versions) == 1
         server.update(lambda data: data.add_edge(
-            Oid("pub1"), "year", Atom.int(2002)),
-            ChangeSummary.for_labels("year"))
+            Oid("pub1"), "year", Atom.int(2002)))
         assert len(server.crawl()) > 3
         assert len(versions) == 2
         assert versions[1] == versions[0] + 1
+
+
+class TestReadKeyInvalidation:
+    def test_note_edit_drops_only_what_read_the_entry(self):
+        """On the crawled 120-entry bib site, one ``note`` edge drops
+        the page snapshots whose recorded reads it meets and the bodies
+        that read one of those pages, and nothing else."""
+        from repro.datagen import generate_bibtex
+        from repro.graph import Edge
+        from repro.graph.model import edge_keys
+        from repro.site import DynamicSiteServer
+        from repro.sites.homepage import fig7_templates
+        from repro.wrappers import BibTexWrapper
+
+        data = BibTexWrapper().wrap(generate_bibtex(120, seed=1), "BIBTEX")
+        server = DynamicSiteServer(FIG3_QUERY, data, fig7_templates())
+        assert len(server.crawl()) == 140
+        entry = sorted(data.collection("Publications"), key=str)[0]
+        note = Edge(entry, "note", Atom.string("edited"))
+        met = set(edge_keys(note))
+        snapshots = dict(server.graph._pages)
+        bodies = {key: view.reads
+                  for key, view in server.matviews._views.items()}
+        assert len(bodies) == 140
+        pages = {oid for oid, page in snapshots.items()
+                 if page.reads & met}
+        readers = {key for key, reads in bodies.items() if reads & pages}
+
+        server.update(lambda graph: graph.add_edge(*note))
+        assert set(snapshots) - set(server.graph._pages) == pages
+        assert set(bodies) - set(server.matviews._views) == readers
+        abstract = Oid.skolem("AbstractPage", (entry,))
+        assert abstract in pages
+        assert 0 < len(readers) <= 10
+        assert server.graph.get(abstract, "note") == [note.target]
 
 
 class _CountingLock:

@@ -1,6 +1,5 @@
 """The materialized-view registry: single-flight, admission, and
-invalidation by the read set each view keeps; the footprints that
-decide which click-time pages a data change may affect."""
+invalidation by the read set each view keeps."""
 
 import threading
 import time
@@ -8,95 +7,7 @@ import time
 import pytest
 
 from repro.graph import Atom, Oid
-from repro.struql.analysis import (
-    ANY_FOOTPRINT,
-    Footprint,
-    conditions_footprint,
-    unit_footprint,
-)
-from repro.struql.matview import ChangeSummary, MatViewRegistry
-from repro.struql.parser import parse_query
-from repro.struql.rewriter import flatten
-
-
-class TestChangeSummary:
-    def test_builders_and_union(self):
-        change = ChangeSummary.for_labels("year").union(
-            ChangeSummary.for_collections("Publications"))
-        assert change.labels == {"year"}
-        assert change.collections == {"Publications"}
-        assert not change.full
-
-    def test_full_change(self):
-        assert ChangeSummary.full_change().full
-
-
-class TestFootprint:
-    def test_intersects_by_label(self):
-        footprint = Footprint(labels=frozenset({"year"}))
-        assert footprint.intersects(ChangeSummary.for_labels("year"))
-        assert not footprint.intersects(ChangeSummary.for_labels("note"))
-
-    def test_intersects_by_collection(self):
-        footprint = Footprint(collections=frozenset({"Publications"}))
-        assert footprint.intersects(
-            ChangeSummary.for_collections("Publications"))
-        assert not footprint.intersects(
-            ChangeSummary.for_collections("Other"))
-
-    def test_any_label_matches_any_label_change(self):
-        assert ANY_FOOTPRINT.intersects(ChangeSummary.for_labels("x"))
-        assert ANY_FOOTPRINT.intersects(ChangeSummary.for_collections("C"))
-
-    def test_full_and_none_always_intersect(self):
-        empty = Footprint()
-        assert empty.intersects(None)
-        assert empty.intersects(ChangeSummary.full_change())
-        # ... but an empty footprint ignores any concrete change.
-        assert not empty.intersects(ChangeSummary.for_labels("x"))
-
-    def test_conditions_footprint_collects_reads(self):
-        query = parse_query(
-            'input G where C(x), x -> "title" -> v output O')
-        footprint = conditions_footprint(query.root.conditions)
-        assert footprint.collections == {"C"}
-        assert footprint.labels == {"title"}
-        assert not footprint.any_label
-
-    def test_arc_variable_is_wildcard_without_narrowing(self):
-        query = parse_query("input G where C(x), x -> l -> v output O")
-        footprint = conditions_footprint(query.root.conditions)
-        assert footprint.any_label
-
-    def test_equality_narrows_arc_variable(self):
-        query = parse_query(
-            'input G where C(x), x -> l -> v, l = "year" output O')
-        footprint = conditions_footprint(query.root.conditions)
-        assert footprint.labels == {"year"}
-        assert not footprint.any_label
-
-    def test_in_condition_narrows_arc_variable(self):
-        query = parse_query(
-            'input G where C(x), x -> l -> v, '
-            'l in {"year", "month"} output O')
-        footprint = conditions_footprint(query.root.conditions)
-        assert footprint.labels == {"year", "month"}
-        assert not footprint.any_label
-
-    def test_negation_reads_count_but_do_not_narrow(self):
-        query = parse_query(
-            'input G where C(x), not(x -> "draft" -> y), '
-            'x -> "title" -> t output O')
-        footprint = conditions_footprint(query.root.conditions)
-        assert {"draft", "title"} <= footprint.labels
-
-    def test_unit_footprint_unrestricted_is_any(self):
-        # x = y over unbound variables is active-domain dependent:
-        # the footprint must be conservative.
-        query = parse_query("input G where x = y collect C(x) output O")
-        unit = flatten(query)[0]
-        footprint = unit_footprint(unit)
-        assert footprint.any_label and footprint.any_collection
+from repro.struql.matview import MatViewRegistry
 
 
 class TestRegistryServing:
@@ -226,8 +137,8 @@ class TestRegistryInvalidation:
 
     def test_selective_invalidation_by_footprint(self):
         registry = self._registry_with_views()
-        dropped = registry.invalidate({"YearPage"})
-        # The view that read a YearPage and the view without a read
+        dropped = registry.invalidate([self.YEAR])
+        # The view that read the year page and the view without a read
         # set drop; the category view survives.
         assert dropped == 2
         assert registry.get("cats") is not None
@@ -236,7 +147,7 @@ class TestRegistryInvalidation:
 
     def test_unknown_footprint_always_drops(self):
         registry = self._registry_with_views()
-        registry.invalidate({"PageNobodyRead"})
+        registry.invalidate([Oid.skolem("PageNobodyRead", ())])
         assert registry.get("unknown") is None
         assert registry.get("years") is not None
 
