@@ -1,13 +1,15 @@
 """Experiment A10 (extension): provenance recording overhead.
 
-A lineage recorder threads through the whole derivation chain —
-source stamps at the mediator, Skolem mints in the query engine, and
-one page record per generated page carrying its template and its read
-set (the build cache's own dependency record).  The disabled path is a
-null object (one attribute check per Skolem mint), so an unobserved
-build should cost the same as before the feature existed; the enabled
-path buys ``repro why`` and the freshness gauges for bounded
-bookkeeping.
+With recording on, the lineage index keeps, per query evaluation, which
+block creates each Skolem function and which sources its input graph
+reaches; per loaded source, which source each node came from; and one
+page record per generated page carrying its template and its read set
+(the build cache's own dependency record).  Skolem functions and
+arguments are read from the oids and sources from the always-on fetch
+log, so nothing is recorded per Skolem mint.  The disabled path is a
+null object, so an unobserved build should cost the same as before the
+feature existed; the enabled path buys ``repro why`` and the freshness
+gauges for bounded bookkeeping.
 
 This benchmark builds the org example site with lineage off and on,
 interleaved, and reports the overhead of the on p50 over the off p50.

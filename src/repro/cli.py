@@ -83,9 +83,8 @@ _SUFFIX_KINDS = {
 
 
 def _stamp_file_source(path: str, graph: Graph) -> None:
-    """Record a fetch stamp (and lineage membership) for one file."""
-    from repro.mediator.sources import record_fetch
-    from repro.obs.lineage import get_lineage
+    """Log one file's fetch (and its lineage membership)."""
+    from repro.obs.lineage import get_lineage, record_fetch
     name = os.path.basename(path)
     suffix = os.path.splitext(path)[1].lower()
     try:
@@ -146,9 +145,8 @@ def load_data(paths: list[str], graph_name: str) -> Graph:
                 merged.import_graph(wrapped)
                 _stamp_file_source(path, wrapped)
         if html_pages:
-            from repro.mediator.sources import record_fetch
             from repro.obs.lineage import get_lineage, \
-                graph_content_hash
+                graph_content_hash, record_fetch
             with recorder.span("mediator.fetch", source="html-pages"):
                 wrapped = HtmlWrapper().wrap_pages(html_pages)
                 merged.import_graph(wrapped)

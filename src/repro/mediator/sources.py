@@ -2,7 +2,8 @@
 
 A :class:`DataSource` pairs a name with a loader producing a graph and a
 version counter so the mediator can detect updates cheaply ("the data in
-the sources may change frequently", section 2.3).
+the sources may change frequently", section 2.3).  Each load is logged
+in the always-on fetch log of :mod:`repro.obs.lineage`.
 
 :class:`LimitedAccessSource` models the paper's observation that
 semistructured sources "often require that some inputs be given to
@@ -12,51 +13,13 @@ raises :class:`~repro.errors.AccessPatternError`.
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
 from typing import Callable
 
 from repro.errors import AccessPatternError, MediatorError
 from repro.graph.model import Graph
-from repro.obs.lineage import SourceRecord, get_lineage, \
-    graph_content_hash
+from repro.obs.lineage import get_lineage, graph_content_hash, \
+    record_fetch
 from repro.obs.trace import get_recorder
-
-#: Most recent fetch stamps per source, kept even when lineage is off
-#: so the ``/debug`` snapshot can always answer "what did we load,
-#: when, and did its content change?".
-_FETCH_LIMIT = 256
-_FETCHES: "OrderedDict[str, dict]" = OrderedDict()
-_FETCH_LOCK = threading.Lock()
-
-
-def record_fetch(name: str, kind: str, content_hash: str,
-                 nodes: int, edges: int, version: int = 0,
-                 fetched_at: float | None = None) -> SourceRecord:
-    """Stamp one source fetch (always), feed lineage when enabled."""
-    fetched_at = time.time() if fetched_at is None else fetched_at
-    stamp = {"source": name, "kind": kind, "fetched_at": fetched_at,
-             "content_hash": content_hash, "nodes": nodes,
-             "edges": edges, "version": version}
-    with _FETCH_LOCK:
-        _FETCHES[name] = stamp
-        _FETCHES.move_to_end(name)
-        while len(_FETCHES) > _FETCH_LIMIT:
-            _FETCHES.popitem(last=False)
-    record = SourceRecord(source=name, kind=kind, fetched_at=fetched_at,
-                          content_hash=content_hash, nodes=nodes,
-                          edges=edges, version=version)
-    lineage = get_lineage()
-    if lineage.enabled:
-        lineage.record_source(record)
-    return record
-
-
-def recent_fetches() -> list[dict]:
-    """Fetch stamps for every recently loaded source (newest last)."""
-    with _FETCH_LOCK:
-        return [dict(stamp) for stamp in _FETCHES.values()]
 
 #: Produces a source's current graph.  Parameterless for ordinary
 #: sources; limited-access sources receive keyword parameters.
@@ -73,8 +36,6 @@ class DataSource:
         self._loader = loader
         self.version = 0
         self.load_count = 0
-        self.last_fetched_at: float | None = None
-        self.last_content_hash: str | None = None
 
     @property
     def kind(self) -> str:
@@ -105,12 +66,9 @@ class DataSource:
                     f"{type(graph).__name__}, not a Graph")
         recorder.metrics.counter("mediator.source_loads").inc()
         graph.name = self.name
-        self.last_content_hash = graph_content_hash(graph)
-        self.last_fetched_at = time.time()
-        record_fetch(self.name, self.kind, self.last_content_hash,
+        record_fetch(self.name, self.kind, graph_content_hash(graph),
                      graph.node_count, graph.edge_count,
-                     version=self.version,
-                     fetched_at=self.last_fetched_at)
+                     version=self.version)
         lineage = get_lineage()
         if lineage.enabled:
             lineage.record_source_nodes(self.name, graph)

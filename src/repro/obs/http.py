@@ -59,7 +59,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.export import span_to_dict
-from repro.obs.lineage import get_lineage, update_freshness_gauges
+from repro.obs.lineage import (
+    get_lineage,
+    recent_fetches,
+    update_freshness_gauges,
+)
 from repro.obs.promexport import to_prometheus, write_prometheus
 from repro.obs.queries import get_query_registry
 from repro.obs.slo import get_slo_evaluator
@@ -243,14 +247,13 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "snapshot": os.path.join(directory, "snapshot.json"),
         }
         write_prometheus(self.recorder.metrics, paths["metrics"])
-        from repro.mediator.sources import recent_fetches
         site = self.site_server
         cache_snapshot = getattr(site, "cache_snapshot", None)
         document = {
             "uptime_seconds": time.time() - self.started,
-            # Fetch stamps are recorded even with lineage off (each
+            # The fetch log is kept even with lineage off (each entry
             # carries source id, wrapper kind, timestamp, content hash).
-            "sources": recent_fetches(),
+            "sources": [record.to_dict() for record in recent_fetches()],
             "lineage": (get_lineage().summary()
                         if get_lineage().enabled
                         else {"enabled": False}),

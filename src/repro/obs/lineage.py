@@ -2,42 +2,48 @@
 
 STRUDEL pages are *derived artifacts*: a source object flows through a
 wrapper, a mediator mapping, a StruQL block, a Skolem function, and a
-template before it becomes HTML.  The span/metric/event layers (PRs
-1/3/4/6) answer "how fast"; this module answers "why does this page
-exist, and how stale is it?".
+template before it becomes HTML.  The span/metric layers answer "how
+fast"; this module answers "why does this page exist, and how stale is
+it?".  Each fact comes from the one record the pipeline already keeps:
 
-The pieces:
-
-* :class:`SourceRecord` — one per loaded source: wrapper kind, fetch
-  timestamp, content hash, node/edge counts.  Stamped by
+* **sources** — the fetch log: one :class:`SourceRecord` (wrapper
+  kind, fetch time, content hash, node/edge counts) per recently
+  loaded source, always on and bounded to :data:`FETCH_LOG_LIMIT`
+  names.  :func:`record_fetch` is called by
   :meth:`repro.mediator.sources.DataSource.load` and by the CLI's file
   loaders.
-* :class:`NodeRecord` — one per Skolem-minted oid: ``(fn, args, query
-  block label, query fingerprint, input graph)``.  Recorded by
-  :meth:`repro.struql.skolem.SkolemRegistry.apply`; the block label and
-  fingerprint come from a thread-local *query context* that the StruQL
-  evaluator (and the click-time :class:`~repro.site.incremental
-  .DynamicSite`) push around construction.
-* :class:`PageRecord` — ``page url -> (site-graph oid, template name,
-  read set)``, where the read set names every site-graph node the
-  page's render read: the one dependency record the build cache
-  (:mod:`repro.site.buildcache`) and the click-time body views already
-  keep.  Recorded by :func:`~repro.site.buildcache.cached_generate` for
-  every page of a build (cache-skipped pages take their manifest read
-  set) and by :class:`~repro.site.server.DynamicSiteServer` when it
-  computes a page body.
-* :class:`LineageIndex` — the bounded, queryable store of all of the
-  above.  :meth:`LineageIndex.why` walks one path backwards — page ->
-  the nodes its render read -> their Skolem mints -> sources — and
-  returns a derivation-tree document; :func:`render_why` prints it.
-  Nothing is persisted: each build re-records its sources and Skolem
-  mints, and the build-cache manifest keeps the read sets.
+* **Skolem lineage** — the oid itself.  "A Skolem function applied to
+  the same inputs produces the same node oid" (paper, section 3), so a
+  minted :class:`~repro.graph.model.Oid` names its function and its
+  arguments (``skolem_fn``, ``skolem_args``, which survive graph
+  serialization).  The query that made it comes from a per-query table
+  that :meth:`LineageIndex.record_query` fills once per
+  :meth:`~repro.struql.evaluator.QueryEngine.evaluate` and once per
+  click-time :class:`~repro.site.incremental.DynamicSite`: for each
+  Skolem function, the query fingerprint, the label of the first block
+  (preorder) that creates it, and the input graph.  Offline builds and
+  click-time serving therefore report the same derivation for a page.
+* **pages** — :class:`PageRecord`: ``page url -> (site-graph oid,
+  template name, read set)``, where the read set holds every site-graph
+  node the page's render read: the one dependency record the build
+  cache (:mod:`repro.site.buildcache`) and the click-time body views
+  already keep.  Recorded by :func:`~repro.site.buildcache
+  .cached_generate` for every page of a build (cache-skipped pages
+  take their manifest read set, resolved through the site graph) and
+  by :class:`~repro.site.server.DynamicSiteServer` when it computes a
+  page body.
+* **membership** — which source each loaded data node came from
+  (:meth:`LineageIndex.record_source_nodes`).
+
+:meth:`LineageIndex.why` walks one path backwards — page -> the nodes
+its render read -> their Skolem functions and arguments -> sources —
+and returns a derivation-tree document; :func:`render_why` prints it.
+Nothing is persisted.
 
 Like the trace recorder, the global index follows the Null-object
 pattern: :func:`get_lineage` returns a no-op unless
 :func:`enable_lineage` (or the ``lineage_recording`` context manager)
-turned recording on, so the Skolem hot path pays one attribute check
-when lineage is off.
+turned recording on.
 
 Freshness rides on the same walk: :func:`freshness_report` ages every
 source record, flags pages whose *newest* contributing source is older
@@ -52,13 +58,20 @@ import contextlib
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, NamedTuple
+
+from repro.graph.model import Oid
+from repro.graph.values import Atom
+from repro.obs.queries import fingerprint
 
 #: Caps keeping the index bounded on long-running servers.
-MAX_NODE_RECORDS = 65536
 MAX_PAGE_RECORDS = 16384
 MAX_SOURCE_MEMBER_RECORDS = 131072
+
+#: How many source names the fetch log remembers (oldest fall out).
+FETCH_LOG_LIMIT = 256
 
 #: Depth cap for derivation-tree walks (a Skolem arg can itself be a
 #: Skolem oid, e.g. ``PersonCard(PersonPage(p))``).
@@ -86,21 +99,9 @@ def graph_content_hash(graph) -> str:
     return digest.hexdigest()[:16]
 
 
-def _arg_entry(value: Any) -> dict:
-    """One serialized Skolem argument: its kind plus display string."""
-    # Imported lazily: graph.model must stay importable without obs.
-    from repro.graph.model import Oid
-    from repro.graph.values import Atom
-    if isinstance(value, Oid):
-        return {"kind": "oid", "value": value.name}
-    if isinstance(value, Atom):
-        return {"kind": "atom", "value": str(value.value)}
-    return {"kind": "value", "value": str(value)}
-
-
-@dataclass
+@dataclass(frozen=True)
 class SourceRecord:
-    """Provenance of one loaded source."""
+    """One fetch of a source: the fetch log's entry."""
 
     source: str
     kind: str = "loader"
@@ -117,35 +118,96 @@ class SourceRecord:
                 "nodes": self.nodes, "edges": self.edges,
                 "version": self.version}
 
-
-@dataclass
-class NodeRecord:
-    """Provenance of one Skolem-minted oid."""
-
-    oid: str
-    fn: str
-    args: list = field(default_factory=list)
-    block: str = ""
-    fingerprint: str = ""
-    input: str = ""
+    def aged(self, now: float) -> dict:
+        """:meth:`to_dict` plus the record's age at ``now``."""
+        return dict(self.to_dict(),
+                    age_seconds=max(now - self.fetched_at, 0.0))
 
 
-@dataclass
+# -- the fetch log ----------------------------------------------------
+#
+# Kept even when lineage is off, so the ``/debug`` snapshot can always
+# answer "what did we load, when, and did its content change?".
+
+_FETCHES: "OrderedDict[str, SourceRecord]" = OrderedDict()
+_FETCH_LOCK = threading.Lock()
+
+
+def record_fetch(name: str, kind: str, content_hash: str,
+                 nodes: int, edges: int, version: int = 0,
+                 fetched_at: float | None = None) -> SourceRecord:
+    """Log one source fetch, replacing the source's previous entry."""
+    record = SourceRecord(
+        source=name, kind=kind,
+        fetched_at=time.time() if fetched_at is None else fetched_at,
+        content_hash=content_hash, nodes=nodes, edges=edges,
+        version=version)
+    with _FETCH_LOCK:
+        _FETCHES[name] = record
+        _FETCHES.move_to_end(name)
+        while len(_FETCHES) > FETCH_LOG_LIMIT:
+            _FETCHES.popitem(last=False)
+    return record
+
+
+def recent_fetches() -> list[SourceRecord]:
+    """The latest fetch of every recently loaded source, newest last."""
+    with _FETCH_LOCK:
+        return list(_FETCHES.values())
+
+
+def _arg_entry(value: Any) -> dict:
+    """One serialized non-oid Skolem argument: its kind and value."""
+    if isinstance(value, Atom):
+        return {"kind": "atom", "value": str(value.value)}
+    return {"kind": "value", "value": str(value)}
+
+
+class Creator(NamedTuple):
+    """One query that creates a Skolem function: its fingerprint, the
+    label of the block that creates the function, and its input graph."""
+
+    fingerprint: str
+    block: str
+    input: str
+
+
+@dataclass(frozen=True)
 class PageRecord:
     """One generated page: url -> site-graph oid -> template, plus the
-    sorted names of the site-graph nodes its render read."""
+    site-graph nodes its render read, ordered by name."""
 
     url: str
-    oid: str
+    page: Oid
     template: str = ""
-    reads: tuple[str, ...] = ()
+    reads: tuple[Oid, ...] = ()
+
+    @property
+    def oid(self) -> str:
+        """The page oid's display name."""
+        return self.page.name
 
 
-class _QueryContext(threading.local):
-    """Thread-local (fingerprint, block label, input graph) stack."""
+def _creating_blocks(query) -> dict[str, str]:
+    """Skolem function -> the label of the block that creates it.
 
-    def __init__(self) -> None:
-        self.stack: list[tuple[str, str, str]] = []
+    The first block in preorder whose ``create`` clause names the
+    function, labelled as its ``struql.block`` span is (``(top)`` for
+    the root); a function no block creates takes the first block that
+    links it.
+    """
+    created: dict[str, str] = {}
+    linked: dict[str, str] = {}
+    for block in query.blocks():
+        label = block.label or "(top)"
+        for term in block.creates:
+            created.setdefault(term.fn, label)
+        for link in block.links:
+            for term in (link.source, link.target):
+                fn = getattr(term, "fn", None)
+                if fn is not None:
+                    linked.setdefault(fn, label)
+    return {**linked, **created}
 
 
 class NullLineage:
@@ -153,16 +215,10 @@ class NullLineage:
 
     enabled = False
 
-    def record_source(self, record) -> None:
-        pass
-
     def record_source_nodes(self, source, graph) -> None:
         pass
 
-    def record_input(self, graph) -> None:
-        pass
-
-    def record_node(self, oid, fn, args) -> None:
+    def record_query(self, query, graph) -> None:
         pass
 
     def record_page(self, url, oid, template, reads) -> None:
@@ -170,10 +226,6 @@ class NullLineage:
 
     def forget_pages(self, urls) -> None:
         pass
-
-    @contextlib.contextmanager
-    def query_context(self, fingerprint="", block="", input=""):
-        yield
 
     def sources(self) -> list:
         return []
@@ -192,32 +244,26 @@ class LineageIndex:
     """Bounded, queryable provenance store.
 
     Thread safe: ``repro serve`` computes pages from request threads,
-    all of which record into one index.
+    all of which record into one index.  ``len(index)`` counts page
+    records.
     """
 
     enabled = True
 
-    def __init__(self, max_nodes: int = MAX_NODE_RECORDS,
-                 max_pages: int = MAX_PAGE_RECORDS,
+    def __init__(self, max_pages: int = MAX_PAGE_RECORDS,
                  max_members: int = MAX_SOURCE_MEMBER_RECORDS) -> None:
-        self.max_nodes = max_nodes
         self.max_pages = max_pages
         self.max_members = max_members
         self._lock = threading.Lock()
-        self._sources: dict[str, SourceRecord] = {}
-        self._nodes: dict[str, NodeRecord] = {}
+        #: Skolem function -> query fingerprint -> the entry of each
+        #: query that creates it, in the order first recorded.
+        self._functions: dict[str, dict[str, Creator]] = {}
         self._members: dict[str, str] = {}  # oid/atom key -> source id
         self._inputs: dict[str, set[str]] = {}  # graph name -> source ids
         self._pages: dict[str, PageRecord] = {}
-        self._context = _QueryContext()
         self.dropped = 0
 
     # -- recording ----------------------------------------------------
-
-    def record_source(self, record: SourceRecord) -> None:
-        """Remember (or refresh) the provenance of one source."""
-        with self._lock:
-            self._sources[record.source] = record
 
     def record_source_nodes(self, source: str, graph) -> None:
         """Map every node of a freshly loaded graph to its source."""
@@ -228,51 +274,29 @@ class LineageIndex:
                     return
                 self._members.setdefault(node.name, source)
 
-    def record_input(self, graph) -> None:
-        """Remember the sources a query input graph's nodes reach."""
+    def record_query(self, query, graph) -> None:
+        """Record which block of ``query`` creates each Skolem
+        function, and the sources ``graph``'s nodes reach."""
+        fp = fingerprint(query)
+        creators = _creating_blocks(query)
         with self._lock:
-            self._inputs[graph.name] = self._reach(
-                node.name for node in graph.nodes())[0]
+            for fn, block in creators.items():
+                self._functions.setdefault(fn, {})[fp] = \
+                    Creator(fp, block, graph.name)
+            self._inputs[graph.name] = self._source_ids(graph.nodes())
 
-    def record_node(self, oid, fn: str, args) -> None:
-        """Record one Skolem mint, merging the active query context."""
-        key = oid.name
-        stack = self._context.stack
-        ctx = stack[-1] if stack else None
-        # Lock-free fast path: Skolem mints repeat for every binding
-        # row that references an already-created node, and a plain dict
-        # read is safe under the GIL.  First mint wins, but a
-        # context-bearing mint upgrades a context-free one (e.g.
-        # warm-up vs click-time).
-        existing = self._nodes.get(key)
-        if existing is not None and (existing.block
-                                     or ctx is None or not ctx[1]):
-            return
-        fingerprint, block, input_name = ctx if ctx else ("", "", "")
-        with self._lock:
-            existing = self._nodes.get(key)
-            if existing is not None and (existing.block or not block):
-                return
-            if len(self._nodes) >= self.max_nodes and key not in self._nodes:
-                self.dropped += 1
-                return
-            self._nodes[key] = NodeRecord(
-                oid=key, fn=fn, args=[_arg_entry(a) for a in args],
-                block=block, fingerprint=fingerprint, input=input_name)
-
-    def record_page(self, url: str, oid, template: str,
-                    reads: Iterable) -> None:
+    def record_page(self, url: str, oid: Oid, template: str,
+                    reads: Iterable[Oid]) -> None:
         """Attach a page to its site-graph node, its template and its
-        read set: the nodes (or node names) its render read."""
-        key = oid if isinstance(oid, str) else oid.name
-        names = tuple(sorted({read if isinstance(read, str) else read.name
-                              for read in reads}))
+        read set: the nodes its render read."""
+        record = PageRecord(url=url, page=oid, template=template,
+                            reads=tuple(sorted(set(reads),
+                                               key=lambda o: o.name)))
         with self._lock:
             if len(self._pages) >= self.max_pages and url not in self._pages:
                 self.dropped += 1
                 return
-            self._pages[url] = PageRecord(url=url, oid=key,
-                                          template=template, reads=names)
+            self._pages[url] = record
 
     def forget_pages(self, urls: Iterable[str]) -> None:
         """Drop the records of pages that left the site."""
@@ -280,163 +304,159 @@ class LineageIndex:
             for url in urls:
                 self._pages.pop(url, None)
 
-    @contextlib.contextmanager
-    def query_context(self, fingerprint: str = "", block: str = "",
-                      input: str = "") -> Iterator[None]:
-        """Scope Skolem mints to (query fingerprint, block, input)."""
-        self._context.stack.append((fingerprint, block, input))
-        try:
-            yield
-        finally:
-            self._context.stack.pop()
-
     # -- introspection ------------------------------------------------
 
     def sources(self) -> list[SourceRecord]:
-        with self._lock:
-            return sorted(self._sources.values(),
-                          key=lambda r: r.source)
+        """The fetch log, by source name."""
+        return sorted(recent_fetches(), key=lambda r: r.source)
 
     def page_records(self) -> list[PageRecord]:
         with self._lock:
             return sorted(self._pages.values(), key=lambda r: r.url)
 
-    def node(self, key: str) -> NodeRecord | None:
+    def creators(self, fn: str) -> list[Creator]:
+        """The queries that create Skolem function ``fn``."""
         with self._lock:
-            return self._nodes.get(key)
+            return list(self._functions.get(fn, {}).values())
 
     def source_of(self, key: str) -> SourceRecord | None:
         with self._lock:
             source = self._members.get(key)
-            return self._sources.get(source) if source else None
+        return _FETCHES.get(source) if source else None
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._nodes)
+            return len(self._pages)
 
     # -- the backward derivation tree ---------------------------------
 
-    def resolve(self, target: str) -> tuple[str | None, PageRecord | None]:
-        """A page url or oid display name -> (oid key, page record)."""
+    def resolve(self, target: str | Oid
+                ) -> tuple[Oid | None, PageRecord | None]:
+        """A page url, oid display name or oid -> (oid, page record).
+
+        Pages resolve by url or oid name; other site-graph nodes by
+        name among the recorded read sets; data nodes by source
+        membership.  An oid resolves to itself.
+        """
+        name = target.name if isinstance(target, Oid) else target
         with self._lock:
-            page = self._pages.get(target) \
-                or self._pages.get(target.lstrip("/"))
+            page = self._pages.get(name) or self._pages.get(name.lstrip("/"))
             if page is not None:
-                return page.oid, page
+                return page.page, page
             # An oid that is a page: keep its url/template context.
             for record in self._pages.values():
-                if record.oid == target:
-                    return record.oid, record
-            if target in self._nodes or target in self._members:
+                if record.page.name == name:
+                    return record.page, record
+            if isinstance(target, Oid):
                 return target, None
+            for record in self._pages.values():
+                for read in record.reads:
+                    if read.name == target:
+                        return read, None
+            if target in self._members:
+                return Oid(target), None
         return None, None
 
-    def why(self, target: str, now: float | None = None,
+    def why(self, target: str | Oid, now: float | None = None,
             max_age: float | None = None) -> dict | None:
-        """The backward derivation tree for a page url or oid name.
+        """The backward derivation tree for a page url, oid name or oid.
 
         Returns ``None`` when the target is unknown.  The document
         nests ``inputs`` recursively: each Skolem argument that is
         itself a Skolem oid expands into its own derivation, and every
         leaf carries its source record when one is known.  A page's
-        document also lists ``reads``, its complete read set, and its
-        ``sources`` are those of the page and of every node it read.
+        document also lists ``reads``, the sorted names of its
+        complete read set, and its ``sources`` are those of the page
+        and of every node it read.
         """
-        key, page = self.resolve(target)
-        if key is None:
+        oid, page = self.resolve(target)
+        if oid is None:
             return None
         now = time.time() if now is None else now
-        doc: dict[str, Any] = {"target": target, "oid": key}
+        doc: dict[str, Any] = {"target": str(target), "oid": oid.name}
         if page is not None:
             doc["url"] = page.url
             doc["template"] = page.template
-            doc["reads"] = list(page.reads)
-        doc["derivation"] = self._derive(key, now, set(), 0)
+            doc["reads"] = [read.name for read in page.reads]
+        doc["derivation"] = self._derive(oid, now, frozenset(), 0)
         contributing = self.page_sources(page) if page is not None \
-            else self._walk_sources((key,))
-        doc["sources"] = [dict(record.to_dict(),
-                               age_seconds=max(now - record.fetched_at, 0.0))
-                          for record in contributing]
+            else self._walk_sources((oid,))
+        doc["sources"] = [record.aged(now) for record in contributing]
         ages = [entry["age_seconds"] for entry in doc["sources"]]
         doc["newest_source_age_seconds"] = min(ages) if ages else None
         if max_age is not None:
             doc["stale"] = bool(ages) and min(ages) > max_age
         return doc
 
-    def _derive(self, key: str, now: float, seen: set[str],
+    def _derive(self, oid: Oid, now: float, seen: frozenset,
                 depth: int) -> dict:
-        node = self.node(key)
-        entry: dict[str, Any] = {"oid": key}
-        source = self.source_of(key)
+        entry: dict[str, Any] = {"oid": oid.name}
+        source = self.source_of(oid.name)
         if source is not None:
-            entry["source"] = dict(
-                source.to_dict(),
-                age_seconds=max(now - source.fetched_at, 0.0))
-        if node is None or depth >= MAX_WHY_DEPTH or key in seen:
+            entry["source"] = source.aged(now)
+        # A Skolem oid that no recorded query creates (one loaded as
+        # data, say) is a leaf like any other data node.
+        creators = self.creators(oid.skolem_fn) if oid.skolem_fn else ()
+        if not creators or depth >= MAX_WHY_DEPTH or oid in seen:
             return entry
-        seen = seen | {key}
-        entry.update({"fn": node.fn, "block": node.block,
-                      "fingerprint": node.fingerprint,
-                      "input": node.input})
-        inputs = []
-        for arg in node.args:
-            if arg.get("kind") == "oid":
-                inputs.append(self._derive(arg["value"], now, seen,
-                                           depth + 1))
-            else:
-                inputs.append({"value": arg.get("value", ""),
-                               "kind": arg.get("kind", "value")})
-        entry["inputs"] = inputs
+        seen = seen | {oid}
+        entry["fn"] = oid.skolem_fn
+        entry.update(creators[0]._asdict())
+        entry["inputs"] = [
+            self._derive(arg, now, seen, depth + 1)
+            if isinstance(arg, Oid) else _arg_entry(arg)
+            for arg in oid.skolem_args]
         return entry
 
-    def _reach(self, keys: Iterable[str]) -> tuple[set[str], set[str]]:
-        """The ids of the sources reached from ``keys`` — a node's own
-        source, and the same for each Skolem argument that is an oid,
-        recursively — and the input graphs of the Skolem mints passed.
-        The caller holds the lock."""
+    def _source_ids(self, oids: Iterable[Oid]) -> set[str]:
+        """The ids of the sources reached from ``oids``.
+
+        A node reaches its own source, and a Skolem oid also what its
+        oid arguments reach, recursively.  Oids that reach no source
+        node (a root page that only links other pages) are credited
+        with the sources of the input graphs of every query that
+        creates a function passed: the query over the whole input made
+        them.  The caller holds the lock.
+        """
         sources: set[str] = set()
         inputs: set[str] = set()
-        seen: set[str] = set()
-        stack = list(keys)
+        seen: set[Oid] = set()
+        stack = list(oids)
         while stack:
-            key = stack.pop()
-            if key in seen:
+            oid = stack.pop()
+            if oid in seen:
                 continue
-            seen.add(key)
-            if key in self._members:
-                sources.add(self._members[key])
-            node = self._nodes.get(key)
-            if node is not None:
-                inputs.add(node.input)
-                stack.extend(arg["value"] for arg in node.args
-                             if arg.get("kind") == "oid")
-        return sources, inputs
+            seen.add(oid)
+            source = self._members.get(oid.name)
+            if source is not None:
+                sources.add(source)
+            if oid.skolem_fn is not None:
+                inputs.update(creator.input for creator in
+                              self._functions.get(oid.skolem_fn, {}).values())
+                stack.extend(arg for arg in oid.skolem_args
+                             if isinstance(arg, Oid))
+        if not sources:
+            sources = {name for graph in inputs
+                       for name in self._inputs.get(graph, ())}
+        return sources
 
-    def _walk_sources(self, keys: Iterable[str]) -> list[SourceRecord]:
-        """Every source reached from ``keys`` (see :meth:`_reach`).
-
-        Keys that reach no source node (a root page that only links
-        other pages) are credited with the sources of their Skolem
-        mints' input graphs: the query over the whole input made them.
-        """
+    def _walk_sources(self, oids: Iterable[Oid]) -> list[SourceRecord]:
+        """The fetch-log records of the sources ``oids`` reach."""
         with self._lock:
-            sources, inputs = self._reach(keys)
-            if not sources:
-                sources = {name for graph in inputs
-                           for name in self._inputs.get(graph, ())}
-            return sorted((self._sources[name] for name in sources
-                           if name in self._sources),
-                          key=lambda r: r.source)
+            names = self._source_ids(oids)
+        return sorted((record for name in names
+                       if (record := _FETCHES.get(name)) is not None),
+                      key=lambda r: r.source)
 
     def page_sources(self, page: PageRecord) -> list[SourceRecord]:
         """Every source contributing to a page: the walk from its oid
         and from every node its render read."""
-        return self._walk_sources((page.oid, *page.reads))
+        return self._walk_sources((page.page, *page.reads))
 
     def summary(self) -> dict:
         with self._lock:
-            return {"enabled": True, "sources": len(self._sources),
-                    "nodes": len(self._nodes),
+            return {"enabled": True, "sources": len(_FETCHES),
+                    "functions": len(self._functions),
                     "members": len(self._members),
                     "pages": len(self._pages), "dropped": self.dropped}
 
@@ -489,9 +509,7 @@ def freshness_report(index: LineageIndex | NullLineage | None = None,
     """
     index = get_lineage() if index is None else index
     now = time.time() if now is None else now
-    sources = [dict(record.to_dict(),
-                    age_seconds=max(now - record.fetched_at, 0.0))
-               for record in index.sources()]
+    sources = [record.aged(now) for record in index.sources()]
     pages = index.page_records()
     stale_pages: list[str] = []
     if max_age is not None and isinstance(index, LineageIndex):

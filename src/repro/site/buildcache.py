@@ -21,8 +21,9 @@ offline build path — *incremental*:
   recording what each one reads, delete removed pages' files, persist
   the updated manifest.  With lineage recording on
   (:mod:`repro.obs.lineage`), every page of the build joins the lineage
-  index with its read set — the manifest's, for skipped pages — so the
-  provenance walk and the rebuild planner share one dependency record.
+  index with its read set — for skipped pages, the manifest's names
+  resolved to the site graph's nodes — so the provenance walk and the
+  rebuild planner share one dependency record.
 
 Read sets are sound because the generator reads its graph only through
 ``get``, ``get_one`` and ``collections_of``, and each answer is a
@@ -407,11 +408,17 @@ def cached_generate(site: Graph, generator: HtmlGenerator,
         report.cache_hit_ratio)
     metrics.histogram("site.build.seconds").observe(report.seconds)
     if lineage.enabled:
-        page_reads: dict[Oid, Iterable] = dict(reads)
-        for page in report.skipped:
+        page_reads: dict[Oid, Iterable[Oid]] = dict(reads)
+        if report.skipped:
             # What its manifest entry says: after the build the
-            # manifest has an entry for every page.
-            page_reads[page] = cache.manifest["pages"][str(page)]["reads"]
+            # manifest has an entry for every page, and each name it
+            # reads names one node of the site graph (the planner
+            # re-renders a page that read a vanished or ambiguous name).
+            by_name = {node.name: node for node in site.nodes()}
+            for page in report.skipped:
+                page_reads[page] = [
+                    by_name[name] for name in
+                    cache.manifest["pages"][str(page)]["reads"]]
         for page, read in page_reads.items():
             lineage.record_page(generator.url_for(page), page,
                                 generator.template_for(page) or "", read)

@@ -164,7 +164,7 @@ class Website:
         was built — ``repro why`` arranges that.  A page target is
         rendered (not written) to record its read set, so the tree
         reaches the template layer without an HTML build; any other
-        target gets its node-level derivation.
+        site-graph node gets its node-level derivation.
         """
         lineage = get_lineage()
         if not lineage.enabled:
@@ -180,6 +180,11 @@ class Website:
                                     generator.template_for(page) or "",
                                     reads)
                 break
+        else:
+            node = next((node for node in self.site_graph.nodes()
+                         if node.name == wanted), None)
+            if node is not None:
+                return lineage.why(node, max_age=max_age)
         return lineage.why(target, max_age=max_age)
 
     def verify(self, constraints: list[Constraint],

@@ -67,6 +67,9 @@ class PageView:
     collections: list[str] = field(default_factory=list)
     #: The read keys of every data-graph read the compute made.
     reads: set[tuple] = field(default_factory=set)
+    #: Whether the site has this page: it has an edge or a collection,
+    #: or a unit that creates its function yields a row for it.
+    exists: bool = False
 
 
 class DynamicSite:
@@ -109,9 +112,14 @@ class DynamicSite:
               compile_term(link.target, self.skolem))
              for link in unit.links]
             for unit in self.units]
-        #: The site query's fingerprint, also used as the lineage query
-        #: context for click-time Skolem mints.
+        #: The site query's fingerprint.
         self.fingerprint = fingerprint(query)
+        #: The precomputable root pages: zero-argument Skolem creates
+        #: of condition-free units, fixed by the query.
+        self._roots = list(dict.fromkeys(
+            self.skolem.apply(term.fn, ())
+            for unit in self.units if not unit.conditions
+            for term in unit.creates if not term.args))
         #: The data graph's index, optimizer statistics and unit plans
         #: (keyed by the unit's identity and the bound variable names),
         #: built once per data version and dropped together.
@@ -126,23 +134,11 @@ class DynamicSite:
         #: equals ``get_page`` calls.
         self.stats = {"pages_computed": 0, "unit_evaluations": 0,
                       "invalidations": 0}
-
-    # -- roots -----------------------------------------------------------------
+        get_lineage().record_query(query, data)
 
     def roots(self) -> list[Oid]:
         """The precomputable root pages: zero-argument Skolem creates."""
-        roots: dict[Oid, None] = {}
-        lineage = get_lineage()
-        lineage.record_input(self.data)
-        for unit in self.units:
-            for term in unit.creates:
-                if not term.args and not unit.conditions:
-                    with lineage.query_context(
-                            fingerprint=self.fingerprint,
-                            block=unit.label, input=self.data.name):
-                        roots.setdefault(
-                            self.skolem.apply(term.fn, ()), None)
-        return list(roots)
+        return list(self._roots)
 
     # -- page computation ------------------------------------------------------------
 
@@ -219,34 +215,34 @@ class DynamicSite:
                           and len(c.term.args) == arity]
             if not links and not collecting:
                 continue
-            lineage = get_lineage()
-            with lineage.query_context(fingerprint=self.fingerprint,
-                                       block=unit.label,
-                                       input=self.data.name):
-                # The unit's rows for each source term, evaluated once
-                # and shared by the links and collects that have it.
-                terms = [link.source for link, _, _ in links]
-                terms.extend(c.term for c in collecting)
-                rows_of = {term: self._unit_rows(unit, term, oid, ctx)
-                           for term in dict.fromkeys(terms)}
-                for link, label_of, target_of in links:
-                    for row in rows_of[link.source]:
-                        label_value = _resolve(label_of, row)
-                        label = as_label(label_value) \
-                            if label_value is not None else None
-                        target = _resolve(target_of, row)
-                        if label is None or target is None:
-                            continue
-                        if isinstance(target, str):
-                            target = Atom.string(target)
-                        key = (label, target)
-                        if key not in seen_edges:
-                            seen_edges.add(key)
-                            view.edges.append(key)
-                for collect in collecting:
-                    if rows_of[collect.term] and \
-                            collect.name not in view.collections:
-                        view.collections.append(collect.name)
+            # The unit's rows for each source term, evaluated once and
+            # shared by the links and collects that have it.
+            terms = [link.source for link, _, _ in links]
+            terms.extend(c.term for c in collecting)
+            rows_of = {term: self._unit_rows(unit, term, oid, ctx)
+                       for term in dict.fromkeys(terms)}
+            for link, label_of, target_of in links:
+                for row in rows_of[link.source]:
+                    label_value = _resolve(label_of, row)
+                    label = as_label(label_value) \
+                        if label_value is not None else None
+                    target = _resolve(target_of, row)
+                    if label is None or target is None:
+                        continue
+                    if isinstance(target, str):
+                        target = Atom.string(target)
+                    key = (label, target)
+                    if key not in seen_edges:
+                        seen_edges.add(key)
+                        view.edges.append(key)
+            for collect in collecting:
+                if rows_of[collect.term] and \
+                        collect.name not in view.collections:
+                    view.collections.append(collect.name)
+        view.exists = bool(view.edges or view.collections) or any(
+            self._unit_rows(unit, term, oid, ctx)
+            for unit in self.units for term in unit.creates
+            if term.fn == fn and len(term.args) == arity)
         return view
 
     def _unit_rows(self, unit: ConjunctiveUnit, source: SkolemTerm,
@@ -336,10 +332,10 @@ class LazySiteGraph:
       (:class:`~repro.struql.matview.MatViewRegistry`) keeps such a
       render out of the cache.
 
-    The known nodes (roots, computed pages and the oids they link to)
-    answer :meth:`nodes`, :meth:`has_node` and :attr:`node_count`; they
-    change only under the lock, and invalidation keeps them, so routes
-    learned from them stay valid.
+    The known nodes (roots, computed pages the site has and the oids
+    they link to) answer :meth:`nodes`, :meth:`has_node` and
+    :attr:`node_count`; they change only under the lock, and
+    invalidation keeps them, so routes learned from them stay valid.
     """
 
     def __init__(self, site: DynamicSite) -> None:
@@ -349,7 +345,14 @@ class LazySiteGraph:
 
     def ensure(self, oid: Oid) -> _PageSnapshot:
         """``oid``'s page snapshot, computed on first use; empty for
-        a non-Skolem oid."""
+        a non-Skolem oid.
+
+        A computed oid becomes known, and keeps its snapshot, only if
+        the site has it: it is already known (a root, or the target of
+        a computed page's link) or its compute found it
+        (:attr:`PageView.exists`).  Any other oid names no page: it
+        stays unknown and reads as empty.
+        """
         if oid.skolem_fn is None:
             return _EMPTY
         page = self._pages.get(oid)
@@ -360,6 +363,8 @@ class LazySiteGraph:
             page = self._pages.get(oid)
             if page is None:
                 view = self._site.get_page(oid)
+                if not view.exists and oid not in self._known:
+                    return _EMPTY
                 attrs: dict[str, list[GraphObject]] = {}
                 for label, target in view.edges:
                     attrs.setdefault(label, []).append(target)

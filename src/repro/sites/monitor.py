@@ -20,7 +20,8 @@ import time
 
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
-from repro.obs.lineage import freshness_report, get_lineage
+from repro.obs.lineage import freshness_report, get_lineage, \
+    recent_fetches
 from repro.obs.queries import get_query_registry
 from repro.obs.trace import (
     NullRecorder,
@@ -137,9 +138,9 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
     of being a purely post-hoc view.  ``queries`` is an optional
     :class:`~repro.obs.queries.QueryStatsRegistry` (or its
     ``snapshot()`` dict); by default the process-global query registry
-    feeds the ``Queries`` collection.  Source fetch stamps (from the
-    mediator's always-on fetch log, merged with the lineage index when
-    recording is enabled) become the ``Sources`` collection; ``max_age``
+    feeds the ``Queries`` collection.  The always-on fetch log
+    (:func:`repro.obs.lineage.recent_fetches`) becomes the ``Sources``
+    collection; ``max_age``
     is the staleness threshold in seconds for the summary's
     ``stale_pages`` count.  ``slo`` is an optional
     :class:`~repro.obs.slo.SLOEvaluator` (or its ``snapshot()`` dict);
@@ -217,27 +218,19 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
         graph.add_edge(oid, "optimizer",
                        Atom.string(entry.get("last_optimizer") or "-"))
 
-    from repro.mediator.sources import recent_fetches
-    stamps = {s["source"]: dict(s) for s in recent_fetches()}
-    lineage = get_lineage()
-    if lineage.enabled:
-        for record in lineage.sources():
-            stamps.setdefault(record.source, record.to_dict())
+    sources = sorted(recent_fetches(), key=lambda r: r.source)
     now = time.time()
-    for name in sorted(stamps):
-        stamp = stamps[name]
-        oid = graph.add_node(Oid(f"source-{name}"))
+    for record in sources:
+        oid = graph.add_node(Oid(f"source-{record.source}"))
         graph.add_to_collection("Sources", oid)
-        graph.add_edge(oid, "name", Atom.string(name))
-        graph.add_edge(oid, "kind",
-                       Atom.string(stamp.get("kind") or "loader"))
-        fetched = float(stamp.get("fetched_at") or 0.0)
-        graph.add_edge(oid, "age_s",
-                       Atom.float(round(max(now - fetched, 0.0), 1)))
+        graph.add_edge(oid, "name", Atom.string(record.source))
+        graph.add_edge(oid, "kind", Atom.string(record.kind or "loader"))
+        graph.add_edge(oid, "age_s", Atom.float(
+            round(max(now - record.fetched_at, 0.0), 1)))
         graph.add_edge(oid, "hash",
-                       Atom.string(stamp.get("content_hash") or "-"))
-        graph.add_edge(oid, "nodes", Atom.int(int(stamp.get("nodes", 0))))
-        graph.add_edge(oid, "edges", Atom.int(int(stamp.get("edges", 0))))
+                       Atom.string(record.content_hash or "-"))
+        graph.add_edge(oid, "nodes", Atom.int(record.nodes))
+        graph.add_edge(oid, "edges", Atom.int(record.edges))
 
     from repro.obs.slo import get_slo_evaluator
     if slo is None:
@@ -300,12 +293,13 @@ def telemetry_graph(recorder: TraceRecorder | NullRecorder,
     graph.add_edge(summary, "notes", Atom.int(len(notes)))
     graph.add_edge(summary, "queries",
                    Atom.int(query_snapshot.get("fingerprints", 0)))
-    graph.add_edge(summary, "sources", Atom.int(len(stamps)))
+    graph.add_edge(summary, "sources", Atom.int(len(sources)))
     if slo_snapshot:
         graph.add_edge(summary, "slos",
                        Atom.int(len(slo_snapshot.get("slos", ()))))
         graph.add_edge(summary, "alerts_firing",
                        Atom.int(alerts_firing))
+    lineage = get_lineage()
     if lineage.enabled:
         report = freshness_report(lineage, max_age=max_age, now=now)
         graph.add_edge(summary, "stale_pages",

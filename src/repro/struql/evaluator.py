@@ -157,7 +157,7 @@ class QueryEngine:
         ctx = ExecutionContext(graph, index=index,
                                predicates=self.predicates, stats=stats)
         builder = GraphBuilder(output, graph, skolem)
-        get_lineage().record_input(graph)
+        get_lineage().record_query(query, graph)
         result = QueryResult(output=output, skolem=skolem)
         # Collections named by collect clauses exist even when empty.
         for block in query.blocks():
@@ -309,13 +309,8 @@ class QueryEngine:
                     note("warning", "struql.misestimate",
                          ratio=round(ratio, 1))
             with recorder.span("struql.construct", rows=len(rows)):
-                lineage = get_lineage()
-                with lineage.query_context(
-                        fingerprint=result.fingerprint,
-                        block=block.label or "(top)",
-                        input=ctx.graph.name):
-                    for row in rows:
-                        builder.apply_block_row(block, row)
+                for row in rows:
+                    builder.apply_block_row(block, row)
         result.traces.append(BlockTrace(
             label=block.label,
             plan_explain=explain,

@@ -127,8 +127,10 @@ class ExecutionContext:
         return [e.target for e in self.graph.edges()
                 if e.source == source and e.label == label]
 
-    def sources(self, label: str, target: GraphObject) -> list[Oid]:
-        self._read(("in", _pred_arg(target), label))
+    def sources(self, label: str, target: RuntimeValue) -> list[Oid]:
+        # A target bound to a label is a string atom in the graph.
+        target = _pred_arg(target)
+        self._read(("in", target, label))
         if self._indexed():
             return self.index.sources(label, target)
         return [e.source for e in self.graph.edges()
@@ -153,8 +155,9 @@ class ExecutionContext:
         self._read(("out", source))
         return self.graph.out_edges(source)
 
-    def in_edges(self, target: GraphObject) -> list[Edge]:
-        self._read(("in", _pred_arg(target)))
+    def in_edges(self, target: RuntimeValue) -> list[Edge]:
+        target = _pred_arg(target)
+        self._read(("in", target))
         return self.graph.in_edges(target)
 
     def edges(self) -> Iterator[Edge]:

@@ -15,6 +15,10 @@ The registry mints each oid once: it keys every oid by its function and
 already minted instead of rendering a new one.  The same table tells
 which oids each function produced, which the site layer uses to map
 site-schema nodes to concrete pages.
+
+Nothing else is recorded per mint: an oid names its function and
+arguments, so provenance (:mod:`repro.obs.lineage`) reads them from the
+oid and takes the creating query block from the query itself.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Iterable
 
 from repro.graph.model import Oid
 from repro.graph.values import Atom, AtomType, _coerce_numeric
-from repro.obs.lineage import get_lineage
 
 
 def _canonical(value: object) -> object:
@@ -66,13 +69,7 @@ class SkolemRegistry:
         bucket = self._created.setdefault(fn, {})
         oid = bucket.get(canonical)
         if oid is None:
-            minted = Oid.skolem(fn, canonical)
-            oid = bucket.setdefault(canonical, minted)
-            # Provenance only on first mint: repeat applications (one
-            # per binding row referencing the node) change nothing.
-            lineage = get_lineage()
-            if oid is minted and lineage.enabled:
-                lineage.record_node(oid, fn, canonical)
+            oid = bucket.setdefault(canonical, Oid.skolem(fn, canonical))
         return oid
 
     def functions(self) -> list[str]:

@@ -47,3 +47,12 @@ def tiny_graph() -> Graph:
 def any_engine(request) -> QueryEngine:
     """A query engine for each optimizer generation."""
     return QueryEngine(optimizer=request.param)
+
+
+@pytest.fixture
+def fetch_log(monkeypatch):
+    """An empty process-global fetch log, restored after the test."""
+    from collections import OrderedDict
+
+    from repro.obs import lineage
+    monkeypatch.setattr(lineage, "_FETCHES", OrderedDict())

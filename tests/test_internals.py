@@ -98,21 +98,21 @@ class TestSkolemRegistry:
         assert string is registry.apply("F", [Atom.int(3)])
         assert len(registry) == 2
 
-    def test_repeat_applications_mint_and_record_once(self, monkeypatch):
-        from repro.obs.lineage import LineageIndex, lineage_recording
-        index = LineageIndex()
-        recorded = []
-        record_node = index.record_node
-        monkeypatch.setattr(index, "record_node", lambda oid, fn, args: (
-            recorded.append(oid), record_node(oid, fn, args)))
+    def test_repeat_applications_mint_once(self):
         registry = SkolemRegistry()
-        with lineage_recording(index):
-            for _ in range(3):
-                a = registry.apply("F", [Atom.int(1)])
-                b = registry.apply("F", ["x"])
-                root = registry.apply("Root", ())
+        minted = [(registry.apply("F", [Atom.int(1)]),
+                   registry.apply("F", ["x"]),
+                   registry.apply("Root", ()))
+                  for _ in range(3)]
         assert len(registry) == 3
-        assert recorded == [a, b, root]
+        a, b, root = minted[0]
+        assert all(x is y for again in minted[1:]
+                   for x, y in zip(again, minted[0]))
+        # The oid carries its function and canonical arguments, which
+        # is all provenance reads from a mint.
+        assert (a.skolem_fn, a.skolem_args) == ("F", (Atom.int(1),))
+        assert b.skolem_args == (Atom.string("x"),)
+        assert registry.created_by("Root") == [root]
 
 
 class TestPredicateRegistry:

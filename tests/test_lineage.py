@@ -1,11 +1,13 @@
-"""End-to-end provenance and freshness (PR 8 tentpole).
+"""End-to-end provenance and freshness.
 
 The contract under test: every generated page resolves backward through
 the full derivation chain — its read set -> source record -> query
 block -> Skolem function and binding args -> template — where the read
-set is the build cache's own dependency record, and Skolem identities
-survive the graph's serialization (fn/args round-trip through
-``graph/serialization.py``).
+set is the build cache's own dependency record, the Skolem function
+and arguments come from the oid itself (they round-trip through
+``graph/serialization.py``), the block from the site query, and the
+sources from the fetch log.  An offline build and a click-time crawl
+report the same derivation for every page.
 """
 
 import json
@@ -18,21 +20,32 @@ from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs.lineage import (
     LineageIndex,
     NullLineage,
-    SourceRecord,
     disable_lineage,
     enable_lineage,
     freshness_report,
     get_lineage,
     graph_content_hash,
     lineage_recording,
+    record_fetch,
+    recent_fetches,
     render_why,
     update_freshness_gauges,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.queries import fingerprint
 from repro.graph.model import Graph
 from repro.site.builder import Website
+from repro.site.server import DynamicSiteServer
 from repro.sites.homepage import FIG3_QUERY, fig2_data, fig7_templates
-from repro.sites.org import build_org_site
+from repro.sites.org import (
+    ORG_QUERY,
+    build_org_mediator,
+    build_org_site,
+    org_templates,
+)
+from repro.struql import parse_query
+
+pytestmark = pytest.mark.usefixtures("fetch_log")
 
 
 def _site(data=None):
@@ -41,9 +54,8 @@ def _site(data=None):
 
 
 def _source(name="src", age=0.0, now=1000.0):
-    return SourceRecord(source=name, kind="loader",
-                        fetched_at=now - age, content_hash="abcd",
-                        nodes=3, edges=5)
+    return record_fetch(name, "loader", "abcd", nodes=3, edges=5,
+                        fetched_at=now - age)
 
 
 class TestNullObject:
@@ -54,10 +66,8 @@ class TestNullObject:
         assert not lineage.enabled
         assert len(lineage) == 0
         # Every recording call is a silent no-op.
-        lineage.record_node(Oid("x"), "F", ())
+        lineage.record_query(parse_query(FIG3_QUERY), fig2_data())
         lineage.record_page("x.html", Oid("x"), "T", [Oid("x")])
-        with lineage.query_context(fingerprint="f", block="Q1"):
-            pass
         assert lineage.sources() == []
         assert lineage.page_records() == []
 
@@ -78,46 +88,61 @@ class TestNullObject:
 
 
 class TestRecording:
-    def test_node_record_merges_query_context(self):
+    def test_query_table_names_fn_block_fingerprint_input(self):
         index = LineageIndex()
-        oid = Oid.skolem("PersonPage", (Oid("p1"),))
-        with index.query_context(fingerprint="fp1", block="Q2",
-                                 input="DATA"):
-            index.record_node(oid, "PersonPage", oid.skolem_args)
-        record = index.node(oid.name)
-        assert record.fn == "PersonPage"
-        assert record.block == "Q2"
-        assert record.fingerprint == "fp1"
-        assert record.input == "DATA"
-        assert record.args == [{"kind": "oid", "value": "p1"}]
+        query = parse_query(FIG3_QUERY)
+        index.record_query(query, fig2_data())
+        fp = fingerprint(query)
+        # The first block (preorder) that creates each function, named
+        # as its struql.block span is.
+        for fn, block in [("RootPage", "(top)"), ("AbstractsPage", "(top)"),
+                          ("PaperPresentation", "Q1"), ("YearPage", "Q2"),
+                          ("CategoryPage", "Q3")]:
+            assert [tuple(c) for c in index.creators(fn)] == \
+                [(fp, block, "BIBTEX")], fn
+        # Fn and args come from the oid; block, fingerprint and input
+        # from the query table.
+        page = Oid.skolem("YearPage", (Atom.int(1997),))
+        index.record_page("YearPage_1997_.html", page, "YearPage", [page])
+        derivation = index.why("YearPage(1997)")["derivation"]
+        assert (derivation["fn"], derivation["block"],
+                derivation["fingerprint"], derivation["input"]) == \
+            ("YearPage", "Q2", fp, "BIBTEX")
+        assert derivation["inputs"] == [{"kind": "atom", "value": "1997"}]
 
-    def test_context_bearing_mint_upgrades_context_free(self):
+    def test_function_created_by_several_queries(self):
+        """GAV object fusion: two mappings create one function.  Each
+        query keeps one entry; the derivation names the first, and
+        re-recording a query replaces its entry in place."""
         index = LineageIndex()
-        oid = Oid.skolem("RootPage", ())
-        index.record_node(oid, "RootPage", ())
-        assert index.node(oid.name).block == ""
-        with index.query_context(fingerprint="fp", block="(top)"):
-            index.record_node(oid, "RootPage", ())
-        assert index.node(oid.name).block == "(top)"
-        # ...but an established context is never overwritten.
-        with index.query_context(fingerprint="fp2", block="Q9"):
-            index.record_node(oid, "RootPage", ())
-        assert index.node(oid.name).block == "(top)"
+        first = parse_query("INPUT A CREATE F(), G() OUTPUT W")
+        second = parse_query(
+            "INPUT B WHERE C(x) CREATE F() LINK F() -> \"k\" -> x "
+            "OUTPUT W")
+        index.record_query(first, Graph("A"))
+        index.record_query(second, Graph("B"))
+        index.record_query(first, Graph("A2"))
+        assert [(c.block, c.input) for c in index.creators("F")] == \
+            [("(top)", "A2"), ("Q1", "B")]
+        assert [c.input for c in index.creators("G")] == ["A2"]
 
     def test_page_record_keeps_sorted_read_names(self):
         index = LineageIndex()
         page = Oid.skolem("Index", ())
         index.record_page("Index__.html", page, "Index",
-                          [Oid("b"), page, "a", Oid("b")])
+                          [Oid("b"), page, Oid("a"), Oid("b")])
         (record,) = index.page_records()
-        assert record.reads == ("Index()", "a", "b")
+        assert [read.name for read in record.reads] == \
+            ["Index()", "a", "b"]
+        assert record.oid == "Index()"
+        assert index.why("Index__.html")["reads"] == ["Index()", "a", "b"]
 
     def test_source_membership(self):
         index = LineageIndex()
         graph = Graph("G")
         graph.add_node(Oid("a"))
         graph.add_node(Oid("b"))
-        index.record_source(_source("feed"))
+        _source("feed")
         index.record_source_nodes("feed", graph)
         assert index.source_of("a").source == "feed"
         assert index.source_of("missing") is None
@@ -146,17 +171,17 @@ class TestSkolemSerializationRoundTrip:
 
     def test_lineage_resolves_reloaded_oid(self):
         index = LineageIndex()
+        index.record_query(parse_query(FIG3_QUERY), fig2_data())
         oid = Oid.skolem("YearPage", (Atom.int(1997),))
-        with index.query_context(fingerprint="fp", block="Q1",
-                                 input="BIB"):
-            index.record_node(oid, "YearPage", oid.skolem_args)
         graph = Graph("G")
         graph.add_node(oid)
         reloaded = next(n for n in graph_from_json(
             graph_to_json(graph)).nodes() if isinstance(n, Oid))
-        record = index.node(reloaded.name)
-        assert record is not None and record.fn == "YearPage"
-        assert index.why(reloaded.name)["derivation"]["block"] == "Q1"
+        index.record_page("YearPage_1997_.html", reloaded, "YearPage",
+                          [reloaded])
+        derivation = index.why(reloaded.name)["derivation"]
+        assert derivation["fn"] == "YearPage"
+        assert derivation["block"] == "Q2"
 
     def test_content_hash_is_stable_and_sensitive(self):
         graph = Graph("G")
@@ -196,6 +221,21 @@ class TestBuildIntegration:
             doc = site.why(url)
             assert doc and doc["derivation"]["fn"] == "RootPage"
         assert _site().why("anything") is None  # lineage disabled
+
+    def test_website_why_of_a_component_node(self):
+        """A site-graph node that is not a page still derives: its
+        block is the one that creates its function, whatever block
+        first linked it."""
+        with lineage_recording():
+            site = _site()
+            site.build()
+            doc = site.why("PaperPresentation(pub1)")
+        assert "url" not in doc
+        derivation = doc["derivation"]
+        assert (derivation["fn"], derivation["block"]) == \
+            ("PaperPresentation", "Q1")
+        (arg,) = derivation["inputs"]
+        assert arg["oid"] == "pub1" and "fn" not in arg
 
     def test_lineage_persists_across_incremental_rebuild(self, tmp_path):
         out, cache = str(tmp_path / "www"), str(tmp_path / "cache")
@@ -283,13 +323,13 @@ class TestBuildIntegration:
 class TestFreshness:
     def _index_with_stale_page(self, now):
         index = LineageIndex()
-        index.record_source(_source("fresh", age=10.0, now=now))
-        index.record_source(_source("old", age=5000.0, now=now))
+        _source("fresh", age=10.0, now=now)
+        _source("old", age=5000.0, now=now)
+        index.record_query(parse_query(
+            "INPUT D WHERE C(x) CREATE FreshPage(x), OldPage(x) OUTPUT W"),
+            Graph("D"))
         fresh_page = Oid.skolem("FreshPage", (Oid("f1"),))
         old_page = Oid.skolem("OldPage", (Oid("o1"),))
-        index.record_node(fresh_page, "FreshPage",
-                          fresh_page.skolem_args)
-        index.record_node(old_page, "OldPage", old_page.skolem_args)
         graph_f, graph_o = Graph("F"), Graph("O")
         graph_f.add_node(Oid("f1"))
         graph_o.add_node(Oid("o1"))
@@ -337,3 +377,69 @@ class TestFreshness:
         assert "Skolem OldPage" in text
         assert "STALE" in text
         assert "old (loader" in text
+
+
+def _levels(entry: dict) -> list[tuple]:
+    """(oid, fn, block, fingerprint, input) of a derivation and of every
+    Skolem argument under it, depth first."""
+    out = [(entry["oid"], entry.get("fn"), entry.get("block"),
+            entry.get("fingerprint"), entry.get("input"))]
+    for child in entry.get("inputs", ()):
+        if "oid" in child:
+            out.extend(_levels(child))
+    return out
+
+
+def _fig3_site():
+    return fig2_data(), FIG3_QUERY, fig7_templates()
+
+
+def _org_site():
+    data = build_org_mediator(people=40, projects=24, publications=60,
+                              seed=1).warehouse()
+    data.name = "ORGDATA"
+    return data, ORG_QUERY, org_templates()
+
+
+class TestOfflineAndClickTimeAgree:
+    @pytest.mark.parametrize("make_site", [_fig3_site, _org_site],
+                             ids=["fig3", "org40"])
+    def test_every_page_derives_the_same(self, make_site, tmp_path):
+        """An offline build and a click-time crawl report the same
+        derivation for every page: fn, block, fingerprint and input at
+        every level.  The mediator runs under each recording, so the
+        warehouse's Skolem functions resolve too."""
+        with lineage_recording() as offline:
+            data, query, templates = make_site()
+            Website(data, query, templates=templates).build_site(
+                str(tmp_path / "www"))
+            built = {page.url: _levels(offline.why(page.url)["derivation"])
+                     for page in offline.page_records()}
+        with lineage_recording() as clicked:
+            data, query, templates = make_site()
+            responses = DynamicSiteServer(query, data, templates).crawl()
+            assert all(response.status == 200 for response in responses)
+            served = {page.url: _levels(clicked.why(page.url)["derivation"])
+                      for page in clicked.page_records()}
+        assert built and served == built
+        fp = fingerprint(parse_query(query))
+        for url, levels in built.items():
+            _, fn, block, page_fp, input_name = levels[0]
+            assert fn and block and page_fp == fp, url
+            assert input_name == data.name, url
+
+    def test_sources_are_the_fetch_log(self, tmp_path):
+        """Page sources and the index's sources() are the one fetch
+        log's records."""
+        with lineage_recording() as lineage:
+            data, query, templates = _org_site()
+            Website(data, query, templates=templates).build_site(
+                str(tmp_path / "www"))
+            log = {record.source: record for record in recent_fetches()}
+            assert log and lineage.sources() == sorted(
+                log.values(), key=lambda record: record.source)
+            for page in lineage.page_records():
+                for entry in lineage.why(page.url)["sources"]:
+                    record = log[entry["source"]]
+                    assert entry["content_hash"] == record.content_hash
+                    assert entry["fetched_at"] == record.fetched_at

@@ -629,7 +629,7 @@ class TestDebugLineage:
         _, _, text = _get(lineage_plane.url + "/debug/lineage")
         doc = json.loads(text)
         assert doc["enabled"] is True
-        assert doc["nodes"] > 0 and doc["pages"] > 0
+        assert doc["functions"] > 0 and doc["pages"] > 0
         assert doc["max_age_seconds"] == 3600.0
         assert "source_records" in doc
 

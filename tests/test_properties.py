@@ -330,6 +330,22 @@ class TestEngineProperties:
             outputs.append((out.node_count, frozenset(out.edges())))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("indexing", [True, False])
+    @pytest.mark.parametrize("optimizer", ["naive", "heuristic", "cost"])
+    def test_optimizers_agree_on_string_bound_edge_targets(
+            self, optimizer, indexing):
+        """An edge step whose target is bound to a label (a ``str``)
+        finds the string atom equal to it, by index or by scan."""
+        graph = Graph("G")
+        graph.add_edge(Oid("a"), "title", Atom.string("T"))
+        graph.add_edge(Oid("c"), "see", Atom.string("title"))
+        out = QueryEngine(optimizer=optimizer, indexing=indexing).evaluate(
+            """input G
+               where a -> l -> v, z -> m -> l, m = "see"
+               create F(z)
+               output O""", graph).output
+        assert list(out.nodes()) == [Oid.skolem("F", (Oid("c"),))]
+
     @given(graphs())
     @settings(max_examples=30, deadline=None)
     def test_indexing_does_not_change_results(self, graph):

@@ -63,6 +63,48 @@ class TestRequests:
         assert latency.percentile(0.95) >= latency.percentile(0.50)
         assert latency.count == 20
 
+    def test_pages_the_site_lacks_answer_404(self, server, fig2_graph,
+                                             tmp_path):
+        """An oid of a site function that the site does not contain is
+        not a page: by oid or by URL, before or after a crawl.  Every
+        crawled page still serves the offline build's bytes."""
+        from repro.site.builder import Website
+        phantoms = [Oid.skolem("YearPage", (Atom.int(2099),)),
+                    Oid.skolem("AbstractPage", (Oid("nobody"),))]
+        for oid in phantoms:
+            assert server.request(oid).status == 404, oid
+        assert server.request("YearPage_2099_.html").status == 404
+        out = tmp_path / "www"
+        Website(fig2_graph, FIG3_QUERY,
+                templates=fig7_templates()).build_site(str(out))
+        responses = server.crawl()
+        assert len(responses) == len(list(out.iterdir())) == 9
+        for response in responses:
+            assert response.status == 200
+            url = server.generator.url_for(response.oid)
+            assert response.body == (out / url).read_text(), url
+        for oid in phantoms:
+            assert server.request(oid).status == 404, oid
+        assert not any(oid in phantoms for oid in server.graph.nodes())
+
+    def test_created_page_without_edges_is_served(self, fig2_graph):
+        """A page that only a ``create`` clause makes (no edges, no
+        collection, no incoming link) exists for the arguments its unit
+        yields a row for, and for no others."""
+        from repro.templates import TemplateSet
+        templates = TemplateSet()
+        templates.add("Bare", "<p>bare</p>")
+        server = DynamicSiteServer("""
+            input BIBTEX
+            where Publications(x), x -> "year" -> y
+            create Bare(y)
+            output O
+        """, fig2_graph, templates)
+        assert server.request(
+            Oid.skolem("Bare", (Atom.int(1997),))).status == 200
+        assert server.request(
+            Oid.skolem("Bare", (Atom.int(2099),))).status == 404
+
     def test_rendered_equals_materialized(self, server, fig4_site,
                                           fig2_graph):
         """Click-time HTML equals build-time HTML for every page."""

@@ -387,7 +387,7 @@ class TestFreshnessPage:
     """PR 8: the dashboard's source-freshness section."""
 
     def _stamp(self, name="feed.json"):
-        from repro.mediator.sources import record_fetch
+        from repro.obs.lineage import record_fetch
         record_fetch(name, "graph-json", "cafe1234", nodes=7, edges=9)
 
     def test_sources_collection_from_fetch_stamps(self):
@@ -420,19 +420,16 @@ class TestFreshnessPage:
         page = (out / "FreshnessPage__.html").read_text()
         assert "feed.json" in page and "graph-json" in page
 
-    def test_stale_pages_counted_with_lineage(self):
+    def test_stale_pages_counted_with_lineage(self, fetch_log):
         import time
 
         from repro.graph import Atom, Graph
-        from repro.obs.lineage import SourceRecord, lineage_recording
+        from repro.obs.lineage import lineage_recording, record_fetch
         now = time.time()
         with lineage_recording() as lineage:
-            lineage.record_source(SourceRecord(
-                source="old-src", kind="loader", fetched_at=now - 5000,
-                content_hash="ff", nodes=1, edges=0))
+            record_fetch("old-src", "loader", "ff", nodes=1, edges=0,
+                         fetched_at=now - 5000)
             old_page = Oid.skolem("OldPage", (Oid("o1"),))
-            lineage.record_node(old_page, "OldPage",
-                                old_page.skolem_args)
             data = Graph("O")
             data.add_node(Oid("o1"))
             lineage.record_source_nodes("old-src", data)
@@ -440,8 +437,7 @@ class TestFreshnessPage:
             graph = telemetry_graph(obs.TraceRecorder(), max_age=600.0)
             summary = graph.collection("Summary")[0]
             assert graph.get(summary, "stale_pages") == [Atom.int(1)]
-            # The lineage source record surfaces as a Sources row even
-            # without a mediator fetch stamp.
+            # The fetch-log record surfaces as a Sources row.
             rows = graph.collection("Sources")
             assert any(graph.get(r, "name") ==
                        [Atom.string("old-src")] for r in rows)
