@@ -29,6 +29,7 @@ itself (the *site graph*) are instances of :class:`Graph`.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from repro.errors import (
@@ -153,6 +154,13 @@ class Graph:
     anything derived from the graph is fresh exactly while the version
     it was built at is current.  While :attr:`journal` is a set, each
     such mutation also adds to it the read keys it meets.
+
+    Reverse adjacency (:meth:`in_edges`) is built on its first call,
+    from the edges in insertion order, and kept up to date by every
+    later :meth:`add_edge`.  Like every structure built on a first read
+    (the label maps of :class:`~repro.repository.GraphIndex` too), the
+    build assumes that no other thread mutates the graph while it
+    runs; the click-time server holds ``DynamicSite.lock`` across both.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -161,8 +169,10 @@ class Graph:
         self.journal: set[tuple] | None = None
         self._nodes: dict[Oid, None] = {}
         self._out: dict[Oid, list[Edge]] = {}
-        self._in: dict[GraphObject, list[Edge]] = {}
-        self._edges: set[Edge] = set()
+        #: Built on the first :meth:`in_edges` call (see above).
+        self._in: dict[GraphObject, list[Edge]] | None = None
+        #: Every edge in insertion order (the values are unused).
+        self._edges: dict[Edge, None] = {}
         self._collections: dict[str, dict[GraphObject, None]] = {}
         self._frozen: set[Oid] = set()
 
@@ -237,9 +247,10 @@ class Graph:
             self.add_node(target)
         edge = Edge(source, label, target)
         if edge not in self._edges:
-            self._edges.add(edge)
+            self._edges[edge] = None
             self._out[source].append(edge)
-            self._in.setdefault(target, []).append(edge)
+            if self._in is not None:
+                self._in.setdefault(target, []).append(edge)
             self._changed(edge)
         return edge
 
@@ -249,8 +260,7 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over every edge (grouped by source, insertion order)."""
-        for edges in self._out.values():
-            yield from edges
+        return chain.from_iterable(self._out.values())
 
     @property
     def edge_count(self) -> int:
@@ -263,7 +273,19 @@ class Graph:
 
     def in_edges(self, target: GraphObject) -> list[Edge]:
         """All edges arriving at ``target`` in insertion order."""
-        return list(self._in.get(target, ()))
+        incoming = self._in
+        if incoming is None:
+            # Built into a local and published with one assignment, so
+            # a concurrent reader sees the whole map or none of it.
+            incoming = {}
+            for edge in self._edges:
+                found = incoming.get(edge.target)
+                if found is None:
+                    incoming[edge.target] = [edge]
+                else:
+                    found.append(edge)
+            self._in = incoming
+        return list(incoming.get(target, ()))
 
     def get(self, source: Oid, label: str) -> list[GraphObject]:
         """Values of attribute ``label`` on ``source`` (possibly many)."""

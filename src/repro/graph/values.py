@@ -250,6 +250,11 @@ def _coerce_numeric(atom: Atom) -> float | int | None:
 def _text_number(text: str) -> float | int | None:
     """The number a numeric-looking string coerces to, else ``None``."""
     text = text.strip()
+    # Most strings are words.  ``int``/``float`` accept no text that
+    # starts with a letter except ``inf``/``infinity``/``nan`` in any
+    # case, so answer the rest without raising two ``ValueError``s.
+    if not text or (text[0].isalpha() and text[0] not in "iInN"):
+        return None
     try:
         return int(text)
     except ValueError:

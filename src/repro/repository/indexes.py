@@ -8,7 +8,7 @@
     each collection and attribute.  In addition, indexes on atomic values
     are global to the graph, not built per collection or attribute.
 
-:class:`GraphIndex` materializes exactly those structures:
+:class:`GraphIndex` keeps exactly those structures:
 
 * the **schema index** — all attribute labels and collection names;
 * **attribute extents** — for each label, every ``(source, target)``;
@@ -16,10 +16,26 @@
   which the atom appears, regardless of collection or attribute;
 * forward/backward adjacency by ``(node, label)``.
 
-The index is a snapshot: build it with :meth:`GraphIndex.build` and call
-:meth:`refresh` after mutating the graph.  The query processor checks
-:attr:`GraphIndex.fresh` and falls back to graph scans when the snapshot
-is stale or indexing is disabled (benchmark A1 measures the difference).
+Each is built when it is first read, once per data version.
+:meth:`GraphIndex.build` (and :meth:`~GraphIndex.refresh` after the
+graph changed) makes one pass that groups the existing edges by label;
+the schema index, the extents and the label cardinalities read those
+groups.  A label's forward map (source -> targets) and backward map
+(target -> sources) are built on the first :meth:`~GraphIndex.targets`
+or :meth:`~GraphIndex.sources` probe of that label, the value index on
+the first :meth:`~GraphIndex.value_occurrences` or
+:meth:`~GraphIndex.atoms` call, and the optimizer statistics of the
+version (:meth:`~GraphIndex.statistics`) from the same groups.
+
+A refresh replaces the whole per-version state with one assignment, and
+a first probe builds its map into a local and publishes it with one,
+so a probe never sees a half-built map or one of another version.  The
+graph must not be mutated while a first probe runs; the click-time
+server holds ``DynamicSite.lock`` across both.
+
+The query processor checks :attr:`GraphIndex.fresh` and falls back to
+graph scans when the snapshot is stale or indexing is disabled
+(benchmark A1 measures the difference).
 """
 
 from __future__ import annotations
@@ -27,112 +43,169 @@ from __future__ import annotations
 from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.trace import get_recorder
+from repro.repository.stats import GraphStatistics, label_groups
+
+#: The map of a label with no edges; never mutated.
+_NO_EDGES: dict = {}
+
+
+class _Version:
+    """One data version's label groups and what is built from them."""
+
+    __slots__ = ("number", "groups", "collection_names", "forward",
+                 "backward", "values", "statistics")
+
+    def __init__(self, number: int, groups: dict[str, list[Edge]],
+                 collection_names: list[str]) -> None:
+        self.number = number
+        self.groups = groups
+        self.collection_names = collection_names
+        self.forward: dict[str, dict[Oid, list[GraphObject]]] = {}
+        self.backward: dict[str, dict[GraphObject, list[Oid]]] = {}
+        self.values: dict[Atom, list[tuple[Oid, str]]] | None = None
+        self.statistics: GraphStatistics | None = None
 
 
 class GraphIndex:
-    """A full schema + data index over one :class:`~repro.graph.Graph`."""
+    """A full schema + data index over one :class:`~repro.graph.Graph`,
+    built per label on first probe."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self._labels: set[str] = set()
-        self._collection_names: set[str] = set()
-        self._attribute_extent: dict[str, list[tuple[Oid, GraphObject]]] = {}
-        self._forward: dict[tuple[Oid, str], list[GraphObject]] = {}
-        self._backward: dict[str, dict[GraphObject, list[Oid]]] = {}
-        self._value_index: dict[Atom, list[tuple[Oid, str]]] = {}
-        self._version = -1
+        self._current = _Version(-1, {}, [])
 
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphIndex":
-        """Construct and populate an index for ``graph``."""
+        """Construct an index for ``graph`` and group its edges."""
         index = cls(graph)
         index.refresh()
         return index
 
     def refresh(self) -> None:
-        """Rebuild every index structure from the current graph state."""
+        """Start a new data version: group the current edges by label
+        and drop every map built for the previous version."""
         recorder = get_recorder()
         with recorder.span("index.build", graph=self.graph.name) as span:
-            self._labels.clear()
-            self._collection_names = set(self.graph.collection_names())
-            self._attribute_extent.clear()
-            self._forward.clear()
-            self._backward.clear()
-            self._value_index.clear()
-            for edge in self.graph.edges():
-                self._insert_edge(edge)
-            self._version = self.graph.version
-            span.set(labels=len(self._labels),
-                     values=len(self._value_index))
+            graph = self.graph
+            current = self._current = _Version(
+                graph.version, label_groups(graph), graph.collection_names())
+            span.set(labels=len(current.groups))
         recorder.metrics.counter("repository.index.builds").inc()
         recorder.metrics.gauge("repository.index.labels").set(
-            len(self._labels))
-        recorder.metrics.gauge("repository.index.values").set(
-            len(self._value_index))
-
-    def _insert_edge(self, edge: Edge) -> None:
-        source, label, target = edge
-        self._labels.add(label)
-        self._attribute_extent.setdefault(label, []).append((source, target))
-        self._forward.setdefault((source, label), []).append(target)
-        self._backward.setdefault(label, {}).setdefault(target, []).append(
-            source)
-        if isinstance(target, Atom):
-            self._value_index.setdefault(target, []).append((source, label))
+            len(current.groups))
 
     @property
     def fresh(self) -> bool:
         """Whether the graph is still at the data version indexed."""
-        return self._version == self.graph.version
+        return self._current.number == self.graph.version
+
+    def label_groups(self) -> dict[str, list[Edge]]:
+        """The indexed version's edges grouped by label (read-only)."""
+        return self._current.groups
+
+    def statistics(self) -> GraphStatistics:
+        """The graph's optimizer statistics.  While the index is fresh
+        they are gathered from its label groups on the first call and
+        kept with them; a stale index gathers them anew each call."""
+        if not self.fresh:
+            return GraphStatistics.gather(self.graph)
+        current = self._current
+        stats = current.statistics
+        if stats is None:
+            stats = GraphStatistics.gather(self.graph, self)
+            current.statistics = stats
+        return stats
 
     # -- schema index -----------------------------------------------------------
 
     def labels(self) -> list[str]:
         """All attribute names in the graph (sorted)."""
-        return sorted(self._labels)
+        return sorted(self._current.groups)
 
     def collection_names(self) -> list[str]:
         """All collection names in the graph (sorted)."""
-        return sorted(self._collection_names)
+        return list(self._current.collection_names)
 
     def has_label(self, label: str) -> bool:
         """Whether any edge carries ``label``."""
-        return label in self._labels
+        return label in self._current.groups
 
     # -- extents ------------------------------------------------------------------
 
     def attribute_extent(self, label: str) -> list[tuple[Oid, GraphObject]]:
         """Every ``(source, target)`` pair connected by ``label``."""
-        return list(self._attribute_extent.get(label, ()))
+        return [(source, target) for source, _, target
+                in self._current.groups.get(label, ())]
 
     # -- adjacency ---------------------------------------------------------------
 
+    def _adjacency(self, label: str, forward: bool) -> dict:
+        """``label``'s source -> targets map (``forward``) or its
+        target -> sources map, built on the first probe of the label.
+        Atom keys coerce: ``"1997"`` finds the sources of ``1997``."""
+        current = self._current
+        maps = current.forward if forward else current.backward
+        adjacency = maps.get(label)
+        if adjacency is None:
+            edges = current.groups.get(label)
+            if edges is None:
+                return _NO_EDGES
+            # Positions in an Edge: 0 is the source, 2 the target.
+            key_at, value_at = (0, 2) if forward else (2, 0)
+            adjacency = {}
+            for edge in edges:
+                found = adjacency.get(edge[key_at])
+                if found is None:
+                    adjacency[edge[key_at]] = [edge[value_at]]
+                else:
+                    found.append(edge[value_at])
+            maps[label] = adjacency
+        return adjacency
+
     def targets(self, source: Oid, label: str) -> list[GraphObject]:
         """Values of ``label`` on ``source`` via the forward index."""
-        return list(self._forward.get((source, label), ()))
+        return list(self._adjacency(label, True).get(source, ()))
 
     def sources(self, label: str, target: GraphObject) -> list[Oid]:
         """Nodes with an edge ``label`` pointing at ``target``."""
-        return list(self._backward.get(label, {}).get(target, ()))
+        return list(self._adjacency(label, False).get(target, ()))
 
     # -- global value index ----------------------------------------------------------
 
+    def _values(self) -> dict[Atom, list[tuple[Oid, str]]]:
+        """The global value index, built on first use."""
+        current = self._current
+        values = current.values
+        if values is None:
+            values = {}
+            for label, edges in current.groups.items():
+                for source, _, target in edges:
+                    if isinstance(target, Atom):
+                        found = values.get(target)
+                        if found is None:
+                            values[target] = [(source, label)]
+                        else:
+                            found.append((source, label))
+            current.values = values
+        return values
+
     def value_occurrences(self, value: Atom) -> list[tuple[Oid, str]]:
         """Every ``(source, label)`` whose edge target coerces equal to
-        ``value`` — the paper's global atomic-value index."""
-        return list(self._value_index.get(value, ()))
+        ``value`` — the paper's global atomic-value index — grouped by
+        label in first-seen label order."""
+        return list(self._values().get(value, ()))
 
     def atoms(self) -> list[Atom]:
         """Every distinct indexed atomic value."""
-        return list(self._value_index)
+        return list(self._values())
 
     # -- sizes (fed to optimizer statistics) ----------------------------------------
 
     def label_cardinality(self, label: str) -> int:
         """Number of edges labeled ``label``."""
-        return len(self._attribute_extent.get(label, ()))
+        return len(self._current.groups.get(label, ()))
 
     def collection_cardinality(self, name: str) -> int:
         """Number of members of collection ``name``."""
@@ -142,5 +215,4 @@ class GraphIndex:
 
     def __repr__(self) -> str:
         return (f"GraphIndex(graph={self.graph.name!r}, "
-                f"labels={len(self._labels)}, "
-                f"values={len(self._value_index)}, fresh={self.fresh})")
+                f"labels={len(self._current.groups)}, fresh={self.fresh})")

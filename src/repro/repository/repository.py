@@ -3,12 +3,15 @@
 The repository stores data graphs and site graphs uniformly, keeps the
 full schema/data indexes of :mod:`repro.repository.indexes` for each
 graph, serves statistics to the optimizer, and persists everything to
-disk via :mod:`repro.repository.storage`.
+disk via :mod:`repro.repository.storage`.  One grouping of a graph's
+edges by label per data version serves both the index and the
+statistics.
 
 Indexing can be disabled per repository (``indexing=False``); the query
-processor then evaluates by graph scans.  Benchmark A1 uses this switch
-to reproduce the paper's "maintaining these indexes is expensive, but
-they provide many benefits to our query language" trade-off.
+processor then evaluates by graph scans, and the grouping serves only
+the statistics.  Benchmark A1 uses this switch to reproduce the paper's
+"maintaining these indexes is expensive, but they provide many benefits
+to our query language" trade-off.
 """
 
 from __future__ import annotations
@@ -25,17 +28,16 @@ class Repository:
     """An indexed store of named graphs.
 
     Thin by design: a repository is a :class:`~repro.graph.Database` plus
-    per-graph index and statistics caches.  Graph mutations go through
-    the graph object itself; the caches detect staleness by a size
-    signature and rebuild lazily on next access.
+    one :class:`GraphIndex` per graph, which also keeps the graph's
+    statistics.  Graph mutations go through the graph object itself;
+    an index that finds its graph at a newer data version refreshes on
+    next access.
     """
 
     def __init__(self, name: str = "strudel", indexing: bool = True) -> None:
         self.database = Database(name)
         self.indexing = indexing
         self._indexes: dict[str, GraphIndex] = {}
-        self._stats: dict[str, GraphStatistics] = {}
-        self._stats_epoch: dict[str, int] = {}
 
     # -- graph management -------------------------------------------------------
 
@@ -43,7 +45,6 @@ class Repository:
         """Add or replace a named graph; returns it for chaining."""
         self.database.add_graph(graph)
         self._indexes.pop(graph.name, None)
-        self._stats.pop(graph.name, None)
         return graph
 
     def new_graph(self, name: str) -> Graph:
@@ -64,8 +65,6 @@ class Repository:
         """Remove a graph and its caches; missing names are ignored."""
         self.database.remove_graph(name)
         self._indexes.pop(name, None)
-        self._stats.pop(name, None)
-        self._stats_epoch.pop(name, None)
 
     def graph_names(self) -> list[str]:
         """Sorted names of stored graphs."""
@@ -80,34 +79,27 @@ class Repository:
 
     # -- index & statistics access ------------------------------------------------
 
-    def index(self, name: str) -> GraphIndex | None:
-        """The (fresh) index for graph ``name``, or ``None`` if indexing
-        is disabled for this repository."""
-        if not self.indexing:
-            return None
+    def _fresh_index(self, name: str) -> GraphIndex:
         graph = self.graph(name)
         index = self._indexes.get(name)
         if index is None:
-            index = GraphIndex.build(graph)
-            self._indexes[name] = index
+            index = self._indexes[name] = GraphIndex.build(graph)
         elif not index.fresh:
             index.refresh()
         return index
 
+    def index(self, name: str) -> GraphIndex | None:
+        """The (fresh) index for graph ``name``, or ``None`` if indexing
+        is disabled for this repository."""
+        return self._fresh_index(name) if self.indexing else None
+
     def statistics(self, name: str) -> GraphStatistics:
-        """Statistics snapshot for graph ``name`` (rebuilt when stale)."""
-        graph = self.graph(name)
-        if self._stats.get(name) is None \
-                or self._stats_epoch.get(name) != graph.version:
-            self._stats[name] = GraphStatistics.gather(graph)
-            self._stats_epoch[name] = graph.version
-        return self._stats[name]
+        """Statistics of graph ``name``'s current data version."""
+        return self._fresh_index(name).statistics()
 
     def invalidate(self, name: str) -> None:
         """Force index/statistics rebuild for graph ``name`` on next use."""
         self._indexes.pop(name, None)
-        self._stats.pop(name, None)
-        self._stats_epoch.pop(name, None)
 
     def __repr__(self) -> str:
         return (f"Repository({self.database.name!r}, "

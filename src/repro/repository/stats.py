@@ -12,14 +12,39 @@ numbers a plan's cost formulas need:
   traversals;
 * fan-in, used to cost backward traversals;
 * distinct-value counts, used to estimate equality selectivity.
+
+Gathering is one pass that groups the graph's edges by label
+(:func:`label_groups`), or none when a fresh
+:class:`~repro.repository.GraphIndex` already holds the groups.  The
+numbers of one label are computed from its group the first time the
+cost model asks for that label, and the atom count on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.graph.model import Graph, Oid
+from repro.graph.model import Edge, Graph, Oid
 from repro.graph.values import Atom
+
+if TYPE_CHECKING:
+    from repro.repository.indexes import GraphIndex
+
+
+def label_groups(graph: Graph) -> dict[str, list[Edge]]:
+    """The graph's edges grouped by label, each group in
+    :meth:`Graph.edges` order.  Groups the existing :class:`Edge`
+    objects; allocates no new tuples."""
+    groups: dict[str, list[Edge]] = {}
+    for edge in graph.edges():
+        group = groups.get(edge.label)
+        if group is None:
+            groups[edge.label] = [edge]
+        else:
+            group.append(edge)
+    return groups
 
 
 @dataclass
@@ -46,41 +71,91 @@ class LabelStats:
         return self.edges / self.distinct_targets
 
 
-@dataclass
-class GraphStatistics:
-    """Snapshot statistics for a graph, consumed by the cost model."""
+def _label_stats(edges: list[Edge]) -> LabelStats:
+    """The statistics of one label from its edges.  Targets are distinct
+    by (type, text) for atoms, not by coercing equality: ``1997`` and
+    ``"1997"`` count twice."""
+    targets: set[object] = set()
+    atom_targets = 0
+    for edge in edges:
+        target = edge.target
+        if isinstance(target, Oid):
+            targets.add(target)
+        else:
+            atom_targets += 1
+            targets.add(("atom", target.type, str(target.value)))
+    return LabelStats(edges=len(edges),
+                      distinct_sources=len({edge.source for edge in edges}),
+                      distinct_targets=len(targets),
+                      atom_targets=atom_targets)
 
-    node_count: int = 0
-    edge_count: int = 0
-    atom_count: int = 0
-    labels: dict[str, LabelStats] = field(default_factory=dict)
-    collections: dict[str, int] = field(default_factory=dict)
+
+class _LabelStatsTable(Mapping[str, LabelStats]):
+    """Label -> :class:`LabelStats`, each computed from its label group
+    on first lookup.  Its keys and length are the groups', so
+    ``len`` and ``in`` compute nothing."""
+
+    def __init__(self, groups: dict[str, list[Edge]]) -> None:
+        self._groups = groups
+        self._stats: dict[str, LabelStats] = {}
+
+    def __getitem__(self, label: str) -> LabelStats:
+        stats = self._stats.get(label)
+        if stats is None:
+            stats = _label_stats(self._groups[label])
+            self._stats[label] = stats
+        return stats
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._groups
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._groups)
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+
+class GraphStatistics:
+    """Statistics of one data version of a graph, consumed by the cost
+    model.
+
+    Node, edge and collection counts are read when gathered; per-label
+    numbers (:attr:`labels`) and :attr:`atom_count` come from the label
+    groups when first read.  A gather must not overlap a mutation of
+    the graph, and the groups are never mutated after it.
+    """
+
+    def __init__(self, graph: Graph, groups: dict[str, list[Edge]]) -> None:
+        self.node_count = graph.node_count
+        self.edge_count = graph.edge_count
+        self.collections = {name: len(graph.collection(name))
+                            for name in graph.collection_names()}
+        self.labels: Mapping[str, LabelStats] = _LabelStatsTable(groups)
+        self._groups = groups
+        self._atom_count: int | None = None
 
     @classmethod
-    def gather(cls, graph: Graph) -> "GraphStatistics":
-        """Compute statistics from ``graph`` in one pass over its edges."""
-        stats = cls(node_count=graph.node_count)
-        sources: dict[str, set[Oid]] = {}
-        targets: dict[str, set[object]] = {}
-        atoms: set[int] = set()
-        for edge in graph.edges():
-            stats.edge_count += 1
-            label = stats.labels.setdefault(edge.label, LabelStats())
-            label.edges += 1
-            sources.setdefault(edge.label, set()).add(edge.source)
-            targets.setdefault(edge.label, set()).add(
-                edge.target if isinstance(edge.target, Oid)
-                else ("atom", str(edge.target.type), str(edge.target.value)))
-            if isinstance(edge.target, Atom):
-                label.atom_targets += 1
-                atoms.add(id(edge.target))
-        for name, label in stats.labels.items():
-            label.distinct_sources = len(sources[name])
-            label.distinct_targets = len(targets[name])
-        stats.atom_count = len(atoms)
-        for cname in graph.collection_names():
-            stats.collections[cname] = len(graph.collection(cname))
-        return stats
+    def gather(cls, graph: Graph,
+               index: "GraphIndex | None" = None) -> "GraphStatistics":
+        """Statistics of ``graph``'s current data version.  A fresh
+        ``index`` lends its label groups; otherwise one pass groups
+        the edges."""
+        if index is not None and index.fresh:
+            groups = index.label_groups()
+        else:
+            groups = label_groups(graph)
+        return cls(graph, groups)
+
+    @property
+    def atom_count(self) -> int:
+        """Distinct atom objects among the edge targets."""
+        count = self._atom_count
+        if count is None:
+            count = self._atom_count = len({
+                id(edge.target) for edges in self._groups.values()
+                for edge in edges if isinstance(edge.target, Atom)})
+        return count
 
     # -- estimates used by the cost model ------------------------------------
 

@@ -46,7 +46,6 @@ from repro.obs.lineage import get_lineage
 from repro.obs.queries import fingerprint, get_query_registry
 from repro.obs.trace import get_recorder, timed
 from repro.repository.indexes import GraphIndex
-from repro.repository.stats import GraphStatistics
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label, runtime_eq
 from repro.struql.construction import TermFn, compile_term
@@ -120,11 +119,11 @@ class DynamicSite:
             self.skolem.apply(term.fn, ())
             for unit in self.units if not unit.conditions
             for term in unit.creates if not term.args))
-        #: The data graph's index, optimizer statistics and unit plans
-        #: (keyed by the unit's identity and the bound variable names),
-        #: built once per data version and dropped together.
+        #: The data graph's index (which keeps its optimizer
+        #: statistics) and unit plans (keyed by the unit's identity and
+        #: the bound variable names), built once per data version and
+        #: dropped together.
         self._index = None
-        self._stats = None
         self._plans: dict[tuple[int, frozenset[str]], Plan] = {}
         #: Guards the index, statistics, plans and ``stats``; reentrant
         #: and exposed so :class:`LazySiteGraph` can serialize page
@@ -187,7 +186,7 @@ class DynamicSite:
     # -- internals ---------------------------------------------------------------
 
     def _drop_data_version(self) -> None:
-        self._index = self._stats = None
+        self._index = None
         self._plans = {}
 
     def _compute(self, oid: Oid) -> PageView:
@@ -200,7 +199,6 @@ class DynamicSite:
             # differently, so the plans go with the old index.
             self._drop_data_version()
             self._index = GraphIndex.build(self.data)
-            self._stats = GraphStatistics.gather(self.data)
         ctx = ExecutionContext(self.data, index=self._index,
                                predicates=self.engine.predicates)
         ctx.reads = view.reads
@@ -276,7 +274,8 @@ class DynamicSite:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self.engine.plan(
-                unit.conditions, set(seeded), self.data, self._stats)
+                unit.conditions, set(seeded), self.data,
+                self._index.statistics())
         rows = plan.execute(ctx, [dict(seeded)])
         if post_filter:
             rows = [row for row in rows

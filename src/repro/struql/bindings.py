@@ -19,7 +19,7 @@ from typing import Union
 
 from repro.errors import CoercionError
 from repro.graph.model import GraphObject, Oid
-from repro.graph.values import Atom
+from repro.graph.values import Atom, AtomType
 
 #: A runtime value: node object, atomic value, or edge label.
 RuntimeValue = Union[Oid, Atom, str]
@@ -54,6 +54,15 @@ def runtime_eq(a: RuntimeValue, b: RuntimeValue) -> bool:
     """
     if isinstance(a, Oid) or isinstance(b, Oid):
         return isinstance(a, Oid) and isinstance(b, Oid) and a == b
+    # A label is a string atom, so against a label or a string atom the
+    # same-type rule compares the payloads: no atom is built.
+    if isinstance(a, str):
+        if isinstance(b, str):
+            return a == b
+        if b.type is AtomType.STRING:
+            return a == b.value
+    elif isinstance(b, str) and a.type is AtomType.STRING:
+        return a.value == b
     left, right = as_atom(a), as_atom(b)
     assert left is not None and right is not None
     return left == right

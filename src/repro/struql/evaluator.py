@@ -148,12 +148,14 @@ class QueryEngine:
         if output is None:
             output = Graph(query.output_name)
         skolem = skolem or SkolemRegistry()
-        if stats is None:
-            stats = GraphStatistics.gather(graph)
         if not self.indexing:
             index = None
         elif index is None:
             index = GraphIndex.build(graph)
+        if stats is None:
+            # One grouping of the edges by label serves the index and
+            # the statistics.
+            stats = GraphStatistics.gather(graph, index)
         ctx = ExecutionContext(graph, index=index,
                                predicates=self.predicates, stats=stats)
         builder = GraphBuilder(output, graph, skolem)

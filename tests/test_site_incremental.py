@@ -51,9 +51,9 @@ class TestDynamicSite:
         gather = GraphStatistics.gather
         gathered = []
 
-        def counting(graph):
+        def counting(graph, index=None):
             gathered.append(graph.edge_count)
-            return gather(graph)
+            return gather(graph, index)
 
         monkeypatch.setattr(GraphStatistics, "gather",
                             staticmethod(counting))
@@ -321,9 +321,9 @@ class TestOneInvalidationPath:
         gather = GraphStatistics.gather
         versions = []
 
-        def counting(graph):
+        def counting(graph, index=None):
             versions.append(graph.edge_count)
-            return gather(graph)
+            return gather(graph, index)
 
         monkeypatch.setattr(GraphStatistics, "gather",
                             staticmethod(counting))

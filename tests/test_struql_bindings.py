@@ -80,3 +80,23 @@ class TestExtendBinding:
     def test_conflicting_rebind_fails(self):
         row = {"x": Atom.int(3)}
         assert extend_binding(row, "x", Atom.int(4)) is None
+
+
+class TestLabelAgainstStringAtom:
+    """A label compared with a string atom takes the payload fast path;
+    the answer must be what comparing the label's string atom gives."""
+
+    ATOMS = [Atom.string(text) for text in
+             (" 3 ", "1_000", "٣", "inf", "NaN", "-.5", "e5", "", "3")] + [
+        Atom.int(3), Atom.float(-0.5), Atom.float(float("inf")),
+        Atom.int(1000), Atom.url("e5")]
+
+    @pytest.mark.parametrize("text", [" 3 ", "1_000", "٣", "inf", "NaN",
+                                      "-.5", "e5", "", "3"])
+    def test_matches_the_atom_path(self, text):
+        for atom in self.ATOMS:
+            expected = Atom.string(text) == atom
+            assert runtime_eq(text, atom) is expected, (text, atom)
+            assert runtime_eq(atom, text) is expected, (atom, text)
+        assert runtime_eq(text, text)
+        assert not runtime_eq(text, text + "x")

@@ -172,3 +172,39 @@ class TestPresentation:
 
     def test_to_python(self):
         assert Atom.int(3).to_python() == 3
+
+
+#: Strings at the edges of numeric coercion: surrounding blanks, an
+#: underscore separator, a non-ASCII digit, the float words, a bare
+#: fraction, an exponent without a mantissa, and the empty string.
+COERCION_CORPUS = (" 3 ", "1_000", "٣", "inf", "NaN", "-.5", "e5", "",
+                   "Infinity", " nan ", "x", "abc", "1e5", "+inf", "  ")
+
+
+def _parsed(text):
+    """What ``int``/``float`` make of ``text``: the number, or ``None``."""
+    text = text.strip()
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return None
+
+
+class TestTextNumberFastPath:
+    @pytest.mark.parametrize("text", COERCION_CORPUS)
+    def test_agrees_with_int_and_float(self, text):
+        from repro.graph.values import _text_number
+        got, expected = _text_number(text), _parsed(text)
+        if expected is None:
+            assert got is None
+        elif expected != expected:  # NaN
+            assert got != got
+        else:
+            assert got == expected and type(got) is type(expected)
+
+    def test_words_hash_by_their_text(self):
+        assert hash(Atom.string("e5")) == hash("e5")
+        assert hash(Atom.string(" 3 ")) == hash(Atom.int(3))
+        assert Atom.string("٣") == Atom.int(3)
