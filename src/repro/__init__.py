@@ -36,96 +36,52 @@ Subsystems (see DESIGN.md for the full inventory):
 * :mod:`repro.datagen` — seeded synthetic workloads.
 """
 
-from repro.ddl import parse_ddl, parse_ddl_file, write_ddl
-from repro.errors import (
-    ConstraintViolation,
-    DDLError,
-    StruQLError,
-    StruQLSemanticError,
-    StruQLSyntaxError,
-    StrudelError,
-    TemplateError,
-    TemplateSyntaxError,
-    WrapperError,
-)
-from repro.graph import Atom, AtomType, Database, Edge, Graph, Oid
-from repro.mediator import DataSource, LimitedAccessSource, Mediator
-from repro.repository import GraphIndex, GraphStatistics, Repository
-from repro.site import (
-    DynamicSite,
-    DynamicSiteServer,
-    LazySiteGraph,
-    ReachableFromRoot,
-    RequiredLink,
-    SiteSchema,
-    Verifier,
-    Website,
-    build_site_schema,
-)
-from repro.struql import (
-    QueryEngine,
-    QueryResult,
-    SkolemRegistry,
-    evaluate,
-    parse_query,
-)
-from repro.templates import HtmlGenerator, TemplateSet, parse_template
-from repro.wrappers import (
-    BibTexWrapper,
-    HtmlWrapper,
-    RelationalWrapper,
-    StructuredFileWrapper,
-    XmlWrapper,
-)
+from repro.facade import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".ddl": ("parse_ddl", "parse_ddl_file", "write_ddl"),
+    ".errors": (
+        "ConstraintViolation",
+        "DDLError",
+        "StruQLError",
+        "StruQLSemanticError",
+        "StruQLSyntaxError",
+        "StrudelError",
+        "TemplateError",
+        "TemplateSyntaxError",
+        "WrapperError",
+    ),
+    ".graph": ("Atom", "AtomType", "Database", "Edge", "Graph", "Oid"),
+    ".mediator": ("DataSource", "LimitedAccessSource", "Mediator"),
+    ".repository": ("GraphIndex", "GraphStatistics", "Repository"),
+    ".site": (
+        "DynamicSite",
+        "DynamicSiteServer",
+        "LazySiteGraph",
+        "ReachableFromRoot",
+        "RequiredLink",
+        "SiteSchema",
+        "Verifier",
+        "Website",
+        "build_site_schema",
+    ),
+    ".struql": (
+        "QueryEngine",
+        "QueryResult",
+        "SkolemRegistry",
+        "evaluate",
+        "parse_query",
+    ),
+    ".templates": ("HtmlGenerator", "TemplateSet", "parse_template"),
+    ".wrappers": (
+        "BibTexWrapper",
+        "HtmlWrapper",
+        "RelationalWrapper",
+        "StructuredFileWrapper",
+        "XmlWrapper",
+    ),
+})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Atom",
-    "AtomType",
-    "BibTexWrapper",
-    "ConstraintViolation",
-    "DDLError",
-    "DataSource",
-    "Database",
-    "DynamicSite",
-    "DynamicSiteServer",
-    "Edge",
-    "Graph",
-    "GraphIndex",
-    "GraphStatistics",
-    "HtmlGenerator",
-    "HtmlWrapper",
-    "LazySiteGraph",
-    "LimitedAccessSource",
-    "Mediator",
-    "Oid",
-    "QueryEngine",
-    "QueryResult",
-    "ReachableFromRoot",
-    "RelationalWrapper",
-    "Repository",
-    "RequiredLink",
-    "SiteSchema",
-    "SkolemRegistry",
-    "StruQLError",
-    "StruQLSemanticError",
-    "StruQLSyntaxError",
-    "StructuredFileWrapper",
-    "StrudelError",
-    "TemplateError",
-    "TemplateSet",
-    "TemplateSyntaxError",
-    "Verifier",
-    "Website",
-    "WrapperError",
-    "XmlWrapper",
-    "build_site_schema",
-    "evaluate",
-    "parse_ddl",
-    "parse_ddl_file",
-    "parse_query",
-    "parse_template",
-    "write_ddl",
-    "__version__",
-]
+__all__.append("__version__")

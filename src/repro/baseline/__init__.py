@@ -1,21 +1,15 @@
 """Hand-written (CGI-style) baseline site generators for benchmarks."""
 
-from repro.baseline.procedural import (
-    HOMEPAGE_HELPERS,
-    NEWS_HELPERS,
-    generate_homepage_site,
-    generate_homepage_site_external,
-    generate_news_site,
-    generate_news_site_sports,
-    source_lines,
-)
+from repro.facade import exports
 
-__all__ = [
-    "HOMEPAGE_HELPERS",
-    "NEWS_HELPERS",
-    "generate_homepage_site",
-    "generate_homepage_site_external",
-    "generate_news_site",
-    "generate_news_site_sports",
-    "source_lines",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".procedural": (
+        "HOMEPAGE_HELPERS",
+        "NEWS_HELPERS",
+        "generate_homepage_site",
+        "generate_homepage_site_external",
+        "generate_news_site",
+        "generate_news_site_sports",
+        "source_lines",
+    ),
+})

@@ -52,7 +52,7 @@ import math
 import os
 import sys
 
-from repro.ddl import parse_ddl
+from repro.ddl.parser import parse_ddl
 from repro.errors import StrudelError
 from repro.graph.model import Graph
 from repro.graph.serialization import graph_from_json, graph_to_json

@@ -1,14 +1,9 @@
 """Seeded synthetic workload generators (the paper's data substitutes)."""
 
-from repro.datagen.bibtex import generate_bibtex
-from repro.datagen.news import SECTIONS, generate_news_graph, generate_news_pages
-from repro.datagen.org import build_org_mediator, generate_org_sources
+from repro.facade import exports
 
-__all__ = [
-    "SECTIONS",
-    "build_org_mediator",
-    "generate_bibtex",
-    "generate_news_graph",
-    "generate_news_pages",
-    "generate_org_sources",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".bibtex": ("generate_bibtex",),
+    ".news": ("SECTIONS", "generate_news_graph", "generate_news_pages"),
+    ".org": ("build_org_mediator", "generate_org_sources"),
+})

@@ -1,6 +1,8 @@
 """STRUDEL data-definition language (paper Fig 2): parser and writer."""
 
-from repro.ddl.parser import DDLParser, parse_ddl, parse_ddl_file
-from repro.ddl.writer import write_ddl
+from repro.facade import exports
 
-__all__ = ["DDLParser", "parse_ddl", "parse_ddl_file", "write_ddl"]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".parser": ("DDLParser", "parse_ddl", "parse_ddl_file"),
+    ".writer": ("write_ddl",),
+})

@@ -6,56 +6,31 @@ collections, databases of graphs, traversal algorithms and JSON
 serialization.
 """
 
-from repro.graph.dot import graph_to_dot
-from repro.graph.algorithms import (
-    graph_diameter,
-    iter_paths,
-    reachable,
-    reachable_many,
-    shortest_path,
-    transitive_closure,
-    unreachable_from,
-    weakly_connected_components,
-)
-from repro.graph.model import Database, Edge, Graph, GraphObject, Oid, ensure_object
-from repro.graph.serialization import (
-    database_from_dict,
-    database_from_json,
-    database_to_dict,
-    database_to_json,
-    graph_from_dict,
-    graph_from_json,
-    graph_to_dict,
-    graph_to_json,
-)
-from repro.graph.values import Atom, AtomType, compare, infer_file_type
+from repro.facade import exports
 
-__all__ = [
-    "Atom",
-    "AtomType",
-    "Database",
-    "Edge",
-    "Graph",
-    "GraphObject",
-    "Oid",
-    "compare",
-    "database_from_dict",
-    "database_from_json",
-    "database_to_dict",
-    "database_to_json",
-    "ensure_object",
-    "graph_diameter",
-    "graph_from_dict",
-    "graph_from_json",
-    "graph_to_dict",
-    "graph_to_dot",
-    "graph_to_json",
-    "infer_file_type",
-    "iter_paths",
-    "reachable",
-    "reachable_many",
-    "shortest_path",
-    "transitive_closure",
-    "unreachable_from",
-    "weakly_connected_components",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".algorithms": (
+        "graph_diameter",
+        "iter_paths",
+        "reachable",
+        "reachable_many",
+        "shortest_path",
+        "transitive_closure",
+        "unreachable_from",
+        "weakly_connected_components",
+    ),
+    ".dot": ("graph_to_dot",),
+    ".model": ("Database", "Edge", "Graph", "GraphObject", "Oid",
+               "ensure_object"),
+    ".serialization": (
+        "database_from_dict",
+        "database_from_json",
+        "database_to_dict",
+        "database_to_json",
+        "graph_from_dict",
+        "graph_from_json",
+        "graph_to_dict",
+        "graph_to_json",
+    ),
+    ".values": ("Atom", "AtomType", "compare", "infer_file_type"),
+})

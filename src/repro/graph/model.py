@@ -169,8 +169,9 @@ class Graph:
         self.journal: set[tuple] | None = None
         self._nodes: dict[Oid, None] = {}
         self._out: dict[Oid, list[Edge]] = {}
-        #: Built on the first :meth:`in_edges` call (see above).
-        self._in: dict[GraphObject, list[Edge]] | None = None
+        #: Edges by the hash of their target, built on the first
+        #: :meth:`in_edges` call (see above).
+        self._in: dict[int, list[Edge]] | None = None
         #: Every edge in insertion order (the values are unused).
         self._edges: dict[Edge, None] = {}
         self._collections: dict[str, dict[GraphObject, None]] = {}
@@ -250,7 +251,7 @@ class Graph:
             self._edges[edge] = None
             self._out[source].append(edge)
             if self._in is not None:
-                self._in.setdefault(target, []).append(edge)
+                self._in.setdefault(hash(target), []).append(edge)
             self._changed(edge)
         return edge
 
@@ -272,20 +273,28 @@ class Graph:
         return list(self._out.get(source, ()))
 
     def in_edges(self, target: GraphObject) -> list[Edge]:
-        """All edges arriving at ``target`` in insertion order."""
+        """All edges arriving at ``target`` in insertion order: those
+        whose own target equals ``target``, atoms under coercion.
+
+        Coercing equality is not transitive (``" 3 "`` equals ``3``,
+        which equals ``"3"``, but ``" 3 "`` does not equal ``"3"``), so
+        the map keys edges by their target's hash, which equal atoms
+        share, and compares each edge's own target here.
+        """
         incoming = self._in
         if incoming is None:
             # Built into a local and published with one assignment, so
             # a concurrent reader sees the whole map or none of it.
             incoming = {}
             for edge in self._edges:
-                found = incoming.get(edge.target)
+                key = hash(edge.target)
+                found = incoming.get(key)
                 if found is None:
-                    incoming[edge.target] = [edge]
-                else:
-                    found.append(edge)
+                    incoming[key] = found = []
+                found.append(edge)
             self._in = incoming
-        return list(incoming.get(target, ()))
+        return [edge for edge in incoming.get(hash(target), ())
+                if edge.target == target]
 
     def get(self, source: Oid, label: str) -> list[GraphObject]:
         """Values of attribute ``label`` on ``source`` (possibly many)."""

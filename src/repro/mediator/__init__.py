@@ -1,6 +1,8 @@
 """GAV mediator for data integration (paper section 2.3)."""
 
-from repro.mediator.mediator import Mediator
-from repro.mediator.sources import DataSource, LimitedAccessSource, Loader
+from repro.facade import exports
 
-__all__ = ["DataSource", "LimitedAccessSource", "Loader", "Mediator"]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".mediator": ("Mediator",),
+    ".sources": ("DataSource", "LimitedAccessSource", "Loader"),
+})

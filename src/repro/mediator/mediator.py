@@ -31,16 +31,20 @@ warehouse has not seen (benchmark A4's staleness measure).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import MediatorError, SourceLoadError
 from repro.graph.model import Graph
 from repro.obs.queries import fingerprint
 from repro.obs.trace import get_recorder
-from repro.repository.repository import Repository
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine
 from repro.struql.parser import parse_query
 from repro.struql.skolem import SkolemRegistry
 from repro.mediator.sources import DataSource
+
+if TYPE_CHECKING:
+    from repro.repository.repository import Repository
 
 
 class Mediator:

@@ -19,188 +19,101 @@ defaults to a no-op; ``repro trace <command>``, ``repro serve`` or
 :func:`repro.obs.recording` turn collection on.
 """
 
-from repro.obs.export import (
-    export_state,
-    from_json,
-    render_metrics,
-    render_profile,
-    render_tree,
-    span_from_dict,
-    span_to_dict,
-    to_json,
-    write_json,
-)
-from repro.obs.lineage import (
-    LineageIndex,
-    NULL_LINEAGE,
-    NullLineage,
-    PageRecord,
-    SourceRecord,
-    disable_lineage,
-    enable_lineage,
-    freshness_report,
-    get_lineage,
-    graph_content_hash,
-    lineage_recording,
-    render_why,
-    update_freshness_gauges,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    DEFAULT_WINDOW_RETENTION,
-    DEFAULT_WINDOW_STEP,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
-    WindowedSeries,
-    escape_label_value,
-    format_labels,
-)
-from repro.obs.promexport import (
-    parse_prometheus,
-    to_prometheus,
-    write_prometheus,
-)
-from repro.obs.queries import (
-    DEFAULT_MAX_FINGERPRINTS,
-    DEFAULT_SLOW_QUERY_SECONDS,
-    MISESTIMATE_RATIO,
-    QueryStats,
-    QueryStatsRegistry,
-    explain_document,
-    fingerprint,
-    get_query_registry,
-    misestimate_ratio,
-    misestimates_of,
-    normalize_query,
-    render_explain,
-    set_query_registry,
-)
-from repro.obs.slo import (
-    AlertRule,
-    BurnRatePair,
-    CanaryProber,
-    DEFAULT_PAIRS,
-    SLO,
-    SLOConfig,
-    SLOEvaluator,
-    check_document,
-    default_slos,
-    get_slo_evaluator,
-    load_slo_config,
-    set_slo_evaluator,
-)
-from repro.obs.trace import (
-    LEVELS,
-    NULL_RECORDER,
-    NullRecorder,
-    ProfileEntry,
-    Span,
-    TailSampler,
-    TimedResult,
-    TraceRecorder,
-    aggregate_profile,
-    counter,
-    disable,
-    enable,
-    flat_notes,
-    gauge,
-    get_recorder,
-    histogram,
-    note,
-    recording,
-    set_recorder,
-    span,
-    timed,
-    traced,
-)
+from repro.facade import exports
 
-__all__ = [
-    "AlertRule",
-    "BurnRatePair",
-    "CanaryProber",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_MAX_FINGERPRINTS",
-    "DEFAULT_PAIRS",
-    "DEFAULT_SLOW_QUERY_SECONDS",
-    "DEFAULT_WINDOW_RETENTION",
-    "DEFAULT_WINDOW_STEP",
-    "Gauge",
-    "Histogram",
-    "LEVELS",
-    "LineageIndex",
-    "MISESTIMATE_RATIO",
-    "MetricsRegistry",
-    "NULL_LINEAGE",
-    "NULL_METRICS",
-    "NULL_RECORDER",
-    "NullLineage",
-    "NullMetricsRegistry",
-    "NullRecorder",
-    "PageRecord",
-    "ProfileEntry",
-    "SourceRecord",
-    "QueryStats",
-    "QueryStatsRegistry",
-    "SLO",
-    "SLOConfig",
-    "SLOEvaluator",
-    "Span",
-    "TailSampler",
-    "TimedResult",
-    "TraceRecorder",
-    "WindowedSeries",
-    "aggregate_profile",
-    "check_document",
-    "counter",
-    "default_slos",
-    "disable",
-    "disable_lineage",
-    "enable",
-    "enable_lineage",
-    "escape_label_value",
-    "explain_document",
-    "export_state",
-    "fingerprint",
-    "flat_notes",
-    "format_labels",
-    "freshness_report",
-    "from_json",
-    "gauge",
-    "get_lineage",
-    "get_query_registry",
-    "get_recorder",
-    "get_slo_evaluator",
-    "load_slo_config",
-    "graph_content_hash",
-    "histogram",
-    "lineage_recording",
-    "misestimate_ratio",
-    "misestimates_of",
-    "normalize_query",
-    "note",
-    "parse_prometheus",
-    "recording",
-    "render_explain",
-    "render_metrics",
-    "render_profile",
-    "render_tree",
-    "render_why",
-    "set_query_registry",
-    "set_recorder",
-    "set_slo_evaluator",
-    "span",
-    "span_from_dict",
-    "span_to_dict",
-    "timed",
-    "to_json",
-    "to_prometheus",
-    "traced",
-    "update_freshness_gauges",
-    "write_json",
-    "write_prometheus",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".export": (
+        "export_state",
+        "from_json",
+        "render_metrics",
+        "render_profile",
+        "render_tree",
+        "span_from_dict",
+        "span_to_dict",
+        "to_json",
+        "write_json",
+    ),
+    ".lineage": (
+        "LineageIndex",
+        "NULL_LINEAGE",
+        "NullLineage",
+        "PageRecord",
+        "SourceRecord",
+        "disable_lineage",
+        "enable_lineage",
+        "freshness_report",
+        "get_lineage",
+        "graph_content_hash",
+        "lineage_recording",
+        "render_why",
+        "update_freshness_gauges",
+    ),
+    ".metrics": (
+        "DEFAULT_BUCKETS",
+        "DEFAULT_WINDOW_RETENTION",
+        "DEFAULT_WINDOW_STEP",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "NULL_METRICS",
+        "NullMetricsRegistry",
+        "WindowedSeries",
+        "escape_label_value",
+        "format_labels",
+    ),
+    ".promexport": ("parse_prometheus", "to_prometheus", "write_prometheus"),
+    ".queries": (
+        "DEFAULT_MAX_FINGERPRINTS",
+        "DEFAULT_SLOW_QUERY_SECONDS",
+        "MISESTIMATE_RATIO",
+        "QueryStats",
+        "QueryStatsRegistry",
+        "explain_document",
+        "fingerprint",
+        "get_query_registry",
+        "misestimate_ratio",
+        "misestimates_of",
+        "normalize_query",
+        "render_explain",
+        "set_query_registry",
+    ),
+    ".slo": (
+        "AlertRule",
+        "BurnRatePair",
+        "CanaryProber",
+        "DEFAULT_PAIRS",
+        "SLO",
+        "SLOConfig",
+        "SLOEvaluator",
+        "check_document",
+        "default_slos",
+        "get_slo_evaluator",
+        "load_slo_config",
+        "set_slo_evaluator",
+    ),
+    ".trace": (
+        "LEVELS",
+        "NULL_RECORDER",
+        "NullRecorder",
+        "ProfileEntry",
+        "Span",
+        "TailSampler",
+        "TimedResult",
+        "TraceRecorder",
+        "aggregate_profile",
+        "counter",
+        "disable",
+        "enable",
+        "flat_notes",
+        "gauge",
+        "get_recorder",
+        "histogram",
+        "note",
+        "recording",
+        "set_recorder",
+        "span",
+        "timed",
+        "traced",
+    ),
+})

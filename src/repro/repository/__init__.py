@@ -1,15 +1,10 @@
 """Indexed data repository for semistructured data (paper section 2.2)."""
 
-from repro.repository.indexes import GraphIndex
-from repro.repository.repository import Repository
-from repro.repository.stats import GraphStatistics, LabelStats
-from repro.repository.storage import load_repository, save_repository
+from repro.facade import exports
 
-__all__ = [
-    "GraphIndex",
-    "GraphStatistics",
-    "LabelStats",
-    "Repository",
-    "load_repository",
-    "save_repository",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".indexes": ("GraphIndex",),
+    ".repository": ("Repository",),
+    ".stats": ("GraphStatistics", "LabelStats"),
+    ".storage": ("load_repository", "save_repository"),
+})

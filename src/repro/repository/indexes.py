@@ -16,6 +16,14 @@
   which the atom appears, regardless of collection or attribute;
 * forward/backward adjacency by ``(node, label)``.
 
+Atoms compare under coercion, which is not transitive: ``" 3 "`` equals
+``3`` and ``3`` equals ``"3"``, but ``" 3 "`` does not equal ``"3"``.
+A dict keyed by atoms would merge all three into whichever key came
+first, so the backward maps and the value index keep each edge under
+the coercing hash of its target (equal atoms hash equal) and a probe
+keeps the edges whose own target equals the probe: an indexed lookup
+returns what a scan comparing each edge's target returns.
+
 Each is built when it is first read, once per data version.
 :meth:`GraphIndex.build` (and :meth:`~GraphIndex.refresh` after the
 graph changed) makes one pass that groups the existing edges by label;
@@ -61,8 +69,8 @@ class _Version:
         self.groups = groups
         self.collection_names = collection_names
         self.forward: dict[str, dict[Oid, list[GraphObject]]] = {}
-        self.backward: dict[str, dict[GraphObject, list[Oid]]] = {}
-        self.values: dict[Atom, list[tuple[Oid, str]]] | None = None
+        self.backward: dict[str, dict[int, list[Edge]]] = {}
+        self.values: dict[int, list[Edge]] | None = None
         self.statistics: GraphStatistics | None = None
 
 
@@ -143,8 +151,8 @@ class GraphIndex:
 
     def _adjacency(self, label: str, forward: bool) -> dict:
         """``label``'s source -> targets map (``forward``) or its
-        target -> sources map, built on the first probe of the label.
-        Atom keys coerce: ``"1997"`` finds the sources of ``1997``."""
+        target hash -> edges map, built on the first probe of the
+        label."""
         current = self._current
         maps = current.forward if forward else current.backward
         adjacency = maps.get(label)
@@ -152,15 +160,13 @@ class GraphIndex:
             edges = current.groups.get(label)
             if edges is None:
                 return _NO_EDGES
-            # Positions in an Edge: 0 is the source, 2 the target.
-            key_at, value_at = (0, 2) if forward else (2, 0)
             adjacency = {}
             for edge in edges:
-                found = adjacency.get(edge[key_at])
+                key = edge.source if forward else hash(edge.target)
+                found = adjacency.get(key)
                 if found is None:
-                    adjacency[edge[key_at]] = [edge[value_at]]
-                else:
-                    found.append(edge[value_at])
+                    adjacency[key] = found = []
+                found.append(edge.target if forward else edge)
             maps[label] = adjacency
         return adjacency
 
@@ -169,25 +175,30 @@ class GraphIndex:
         return list(self._adjacency(label, True).get(source, ()))
 
     def sources(self, label: str, target: GraphObject) -> list[Oid]:
-        """Nodes with an edge ``label`` pointing at ``target``."""
-        return list(self._adjacency(label, False).get(target, ()))
+        """Nodes with an edge ``label`` pointing at a target that
+        equals ``target`` (atoms under coercion: ``"1997"`` finds the
+        sources of ``1997``)."""
+        return [edge.source for edge
+                in self._adjacency(label, False).get(hash(target), ())
+                if edge.target == target]
 
     # -- global value index ----------------------------------------------------------
 
-    def _values(self) -> dict[Atom, list[tuple[Oid, str]]]:
-        """The global value index, built on first use."""
+    def _values(self) -> dict[int, list[Edge]]:
+        """The global value index (atom edges by target hash), built
+        on first use."""
         current = self._current
         values = current.values
         if values is None:
             values = {}
-            for label, edges in current.groups.items():
-                for source, _, target in edges:
-                    if isinstance(target, Atom):
-                        found = values.get(target)
+            for edges in current.groups.values():
+                for edge in edges:
+                    if isinstance(edge.target, Atom):
+                        key = hash(edge.target)
+                        found = values.get(key)
                         if found is None:
-                            values[target] = [(source, label)]
-                        else:
-                            found.append((source, label))
+                            values[key] = found = []
+                        found.append(edge)
             current.values = values
         return values
 
@@ -195,11 +206,19 @@ class GraphIndex:
         """Every ``(source, label)`` whose edge target coerces equal to
         ``value`` — the paper's global atomic-value index — grouped by
         label in first-seen label order."""
-        return list(self._values().get(value, ()))
+        return [(edge.source, edge.label)
+                for edge in self._values().get(hash(value), ())
+                if edge.target == value]
 
     def atoms(self) -> list[Atom]:
-        """Every distinct indexed atomic value."""
-        return list(self._values())
+        """Every distinct indexed atomic value; atoms are distinct when
+        their types or payloads differ (``3`` and ``"3"`` are two)."""
+        distinct: dict[tuple, Atom] = {}
+        for edges in self._values().values():
+            for edge in edges:
+                target = edge.target
+                distinct.setdefault((target.type, target.value), target)
+        return list(distinct.values())
 
     # -- sizes (fed to optimizer statistics) ----------------------------------------
 

@@ -9,18 +9,19 @@ manifest.  The layout is deliberately boring:
       manifest.json          {"name": ..., "graphs": [...]}
       graphs/<name>.json     graph_to_json output
 
-Saving is atomic per file (:func:`write_atomic`: write to a temp
-name, then rename), so a crash mid-save never corrupts a previously
-saved graph.  The site build cache persists through the same helper.
+Saving is atomic per file (:func:`repro.fileio.write_atomic`: write
+to a temp name, then rename), so a crash mid-save never corrupts a
+previously saved graph.  The site build cache persists through the
+same helper.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from repro.errors import RepositoryError
+from repro.fileio import write_atomic
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.repository.repository import Repository
 
@@ -65,18 +66,3 @@ def load_repository(root: str, indexing: bool = True) -> Repository:
         repo.store(graph)
     return repo
 
-
-def write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` so readers see old or new, never
-    a half-written file (temp file in the same directory, then
-    rename)."""
-    directory = os.path.dirname(path)
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise

@@ -1,61 +1,26 @@
 """Site layer: builder pipeline, site schemas, verification, dynamics."""
 
-from repro.site.builder import SiteMetrics, Website
-from repro.site.buildcache import (
-    BuildCache,
-    BuildPlan,
-    BuildReport,
-    cached_generate,
-    hash_templates,
-)
-from repro.site.diff import SiteDiff, diff_graphs
-from repro.site.forms import FormHandler, FormResponse, register_string_predicates
-from repro.site.incremental import DynamicSite, LazySiteGraph, PageView
-from repro.site.schema import NS, SchemaEdge, SiteSchema, build_site_schema
-from repro.site.server import DynamicSiteServer, Response
-from repro.site.verify import (
-    Connected,
-    PathReachability,
-    Constraint,
-    Finding,
-    ForbiddenContent,
-    ForbiddenLink,
-    ReachableFromRoot,
-    RequiredLink,
-    VerificationReport,
-    Verifier,
-)
+from repro.facade import exports
 
-__all__ = [
-    "BuildCache",
-    "BuildPlan",
-    "BuildReport",
-    "Connected",
-    "Constraint",
-    "DynamicSite",
-    "DynamicSiteServer",
-    "Finding",
-    "ForbiddenContent",
-    "FormHandler",
-    "FormResponse",
-    "ForbiddenLink",
-    "LazySiteGraph",
-    "NS",
-    "PageView",
-    "PathReachability",
-    "ReachableFromRoot",
-    "RequiredLink",
-    "Response",
-    "SchemaEdge",
-    "SiteDiff",
-    "SiteMetrics",
-    "SiteSchema",
-    "VerificationReport",
-    "Verifier",
-    "Website",
-    "build_site_schema",
-    "cached_generate",
-    "diff_graphs",
-    "hash_templates",
-    "register_string_predicates",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".builder": ("SiteMetrics", "Website"),
+    ".buildcache": ("BuildCache", "BuildPlan", "BuildReport",
+                    "cached_generate", "hash_templates"),
+    ".diff": ("SiteDiff", "diff_graphs"),
+    ".forms": ("FormHandler", "FormResponse", "register_string_predicates"),
+    ".incremental": ("DynamicSite", "LazySiteGraph", "PageView"),
+    ".schema": ("NS", "SchemaEdge", "SiteSchema", "build_site_schema"),
+    ".server": ("DynamicSiteServer", "Response"),
+    ".verify": (
+        "Connected",
+        "Constraint",
+        "Finding",
+        "ForbiddenContent",
+        "ForbiddenLink",
+        "PathReachability",
+        "ReachableFromRoot",
+        "RequiredLink",
+        "VerificationReport",
+        "Verifier",
+    ),
+})

@@ -59,10 +59,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.fileio import write_atomic
 from repro.graph.model import Graph, Oid
 from repro.obs.lineage import get_lineage
 from repro.obs.trace import TimedResult, get_recorder, timed
-from repro.repository.storage import write_atomic
 from repro.templates.generator import HtmlGenerator, TemplateSet
 
 #: Manifest schema version; bump on incompatible layout changes.

@@ -17,6 +17,7 @@ generated site's size (Fig 8's horizontal axis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import SiteError
 from repro.graph.model import Graph, Oid
@@ -27,13 +28,15 @@ from repro.site.buildcache import (
     BuildReport,
     cached_generate,
 )
-from repro.site.schema import SiteSchema, build_site_schema
-from repro.site.verify import Constraint, VerificationReport, Verifier
 from repro.struql.ast import Query
 from repro.struql.evaluator import QueryEngine, QueryResult
 from repro.struql.parser import parse_query
 from repro.struql.rewriter import compose
 from repro.templates.generator import HtmlGenerator, TemplateSet
+
+if TYPE_CHECKING:
+    from repro.site.schema import SiteSchema
+    from repro.site.verify import Constraint, VerificationReport
 
 
 @dataclass
@@ -117,6 +120,7 @@ class Website:
 
     def schema(self, query_index: int = -1) -> SiteSchema:
         """The site schema of one defining query (default: the last)."""
+        from repro.site.schema import build_site_schema
         return build_site_schema(self.queries[query_index])
 
     def generator(self) -> HtmlGenerator:
@@ -191,6 +195,7 @@ class Website:
                schema_level: bool = True,
                graph_level: bool = True) -> VerificationReport:
         """Run integrity constraints against schema and/or site graph."""
+        from repro.site.verify import Verifier
         verifier = Verifier(constraints)
         return verifier.verify(
             graph=self.site_graph if graph_level else None,

@@ -15,72 +15,27 @@ dogfoods the pipeline on STRUDEL's own telemetry (the ``repro monitor``
 dashboard).
 """
 
-from repro.sites.cnn import (
-    CNN_QUERY,
-    SPORTS_QUERY,
-    build_cnn_site,
-    cnn_templates,
-)
-from repro.sites.homepage import (
-    FIG2_DDL,
-    FIG3_QUERY,
-    MFF_EXTERNAL_OVERRIDES,
-    MFF_QUERY,
-    PERSONAL_DDL,
-    build_homepage_site,
-    build_mff_site,
-    fig2_data,
-    fig7_templates,
-    mff_data,
-    mff_templates,
-)
-from repro.sites.monitor import (
-    MONITOR_QUERY,
-    build_monitor_site,
-    monitor_templates,
-    telemetry_graph,
-)
-from repro.sites.org import (
-    EXTERNAL_OVERRIDES,
-    ORG_EXTERNAL_QUERY,
-    ORG_QUERY,
-    build_org_site,
-    org_templates,
-)
-from repro.sites.rodin import (
-    RODIN_QUERY,
-    build_rodin_site,
-    generate_rodin_records,
-    rodin_templates,
-)
+from repro.facade import exports
 
-__all__ = [
-    "CNN_QUERY",
-    "EXTERNAL_OVERRIDES",
-    "FIG2_DDL",
-    "FIG3_QUERY",
-    "MFF_EXTERNAL_OVERRIDES",
-    "MFF_QUERY",
-    "MONITOR_QUERY",
-    "PERSONAL_DDL",
-    "ORG_EXTERNAL_QUERY",
-    "ORG_QUERY",
-    "RODIN_QUERY",
-    "SPORTS_QUERY",
-    "build_cnn_site",
-    "build_homepage_site",
-    "build_mff_site",
-    "build_monitor_site",
-    "build_org_site",
-    "build_rodin_site",
-    "cnn_templates",
-    "fig2_data",
-    "fig7_templates",
-    "generate_rodin_records",
-    "mff_data",
-    "mff_templates",
-    "monitor_templates",
-    "org_templates",
-    "telemetry_graph",
-    "rodin_templates",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".cnn": ("CNN_QUERY", "SPORTS_QUERY", "build_cnn_site", "cnn_templates"),
+    ".homepage": (
+        "FIG2_DDL",
+        "FIG3_QUERY",
+        "MFF_EXTERNAL_OVERRIDES",
+        "MFF_QUERY",
+        "PERSONAL_DDL",
+        "build_homepage_site",
+        "build_mff_site",
+        "fig2_data",
+        "fig7_templates",
+        "mff_data",
+        "mff_templates",
+    ),
+    ".monitor": ("MONITOR_QUERY", "build_monitor_site", "monitor_templates",
+                 "telemetry_graph"),
+    ".org": ("EXTERNAL_OVERRIDES", "ORG_EXTERNAL_QUERY", "ORG_QUERY",
+             "build_org_site", "org_templates"),
+    ".rodin": ("RODIN_QUERY", "build_rodin_site", "generate_rodin_records",
+               "rodin_templates"),
+})

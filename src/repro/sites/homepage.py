@@ -19,7 +19,6 @@ chose for this site).
 from __future__ import annotations
 
 from repro.datagen.bibtex import generate_bibtex
-from repro.ddl import parse_ddl
 from repro.graph.model import Graph
 from repro.site.builder import Website
 from repro.struql.skolem import SkolemRegistry
@@ -95,6 +94,7 @@ OUTPUT HomePage
 
 def fig2_data() -> Graph:
     """The Fig 2 data graph."""
+    from repro.ddl.parser import parse_ddl
     return parse_ddl(FIG2_DDL, "BIBTEX")
 
 
@@ -384,6 +384,7 @@ By <SFOR a @author DELIM=", "><SFMT @a></SFOR>.
 
 def mff_data(entries: int = 30, seed: int = 7) -> Graph:
     """The mff data graph: BibTeX + personal-data sources, integrated."""
+    from repro.ddl.parser import parse_ddl
     data = BibTexWrapper().wrap(generate_bibtex(entries, seed=seed), "MFF")
     personal = parse_ddl(PERSONAL_DDL, "personal")
     data.import_graph(personal)

@@ -1,77 +1,38 @@
 """StruQL — Site TRansformation Und Query Language (paper section 3)."""
 
-from repro.struql.ast import (
-    ANY_PATH,
-    AnyLabel,
-    Block,
-    CollectSpec,
-    ComparisonCond,
-    Condition,
-    Const,
-    InCond,
-    LabelEquals,
-    LabelPredicate,
-    LinkSpec,
-    MembershipCond,
-    NotCond,
-    PathCond,
-    Query,
-    RAlt,
-    RConcat,
-    RegularPath,
-    RLabel,
-    RStar,
-    SkolemTerm,
-    Var,
-)
-from repro.struql.analysis import Warning as RangeWarning
-from repro.struql.analysis import analyze, is_range_restricted
-from repro.struql.builder import QueryBuilder
-from repro.struql.evaluator import QueryEngine, QueryResult, evaluate
-from repro.struql.parser import StruQLParser, parse_query
-from repro.struql.paths import PathAutomaton, PathEvaluator, compile_path
-from repro.struql.plan import ExecutionContext, Plan
-from repro.struql.predicates import PredicateRegistry, default_registry
-from repro.struql.skolem import SkolemRegistry
+from repro.facade import exports
 
-__all__ = [
-    "ANY_PATH",
-    "AnyLabel",
-    "Block",
-    "CollectSpec",
-    "ComparisonCond",
-    "Condition",
-    "Const",
-    "ExecutionContext",
-    "InCond",
-    "LabelEquals",
-    "LabelPredicate",
-    "LinkSpec",
-    "MembershipCond",
-    "NotCond",
-    "PathAutomaton",
-    "PathCond",
-    "PathEvaluator",
-    "Plan",
-    "PredicateRegistry",
-    "Query",
-    "QueryBuilder",
-    "RangeWarning",
-    "QueryEngine",
-    "QueryResult",
-    "RAlt",
-    "RConcat",
-    "RLabel",
-    "RStar",
-    "RegularPath",
-    "SkolemRegistry",
-    "SkolemTerm",
-    "StruQLParser",
-    "Var",
-    "analyze",
-    "compile_path",
-    "default_registry",
-    "evaluate",
-    "is_range_restricted",
-    "parse_query",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".analysis": ("RangeWarning", "analyze", "is_range_restricted"),
+    ".ast": (
+        "ANY_PATH",
+        "AnyLabel",
+        "Block",
+        "CollectSpec",
+        "ComparisonCond",
+        "Condition",
+        "Const",
+        "InCond",
+        "LabelEquals",
+        "LabelPredicate",
+        "LinkSpec",
+        "MembershipCond",
+        "NotCond",
+        "PathCond",
+        "Query",
+        "RAlt",
+        "RConcat",
+        "RLabel",
+        "RStar",
+        "RegularPath",
+        "SkolemTerm",
+        "Var",
+    ),
+    ".builder": ("QueryBuilder",),
+    ".evaluator": ("QueryEngine", "QueryResult", "evaluate"),
+    ".parser": ("StruQLParser", "parse_query"),
+    ".paths": ("PathAutomaton", "PathEvaluator", "compile_path"),
+    ".plan": ("ExecutionContext", "Plan"),
+    ".predicates": ("PredicateRegistry", "default_registry"),
+    ".skolem": ("SkolemRegistry",),
+})

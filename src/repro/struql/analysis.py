@@ -58,6 +58,11 @@ class Warning:
         return f"[{block}] {self.condition}: {self.reason} ({variables})"
 
 
+#: The name :mod:`repro.struql` exports it under (``Warning`` shadows
+#: the builtin there).
+RangeWarning = Warning
+
+
 def _positively_bindable(condition: Condition,
                          bound: set[str]) -> set[str]:
     """Variables this condition can positively bind, given ``bound``."""

@@ -21,6 +21,7 @@ queries agree on the identity of Skolem-created pages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.graph.model import Graph
 from repro.obs.queries import (
@@ -33,7 +34,6 @@ from repro.obs.queries import (
 from repro.obs.lineage import get_lineage
 from repro.obs.trace import TimedResult, get_recorder, note, timed
 from repro.repository.indexes import GraphIndex
-from repro.repository.repository import Repository
 from repro.repository.stats import GraphStatistics
 from repro.struql.ast import (
     AggregateCond,
@@ -44,13 +44,15 @@ from repro.struql.ast import (
 )
 from repro.struql.bindings import Binding
 from repro.struql.construction import GraphBuilder
-from repro.struql.optimizer import get_optimizer
-from repro.struql.optimizer.base import Optimizer
+from repro.struql.optimizer.base import Optimizer, get_optimizer
 from repro.struql.optimizer.cost import annotate_plan, trace_decisions
 from repro.struql.parser import parse_query
 from repro.struql.plan import ExecutionContext, Plan
 from repro.struql.predicates import PredicateRegistry, default_registry
 from repro.struql.skolem import SkolemRegistry
+
+if TYPE_CHECKING:
+    from repro.repository.repository import Repository
 
 
 @dataclass
@@ -295,8 +297,9 @@ class QueryEngine:
                             stats, ctx.graph, ctx.predicates,
                             optimizer=self.optimizer,
                             parent_rows=len(parent_rows))
-                rows = plan.execute(ctx,
-                                    initial=[dict(r) for r in parent_rows])
+                # Operators never mutate an input row (they extend
+                # copies), so the children share the parent's rows.
+                rows = plan.execute(ctx, initial=parent_rows)
                 explain = plan.explain()
                 profiles = plan.profiles
             else:

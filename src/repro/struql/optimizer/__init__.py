@@ -17,14 +17,10 @@ Three optimizer generations are available, selectable by name:
   fallback for large conjunctions.
 """
 
-from repro.struql.optimizer.base import Optimizer, get_optimizer
-from repro.struql.optimizer.cost import CostBasedOptimizer
-from repro.struql.optimizer.heuristic import HeuristicOptimizer, NaiveOptimizer
+from repro.facade import exports
 
-__all__ = [
-    "CostBasedOptimizer",
-    "HeuristicOptimizer",
-    "NaiveOptimizer",
-    "Optimizer",
-    "get_optimizer",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".base": ("Optimizer", "get_optimizer"),
+    ".cost": ("CostBasedOptimizer",),
+    ".heuristic": ("HeuristicOptimizer", "NaiveOptimizer"),
+})

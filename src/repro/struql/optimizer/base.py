@@ -10,6 +10,7 @@ not run before its variables are bound.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -114,13 +115,14 @@ class Optimizer:
         return {}
 
 
-_REGISTRY: dict[str, type[Optimizer]] = {}
-
-
-def register_optimizer(cls: type[Optimizer]) -> type[Optimizer]:
-    """Class decorator adding an optimizer to the name registry."""
-    _REGISTRY[cls.name] = cls
-    return cls
+#: Each optimizer's registry name (its class's ``name``) and where the
+#: class is defined; :func:`get_optimizer` imports the module on the
+#: first request, so no import has to register anything beforehand.
+_OPTIMIZERS = {
+    "naive": ("repro.struql.optimizer.heuristic", "NaiveOptimizer"),
+    "heuristic": ("repro.struql.optimizer.heuristic", "HeuristicOptimizer"),
+    "cost": ("repro.struql.optimizer.cost", "CostBasedOptimizer"),
+}
 
 
 def get_optimizer(name: str) -> Optimizer:
@@ -129,8 +131,9 @@ def get_optimizer(name: str) -> Optimizer:
     Known names: ``naive``, ``heuristic``, ``cost``.
     """
     try:
-        return _REGISTRY[name]()
+        module, cls = _OPTIMIZERS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(_OPTIMIZERS))
         raise ValueError(f"unknown optimizer {name!r} (known: {known})") \
             from None
+    return getattr(importlib.import_module(module), cls)()

@@ -51,7 +51,6 @@ from repro.struql.optimizer.base import (
     Optimizer,
     OrderDecision,
     executable,
-    register_optimizer,
 )
 from repro.struql.predicates import PredicateRegistry
 
@@ -354,7 +353,6 @@ def trace_decisions(ordered: Sequence[Condition], bound: set[str],
     return decisions
 
 
-@register_optimizer
 class CostBasedOptimizer(Optimizer):
     """DP plan enumeration with statistics; greedy beyond the DP limit."""
 

@@ -30,12 +30,10 @@ from repro.struql.ast import (
 from repro.struql.optimizer.base import (
     Optimizer,
     executable,
-    register_optimizer,
 )
 from repro.struql.predicates import PredicateRegistry
 
 
-@register_optimizer
 class NaiveOptimizer(Optimizer):
     """Source order, except that non-executable conditions are delayed
     until their variables are bound (otherwise evaluation would error,
@@ -67,7 +65,6 @@ def _anchored(term: Var | Const, bound: set[str]) -> bool:
     return isinstance(term, Const) or term.name in bound
 
 
-@register_optimizer
 class HeuristicOptimizer(Optimizer):
     """Greedy rank-based ordering without statistics."""
 

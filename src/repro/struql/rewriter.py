@@ -23,9 +23,9 @@ links leave ``F`` — the raw material of click-time page queries
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.graph.model import Graph
-from repro.repository.repository import Repository
 from repro.struql.ast import (
     Block,
     CollectSpec,
@@ -37,6 +37,9 @@ from repro.struql.ast import (
 from repro.struql.evaluator import QueryEngine, QueryResult
 from repro.struql.parser import parse_query
 from repro.struql.skolem import SkolemRegistry
+
+if TYPE_CHECKING:
+    from repro.repository.repository import Repository
 
 
 @dataclass

@@ -1,44 +1,22 @@
 """HTML-template language and generator (paper sections 2.5 and 4)."""
 
-from repro.templates.ast import (
-    AttrExpr,
-    CmpCond,
-    Constant,
-    ExistsCond,
-    ForExpr,
-    FormatExpr,
-    IfExpr,
-    ListExpr,
-    Null,
-    Template,
-    Text,
-)
-from repro.templates.formats import anchor, escape, realize_atom
-from repro.templates.generator import (
-    TEMPLATE_ATTRIBUTE,
-    HtmlGenerator,
-    TemplateSet,
-)
-from repro.templates.parser import TemplateParser, parse_template
+from repro.facade import exports
 
-__all__ = [
-    "AttrExpr",
-    "CmpCond",
-    "Constant",
-    "ExistsCond",
-    "ForExpr",
-    "FormatExpr",
-    "HtmlGenerator",
-    "IfExpr",
-    "ListExpr",
-    "Null",
-    "TEMPLATE_ATTRIBUTE",
-    "Template",
-    "TemplateParser",
-    "TemplateSet",
-    "Text",
-    "anchor",
-    "escape",
-    "parse_template",
-    "realize_atom",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".ast": (
+        "AttrExpr",
+        "CmpCond",
+        "Constant",
+        "ExistsCond",
+        "ForExpr",
+        "FormatExpr",
+        "IfExpr",
+        "ListExpr",
+        "Null",
+        "Template",
+        "Text",
+    ),
+    ".formats": ("anchor", "escape", "realize_atom"),
+    ".generator": ("TEMPLATE_ATTRIBUTE", "HtmlGenerator", "TemplateSet"),
+    ".parser": ("TemplateParser", "parse_template"),
+})

@@ -28,7 +28,6 @@ image file                ``<img>`` tag
 
 from __future__ import annotations
 
-import html
 from typing import Callable
 
 from repro.graph.values import Atom, AtomType
@@ -39,8 +38,14 @@ FileLoader = Callable[[str], str | None]
 
 
 def escape(text: str) -> str:
-    """HTML-escape arbitrary text."""
-    return html.escape(text, quote=True)
+    """HTML-escape arbitrary text.
+
+    The replacements of ``html.escape(text, quote=True)``, spelled out
+    so that rendering does not import :mod:`html` and its entity table.
+    """
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("'", "&#x27;"))
 
 
 def anchor(href: str, text: str) -> str:

@@ -1,19 +1,13 @@
 """Source wrappers (paper section 2.2): external data to data graphs."""
 
-from repro.wrappers.base import Wrapper
-from repro.wrappers.bibtex import BibTexWrapper
-from repro.wrappers.html_wrapper import HtmlWrapper
-from repro.wrappers.json_wrapper import JsonWrapper
-from repro.wrappers.relational import RelationalWrapper
-from repro.wrappers.structured_file import StructuredFileWrapper
-from repro.wrappers.xml_wrapper import XmlWrapper
+from repro.facade import exports
 
-__all__ = [
-    "BibTexWrapper",
-    "HtmlWrapper",
-    "JsonWrapper",
-    "RelationalWrapper",
-    "StructuredFileWrapper",
-    "Wrapper",
-    "XmlWrapper",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".base": ("Wrapper",),
+    ".bibtex": ("BibTexWrapper",),
+    ".html_wrapper": ("HtmlWrapper",),
+    ".json_wrapper": ("JsonWrapper",),
+    ".relational": ("RelationalWrapper",),
+    ".structured_file": ("StructuredFileWrapper",),
+    ".xml_wrapper": ("XmlWrapper",),
+})

@@ -18,15 +18,16 @@ wrapper is that component: given a set of HTML documents it produces
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import functools
 
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom, AtomType
 from repro.wrappers.base import Wrapper
 
 
-class _PageParser(HTMLParser):
-    """Collects the features the wrapper maps to edges."""
+class _PageFeatures:
+    """Collects the features the wrapper maps to edges: the handlers of
+    an :class:`html.parser.HTMLParser` (see :func:`_page_parser`)."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -71,6 +72,18 @@ class _PageParser(HTMLParser):
             self.text_chunks.append(stripped)
 
 
+@functools.cache
+def _page_parser() -> type:
+    """The parser class, made on first use so that importing the wrapper
+    does not import :mod:`html.parser`."""
+    from html.parser import HTMLParser
+
+    class _PageParser(_PageFeatures, HTMLParser):
+        pass
+
+    return _PageParser
+
+
 class HtmlWrapper(Wrapper):
     """Maps HTML documents into a ``Pages`` data graph."""
 
@@ -100,7 +113,7 @@ class HtmlWrapper(Wrapper):
 
     def _add_page(self, graph: Graph, oids: dict[str, Oid], url: str,
                   html_text: str) -> None:
-        parser = _PageParser()
+        parser = _page_parser()()
         parser.feed(html_text)
         parser.close()
         oid = oids[url]

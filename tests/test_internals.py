@@ -284,6 +284,42 @@ class TestPlanInternals:
         assert EVERYTHING in reads_of(
             'Publications(x), not(x -> l -> x)')
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_operators_never_mutate_input_rows(self, fig2_graph, indexed):
+        """Child blocks run over their parent's rows without copying
+        them, so no operator kind may write to a row it was given."""
+        from repro.repository.indexes import GraphIndex
+
+        class FrozenRow(dict):
+            def _refuse(self, *args, **kwargs):
+                raise AssertionError("an operator mutated an input row")
+
+            __setitem__ = __delitem__ = update = pop = popitem = \
+                setdefault = clear = _refuse
+
+        index = GraphIndex.build(fig2_graph) if indexed else None
+        conditions = next(b for b in parse_query("""
+            input BIBTEX
+            where Publications(x), x -> l -> v, l in {"year", "title"},
+                  x -> ("year" | "title") -> w, v = w, isInt(v),
+                  y = 1997, not(x -> "nope" -> z),
+                  count(v) per x as n
+            create F(x)
+            output O
+        """).blocks() if b.conditions).conditions
+        kinds = set()
+        rows = [FrozenRow(x=Oid("pub1")), FrozenRow(x=Oid("pub2"))]
+        for condition in conditions:
+            op = make_op(condition)
+            kinds.add(type(op).__name__)
+            given = [dict(row) for row in rows]
+            out = Plan([op]).execute(
+                ExecutionContext(fig2_graph, index=index), rows)
+            assert out and rows == given, condition
+            rows = [FrozenRow(row) for row in out]
+        assert kinds == {"MembershipOp", "EdgeStepOp", "InOp", "PathOp",
+                         "ComparisonOp", "NegationOp", "AggregateOp"}
+
     def test_pipeline_short_circuits_on_empty(self, fig2_graph):
         ctx = ExecutionContext(fig2_graph)
         query = parse_query("""

@@ -346,6 +346,27 @@ class TestEngineProperties:
                output O""", graph).output
         assert list(out.nodes()) == [Oid.skolem("F", (Oid("c"),))]
 
+    @pytest.mark.parametrize("indexing", [True, False])
+    @pytest.mark.parametrize("optimizer", ["naive", "heuristic", "cost"])
+    def test_optimizers_agree_on_coercing_atom_targets(
+            self, optimizer, indexing):
+        """Coercing equality is not transitive: ``" 3 "`` equals ``3``
+        and ``3`` equals ``"3"``, but ``" 3 "`` does not equal ``"3"``.
+        A join on ``"3"`` finds ``3`` and ``"3"``, by index or by
+        scan."""
+        graph = Graph("G")
+        graph.add_edge(Oid("a"), "x", Atom.int(3))
+        graph.add_edge(Oid("b"), "x", Atom.string(" 3 "))
+        graph.add_edge(Oid("c"), "x", Atom.string("3"))
+        graph.add_edge(Oid("q"), "want", Atom.string("3"))
+        out = QueryEngine(optimizer=optimizer, indexing=indexing).evaluate(
+            """input G
+               where q -> "want" -> v, p -> "x" -> v
+               create N(p)
+               output O""", graph).output
+        assert sorted(str(node) for node in out.nodes()) == \
+            ["N(a)", "N(c)"]
+
     @given(graphs())
     @settings(max_examples=30, deadline=None)
     def test_indexing_does_not_change_results(self, graph):
