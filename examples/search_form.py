@@ -4,8 +4,9 @@
 The paper (section 1): "Web pages that depend on user input, e.g., from
 forms, cannot be materialized statically, but must be created
 dynamically."  This example declares a parameterized StruQL query whose
-``kw`` variable is bound per request; each submission evaluates the
-query at click time and renders the result page, with per-term caching.
+``kw`` variable is bound per request; each submission is a click-time
+request for the result page ``Results(kw)``, and a data change made
+through the handler's server shows in the next submission.
 
 Run:  python examples/search_form.py [entries] [terms...]
 """
@@ -13,6 +14,7 @@ Run:  python examples/search_form.py [entries] [terms...]
 import sys
 
 from repro.datagen import generate_bibtex
+from repro.graph import Atom, Oid
 from repro.site import FormHandler
 from repro.templates import TemplateSet
 from repro.wrappers import BibTexWrapper
@@ -47,15 +49,29 @@ def main() -> None:
     data = BibTexWrapper().wrap(generate_bibtex(entries), "BIBTEX")
     handler = FormHandler(SEARCH_QUERY, data, templates(),
                           result_fn="Results", params=("kw",))
-    for term in terms:
+
+    def show(term: str) -> None:
         response = handler.submit(kw=term)
-        hits = response.html.count("<BR>") + 1 if "Hit" else 0
-        cached = " (cached)" if response.from_cache else ""
-        print(f"--- ?kw={term}  "
-              f"[{response.seconds * 1000:.2f} ms{cached}] ---")
-        print(response.html)
+        hits = sum(1 for oid in response.reads if oid.skolem_fn == "Hit")
+        print(f"--- ?kw={term}  [{response.status}, {hits} hits, "
+              f"{response.seconds * 1000:.2f} ms] ---")
+        print(response.body)
         print()
-    print(f"stats: {handler.stats}")
+
+    for term in terms:
+        show(term)
+
+    def add_publication(graph) -> None:
+        pub = Oid("pub-added")
+        graph.add_to_collection("Publications", pub)
+        graph.add_edge(pub, "title",
+                       Atom.string(f"{terms[0]} Web Sites, Revisited"))
+        graph.add_edge(pub, "year", Atom.int(1998))
+
+    print(f"=== adding a publication matching {terms[0]!r} ===")
+    handler.server.update(add_publication)
+    show(terms[0])
+    print(f"body views: {handler.server.matviews.stats}")
 
 
 if __name__ == "__main__":

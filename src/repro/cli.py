@@ -52,22 +52,12 @@ import math
 import os
 import sys
 
-from repro.ddl.parser import parse_ddl
 from repro.errors import StrudelError
 from repro.graph.model import Graph
-from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.obs import trace as obs
-from repro.site.schema import build_site_schema
-from repro.site.verify import ReachableFromRoot, Verifier
-from repro.struql.analysis import analyze
 from repro.struql.evaluator import QueryEngine
 from repro.struql.parser import parse_query
 from repro.templates.generator import TemplateSet
-from repro.wrappers.bibtex import BibTexWrapper
-from repro.wrappers.html_wrapper import HtmlWrapper
-from repro.wrappers.relational import RelationalWrapper
-from repro.wrappers.structured_file import StructuredFileWrapper
-from repro.wrappers.xml_wrapper import XmlWrapper
 
 
 def _table_name(path: str) -> str:
@@ -106,10 +96,13 @@ def load_data_file(path: str) -> Graph:
         text = handle.read()
     name = _table_name(path)
     if suffix in (".ddl", ".strudel"):
+        from repro.ddl.parser import parse_ddl
         return parse_ddl(text, name)
     if suffix == ".bib":
+        from repro.wrappers.bibtex import BibTexWrapper
         return BibTexWrapper().wrap(text, name)
     if suffix == ".csv":
+        from repro.wrappers.relational import RelationalWrapper
         header = text.splitlines()[0].split(",") if text.strip() else []
         key = next((c for c in ("login", "id", "key")
                     if c in [h.strip() for h in header]), None)
@@ -117,13 +110,17 @@ def load_data_file(path: str) -> Graph:
             key_columns={name: key} if key else {})
         return wrapper.wrap_tables({name: text}, name)
     if suffix == ".rec":
+        from repro.wrappers.structured_file import StructuredFileWrapper
         return StructuredFileWrapper(collection=name).wrap(text, name)
     if suffix == ".xml":
+        from repro.wrappers.xml_wrapper import XmlWrapper
         return XmlWrapper().wrap(text, name)
     if suffix in (".html", ".htm"):
+        from repro.wrappers.html_wrapper import HtmlWrapper
         return HtmlWrapper().wrap_pages(
             {os.path.basename(path): text}, name)
     if suffix == ".json":
+        from repro.graph.serialization import graph_from_json
         return graph_from_json(text)
     raise StrudelError(f"no wrapper for {path!r} (suffix {suffix!r})")
 
@@ -147,6 +144,7 @@ def load_data(paths: list[str], graph_name: str) -> Graph:
         if html_pages:
             from repro.obs.lineage import get_lineage, \
                 graph_content_hash, record_fetch
+            from repro.wrappers.html_wrapper import HtmlWrapper
             with recorder.span("mediator.fetch", source="html-pages"):
                 wrapped = HtmlWrapper().wrap_pages(html_pages)
                 merged.import_graph(wrapped)
@@ -227,12 +225,15 @@ def _run_build(args: argparse.Namespace) -> int:
           f"{data.edge_count} edges")
     print(f"site graph: {site.node_count} nodes, {site.edge_count} links")
     if args.verify_root:
+        from repro.site.schema import build_site_schema
+        from repro.site.verify import ReachableFromRoot, Verifier
         report = Verifier([ReachableFromRoot(args.verify_root)]).verify(
             graph=site, schema=build_site_schema(query))
         print(report)
         if not report.ok:
             return 1
     if args.site_json:
+        from repro.graph.serialization import graph_to_json
         with open(args.site_json, "w", encoding="utf-8") as handle:
             handle.write(graph_to_json(site))
         print(f"site graph saved to {args.site_json}")
@@ -309,6 +310,7 @@ def cmd_why(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
+    from repro.site.schema import build_site_schema
     schema = build_site_schema(_read_query(args.query))
     print(schema.to_dot(include_ns=args.ns) if args.dot
           else schema.render(include_ns=args.ns))
@@ -316,6 +318,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.struql.analysis import analyze
     query = _read_query(args.query)  # parse errors raise already
     warnings = analyze(query)
     if not warnings:
@@ -328,6 +331,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from repro.graph.serialization import graph_from_json
     from repro.site.diff import diff_graphs
     query = _read_query(args.query)
     data = load_data(args.data, query.input_name)

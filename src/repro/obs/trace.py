@@ -619,7 +619,7 @@ def aggregate_profile(source: "TraceRecorder | NullRecorder | "
 class TimedResult:
     """Base for result records whose timing references a span.
 
-    ``Response``, ``BlockTrace`` and ``FormResponse`` all used to carry
+    ``Response`` and ``BlockTrace`` both used to carry
     their own ``seconds`` float measured with private ``perf_counter``
     pairs; deriving the duration from the span that timed the work makes
     the numbers agree with the trace tree by construction.

@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = exports(__name__, {
     ".buildcache": ("BuildCache", "BuildPlan", "BuildReport",
                     "cached_generate", "hash_templates"),
     ".diff": ("SiteDiff", "diff_graphs"),
-    ".forms": ("FormHandler", "FormResponse", "register_string_predicates"),
+    ".forms": ("FormHandler", "register_string_predicates"),
     ".incremental": ("DynamicSite", "LazySiteGraph", "PageView"),
     ".schema": ("NS", "SchemaEdge", "SiteSchema", "build_site_schema"),
     ".server": ("DynamicSiteServer", "Response"),

@@ -3,13 +3,24 @@
     Web pages that depend on user input, e.g., from forms, cannot be
     materialized statically, but must be created dynamically.
 
-A :class:`FormHandler` pairs a *parameterized* StruQL query (declared
-form parameters are bound at request time) with a template set.  Each
-request evaluates the query over the data graph with the submitted
-parameters, renders the query's result page, and returns the HTML —
-exactly the click-time path, but for pages whose identity includes user
-input.  Results are cached per parameter tuple ("cache query results to
-reduce click time for future queries").
+A form page is a click-time page whose Skolem arguments are the form's
+parameters.  A :class:`FormHandler` pairs a *parameterized* StruQL query
+(declared form parameters are bound at request time) with a template
+set and answers each submission as one request on a
+:class:`~repro.site.server.DynamicSiteServer` for the result page
+``result_fn(param values...)``.  The parameters seed the page's units
+like any other Skolem argument, the rendered bodies live in the
+server's bounded body views, and a data change made through
+``handler.server.update(mutate)`` drops what it met, so the next
+submission shows it.  A submission whose result page the query does
+not create (a keyword with no hits) is answered 404.
+
+Coverage rule: a page is computed from its own Skolem arguments only,
+so every block that reads a parameter (in its conditions or its links)
+must carry that parameter as an argument of each Skolem term it
+creates, links from or collects.  Otherwise such a term would be one
+page for all submissions, computed with the parameter unbound;
+:class:`FormHandler` rejects the query when it is built.
 
 String-matching built-ins useful in form queries (``contains``,
 ``startsWith``, ``endsWith``) are registered on the handler's engine.
@@ -17,19 +28,23 @@ String-matching built-ins useful in form queries (``contains``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SiteError
 from repro.graph.model import Graph, Oid
 from repro.graph.values import Atom
-from repro.obs.trace import TimedResult, get_recorder, timed
-from repro.struql.ast import Query
-from repro.struql.bindings import Binding
+from repro.site.server import DynamicSiteServer, Response
+from repro.struql.ast import (
+    Query,
+    SkolemTerm,
+    Var,
+    condition_variables,
+    term_variables,
+)
 from repro.struql.evaluator import QueryEngine
 from repro.struql.parser import parse_query
 from repro.struql.predicates import PredicateRegistry, default_registry
+from repro.struql.rewriter import flatten
 from repro.templates.formats import FileLoader
-from repro.templates.generator import HtmlGenerator, TemplateSet
+from repro.templates.generator import TemplateSet
 
 
 def _text(value) -> str:
@@ -53,56 +68,65 @@ def register_string_predicates(registry: PredicateRegistry) -> None:
         "iequals", lambda a, b: _text(a).lower() == _text(b).lower())
 
 
-@dataclass
-class FormResponse(TimedResult):
-    """One answered form submission; ``seconds`` comes from its
-    ``form.submit`` span."""
-
-    html: str
-    page: Oid
-    from_cache: bool
+def _check_parameter_coverage(query: Query) -> None:
+    """Reject a block that reads a form parameter but mints a Skolem
+    term without it (the module's coverage rule)."""
+    for unit in flatten(query):
+        read: set[str] = set()
+        for condition in unit.conditions:
+            read |= condition_variables(condition)
+        for link in unit.links:
+            read |= term_variables(link.label) | term_variables(link.target)
+        terms = list(unit.creates)
+        terms.extend(link.source for link in unit.links)
+        terms.extend(c.term for c in unit.collects
+                     if isinstance(c.term, SkolemTerm))
+        for param in query.params:
+            if param not in read:
+                continue
+            for term in terms:
+                if Var(param) not in term.args:
+                    raise SiteError(
+                        f"form parameter {param!r} is read by block "
+                        f"{unit.label} but is not an argument of {term}: "
+                        f"a click-time page is computed from its own "
+                        f"Skolem arguments only")
 
 
 class FormHandler:
-    """Answers form submissions by parameterized query evaluation.
+    """Answers form submissions as click-time requests on one server.
 
     ``query`` must declare its parameters (``parse_query(text,
     params=(...))`` or the ``params`` argument here), and its result
-    page — the page rendered as the response — is the Skolem function
+    page — the page answered to a submission — is the Skolem function
     named by ``result_fn`` applied to the parameters in declaration
-    order.
+    order.  :attr:`server` is built once; apply data changes through
+    ``server.update(mutate)``.
     """
 
     def __init__(self, query: Query | str, data: Graph,
                  templates: TemplateSet, result_fn: str,
                  params: tuple[str, ...] = (),
                  engine: QueryEngine | None = None,
-                 loader: FileLoader | None = None,
-                 cache: bool = True) -> None:
+                 loader: FileLoader | None = None) -> None:
         if isinstance(query, str):
             query = parse_query(query, params=params)
         if not query.params:
             raise SiteError("a form query must declare parameters")
+        _check_parameter_coverage(query)
         self.query = query
-        self.data = data
-        self.templates = templates
         self.result_fn = result_fn
         if engine is None:
             registry = default_registry()
             register_string_predicates(registry)
             engine = QueryEngine(predicates=registry)
-        self.engine = engine
-        self.loader = loader
-        self._caching = cache
-        self._cache: dict[tuple, FormResponse] = {}
-        self.stats = {"requests": 0, "cache_hits": 0, "evaluations": 0}
+        self.server = DynamicSiteServer(query, data, templates,
+                                        engine=engine, loader=loader)
 
-    def submit(self, **params) -> FormResponse:
+    def submit(self, **params) -> Response:
         """Answer one submission; parameter names must match the
-        query's declared parameters."""
-        self.stats["requests"] += 1
-        metrics = get_recorder().metrics
-        metrics.counter("forms.requests").inc()
+        query's declared parameters.  A result page the query does not
+        create is a 404."""
         missing = [p for p in self.query.params if p not in params]
         if missing:
             raise SiteError(f"missing form parameter(s): "
@@ -111,37 +135,6 @@ class FormHandler:
         if extra:
             raise SiteError(f"unknown form parameter(s): "
                             f"{', '.join(extra)}")
-        values = tuple(Atom.of(params[p]) if not isinstance(
-            params[p], (Atom, Oid)) else params[p]
-            for p in self.query.params)
-        key = values
-        with timed("form.submit") as span:
-            if self._caching and key in self._cache:
-                self.stats["cache_hits"] += 1
-                metrics.counter("forms.cache_hits").inc()
-                span.set(cached=True)
-                cached = self._cache[key]
-                return FormResponse(cached.html, cached.page, True,
-                                    span=span)
-            span.set(cached=False)
-            initial: Binding = dict(zip(self.query.params, values))
-            result = self.engine.evaluate(self.query, self.data,
-                                          initial=initial)
-            self.stats["evaluations"] += 1
-            metrics.counter("forms.evaluations").inc()
-            page = Oid.skolem(self.result_fn, values)
-            if not result.output.has_node(page):
-                raise SiteError(
-                    f"form query did not create result page {page}")
-            generator = HtmlGenerator(result.output, self.templates,
-                                      loader=self.loader)
-            html = generator.render(page)
-            response = FormResponse(html, page, False, span=span)
-        metrics.histogram("forms.submit_seconds").observe(span.seconds)
-        if self._caching:
-            self._cache[key] = response
-        return response
-
-    def invalidate(self) -> None:
-        """Drop cached responses after a data update."""
-        self._cache.clear()
+        values = tuple(params[p] if isinstance(params[p], Oid)
+                       else Atom.of(params[p]) for p in self.query.params)
+        return self.server.request(Oid.skolem(self.result_fn, values))

@@ -1,9 +1,10 @@
 """Import budget: a module loads only what it runs.
 
 The package facades resolve their public names on first access
-(:mod:`repro.facade`), and the build and serve paths import optional
-subsystems where they use them.  Each check runs in a fresh interpreter,
-because this test process has long since imported everything.
+(:mod:`repro.facade`), and the build and serve paths and the CLI's
+commands import optional subsystems where they use them.  Each check
+runs in a fresh interpreter, because this test process has long since
+imported everything.
 """
 
 import json
@@ -38,6 +39,18 @@ NOT_SERVED = [
 ]
 
 
+#: What the CLI module loads only in the commands or loader branches that
+#: use it: verification, the DDL parser, the XML wrapper with the
+#: stdlib's XML package, and graph serialization.
+NOT_IMPORTED_BY_CLI = [
+    "repro.site.verify",
+    "repro.ddl",
+    "repro.wrappers.xml_wrapper",
+    "repro.graph.serialization",
+    "xml",
+]
+
+
 def run_fresh(code: str):
     """Run ``code`` in a new interpreter; return what it prints as JSON."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -54,6 +67,20 @@ def test_a_click_time_server_imports_no_optional_subsystem():
         f"print(json.dumps([m for m in {NOT_SERVED!r} "
         "if m in sys.modules]))\n")
     assert loaded == []
+
+
+def test_the_cli_imports_only_what_a_command_runs():
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import repro.cli\n"
+        f"print(json.dumps([m for m in {NOT_IMPORTED_BY_CLI!r} "
+        "if m in sys.modules]))\n")
+    assert loaded == []
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_exported_name_resolves_and_is_listed():
