@@ -58,9 +58,6 @@ class Mediator:
         self._mappings: list[Query] = []
         self._warehouse: Graph | None = None
         self._warehouse_versions: dict[str, int] = {}
-        #: Builds per integration mode, plus failed integrations.
-        self.stats = {"warehouse_builds": 0, "virtual_builds": 0,
-                      "failed_builds": 0}
 
     # -- configuration ------------------------------------------------------------
 
@@ -138,7 +135,6 @@ class Mediator:
         return mediated
 
     def _count_build(self, kind: str) -> None:
-        self.stats[f"{kind}_builds"] += 1
         get_recorder().metrics.counter("mediator.builds", kind=kind).inc()
 
     def warehouse(self) -> Graph:

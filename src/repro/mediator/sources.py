@@ -35,7 +35,6 @@ class DataSource:
         self.name = name
         self._loader = loader
         self.version = 0
-        self.load_count = 0
 
     @property
     def kind(self) -> str:
@@ -55,8 +54,8 @@ class DataSource:
         return getattr(loader, "__name__", type(loader).__name__)
 
     def load(self, **parameters) -> Graph:
-        """Fetch the source's current contents as a graph."""
-        self.load_count += 1
+        """Fetch the source's current contents as a graph (counted as
+        ``mediator.source_loads``)."""
         recorder = get_recorder()
         with recorder.span("source.load", source=self.name):
             graph = self._loader(**parameters)

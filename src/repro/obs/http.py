@@ -163,7 +163,7 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
                  max_age: float | None = None) -> None:
         super().__init__((host, port), _Handler)
         self.recorder = recorder
-        self.site_server = site_server
+        self.mount(site_server)
         self.access_log = access_log
         #: Freshness threshold (seconds): pages whose newest
         #: contributing source is older count into
@@ -195,8 +195,13 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         return f"http://{self.server_address[0]}:{self.port}"
 
     def mount(self, site_server) -> None:
-        """Attach the ``DynamicSiteServer`` that answers page paths."""
+        """Attach the ``DynamicSiteServer`` that answers page paths, and
+        publish its counts as the ``site.*`` and ``matview.*`` counters."""
         self.site_server = site_server
+        if site_server is not None:
+            metrics = self.recorder.metrics
+            metrics.publish("site", site_server.site.stats)
+            metrics.publish("matview", site_server.matviews.stats)
 
     def set_ready(self) -> None:
         """Flip ``/readyz`` to 200: data graph + site query are loaded."""
@@ -237,9 +242,9 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         Writes ``metrics.prom`` (Prometheus exposition) and
         ``snapshot.json`` (hotspot profile, tail-sampled traces with
         their notes, SLO and alert state, uptime); returns
-        ``{name: path}`` for what was written.  Request counts live in
-        ``metrics.prom``; the slowest requests are the ``traces``
-        section's ``slowest`` roots.
+        ``{name: path}`` for what was written.  Request counts and the
+        click-time ``site.*`` counts live in ``metrics.prom``; the
+        slowest requests are the ``traces`` section's ``slowest`` roots.
         """
         os.makedirs(directory, exist_ok=True)
         paths = {
@@ -247,8 +252,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "snapshot": os.path.join(directory, "snapshot.json"),
         }
         write_prometheus(self.recorder.metrics, paths["metrics"])
-        site = self.site_server
-        cache_snapshot = getattr(site, "cache_snapshot", None)
         document = {
             "uptime_seconds": time.time() - self.started,
             # The fetch log is kept even with lineage off (each entry
@@ -261,10 +264,6 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             "traces": self._traces_payload(DEBUG_TRACE_DEPTH),
             "queries": get_query_registry().snapshot(
                 limit=DEBUG_QUERY_LIMIT),
-            # Click-time compute counters (pages computed, unit
-            # evaluations, invalidations).
-            "site_cache": (cache_snapshot()
-                           if callable(cache_snapshot) else None),
             # Materialized-view registry state (hit/miss/invalidation
             # counters, per-view read sets) — absent on pre-matview
             # snapshots, so consumers must tolerate a missing key.

@@ -263,6 +263,7 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._published: dict[str, dict[str, int]] = {}
 
     def _instrument(self, table: dict, key: str, make):
         with self._lock:
@@ -288,20 +289,32 @@ class MetricsRegistry:
         return self._instrument(self._histograms, name,
                                 lambda key: Histogram(key, buckets))
 
+    def publish(self, prefix: str, counts: dict[str, int]) -> None:
+        """Export the plain-int ``counts`` an owner keeps as counters
+        ``prefix.<key>``, read by each :meth:`as_dict` (a reference, not
+        a copy); it replaces any dict published under ``prefix``."""
+        with self._lock:
+            self._published[prefix] = counts
+
     def reset(self) -> None:
-        """Forget every instrument."""
+        """Forget every instrument and published dict."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._published.clear()
 
     def as_dict(self) -> dict:
         """Plain-data form of every instrument (the JSON export shape),
-        counters and gauges keyed by :func:`series_key`."""
+        counters and gauges keyed by :func:`series_key`; published
+        counts join the counters as they stand now."""
         with self._lock:
+            counters = {n: c.value for n, c in self._counters.items()}
+            for prefix, counts in self._published.items():
+                counters.update((f"{prefix}.{key}", value)
+                                for key, value in list(counts.items()))
             return {
-                "counters": {n: c.value
-                             for n, c in sorted(self._counters.items())},
+                "counters": dict(sorted(counters.items())),
                 "gauges": {n: g.value
                            for n, g in sorted(self._gauges.items())},
                 "histograms": {n: h.summary()
@@ -680,6 +693,9 @@ class NullMetricsRegistry:
 
     def histogram(self, name: str, buckets=None) -> _NullHistogram:
         return _NULL_HISTOGRAM
+
+    def publish(self, prefix: str, counts: dict[str, int]) -> None:
+        pass
 
     def reset(self) -> None:
         pass

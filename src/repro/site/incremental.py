@@ -31,6 +31,9 @@ is the set of read keys its mutations met (the data graph's
 whose keys it meets and names their pages, and the rendered bodies of
 :class:`~repro.site.server.DynamicSiteServer` that read one of those
 pages go with them.
+
+Computes are counted once, in :attr:`DynamicSite.stats`, which the
+telemetry plane publishes as the ``site.*`` counters.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.graph.model import Edge, Graph, GraphObject, Oid
 from repro.graph.values import Atom
 from repro.obs.lineage import get_lineage
 from repro.obs.queries import fingerprint, get_query_registry
-from repro.obs.trace import get_recorder, timed
+from repro.obs.trace import timed
 from repro.repository.indexes import GraphIndex
 from repro.struql.ast import AggregateCond, Const, Query, SkolemTerm, Var
 from repro.struql.bindings import Binding, RuntimeValue, as_label, runtime_eq
@@ -87,8 +90,9 @@ class DynamicSite:
     (:meth:`invalidate`, or an index found stale by the next compute).
 
     Thread-safe: the index, statistics, plans and :attr:`stats` are
-    guarded by one reentrant :attr:`lock`, held across each page
-    compute, and :meth:`invalidate` is atomic with respect to in-flight
+    written under one reentrant :attr:`lock`, held across each page
+    compute (a scrape reads :attr:`stats` without it, each int whole),
+    and :meth:`invalidate` is atomic with respect to in-flight
     :meth:`get_page` calls — the threaded HTTP plane
     (:class:`~repro.obs.http.TelemetryHTTPServer`) serves click-time
     pages from many handler threads at once.
@@ -129,10 +133,9 @@ class DynamicSite:
         #: and exposed so :class:`LazySiteGraph` can serialize page
         #: computes with invalidation.
         self.lock = threading.RLock()
-        #: Click-time statistics for benchmarking: ``pages_computed``
-        #: equals ``get_page`` calls.
-        self.stats = {"pages_computed": 0, "unit_evaluations": 0,
-                      "invalidations": 0}
+        #: Click-time counts: ``pages_computed`` equals ``get_page``
+        #: calls.
+        self.stats = {"pages_computed": 0, "unit_evaluations": 0}
         get_lineage().record_query(query, data)
 
     def roots(self) -> list[Oid]:
@@ -176,7 +179,6 @@ class DynamicSite:
         """
         with self.lock:
             self._drop_data_version()
-            self.stats["invalidations"] += 1
 
     def stats_snapshot(self) -> dict:
         """A consistent copy of :attr:`stats`."""
@@ -282,7 +284,6 @@ class DynamicSite:
                     if all(name in row and runtime_eq(row[name], value)
                            for name, value in post_filter.items())]
         self.stats["unit_evaluations"] += 1
-        get_recorder().metrics.counter("site.unit_evaluations").inc()
         return rows
 
 

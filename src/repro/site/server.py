@@ -263,12 +263,6 @@ class DynamicSiteServer:
                     queue.append(target)
         return out
 
-    def cache_snapshot(self) -> dict:
-        """The click-time compute statistics: one consistent read of
-        :meth:`DynamicSite.stats_snapshot` (``pages_computed``,
-        ``unit_evaluations``, ``invalidations``)."""
-        return self.site.stats_snapshot()
-
     def invalidate(self, keys: AbstractSet[tuple] | None = None) -> None:
         """Propagate a data-graph update: drop what it may affect.
 

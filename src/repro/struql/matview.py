@@ -19,16 +19,19 @@ Two serving-path guards ride along:
 
 * **per-view single-flight** — N concurrent misses on the same key run
   one computation; the other N-1 wait on it and then read the stored
-  view (``matview.singleflight_waits`` counts the waits);
+  view (``singleflight_waits`` counts the waits);
 * **admission control** — a bounded semaphore caps concurrent
   computations across all keys, so a cold cache under heavy traffic
   degrades to a queue instead of a thundering herd
-  (``matview.admission_waits`` counts the stalls).
+  (``admission_waits`` counts the stalls).
 
 Every invalidation bumps a registry generation; a computation that
 straddles an invalidation returns its value to the caller but does
 *not* enter the cache (it may have read pre-change data), so a request
 issued after ``invalidate()`` returns can never be served a stale view.
+
+Each event is counted once, in :attr:`MatViewRegistry.stats`, which
+the telemetry plane publishes as the ``matview.*`` counters.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.graph.model import Oid
-from repro.obs.trace import get_recorder
 
 #: Default bound on concurrently running computations per registry.
 DEFAULT_MAX_INFLIGHT = 8
@@ -75,7 +77,6 @@ class MaterializedView:
     key: str
     value: object
     reads: Optional[frozenset[Oid]] = None
-    compute_seconds: float = 0.0
     created_at: float = field(default_factory=time.time)
     hits: int = 0
 
@@ -85,7 +86,6 @@ class MaterializedView:
             "reads": (sorted(str(oid) for oid in self.reads)
                       if self.reads is not None else None),
             "hits": self.hits,
-            "compute_seconds": round(self.compute_seconds, 6),
             "age_seconds": round(time.time() - self.created_at, 3),
         }
 
@@ -105,7 +105,8 @@ class MatViewRegistry:
 
     ``max_views`` is the LRU capacity; ``max_inflight`` bounds the
     number of computations running at once (the admission guard).
-    All mutating operations are safe to call from any thread.
+    All mutating operations are safe to call from any thread, and
+    :attr:`stats` counts under the same lock.
     """
 
     def __init__(self, max_views: int = DEFAULT_MAX_VIEWS,
@@ -139,7 +140,6 @@ class MatViewRegistry:
             view.hits += 1
             self._views.move_to_end(key)
             self.stats["hits"] += 1
-        get_recorder().metrics.counter("matview.hits").inc()
         return view
 
     def get_or_compute(self, key: str, compute: Callable[[], object],
@@ -175,10 +175,7 @@ class MatViewRegistry:
             # store (or take over if the leader failed / went stale).
             with self._lock:
                 self.stats["singleflight_waits"] += 1
-            get_recorder().metrics.counter(
-                "matview.singleflight_waits").inc()
             flight.event.wait()
-        get_recorder().metrics.counter("matview.hits").inc()
         return value
 
     def _run_flight(self, key: str, flight: _Flight,
@@ -186,14 +183,11 @@ class MatViewRegistry:
                     reads: Optional[set[Oid]]) -> object:
         with self._lock:
             self.stats["misses"] += 1
-        get_recorder().metrics.counter("matview.misses").inc()
         # Admission guard: bound concurrent computations.
         if not self._gate.acquire(blocking=False):
             with self._lock:
                 self.stats["admission_waits"] += 1
-            get_recorder().metrics.counter("matview.admission_waits").inc()
             self._gate.acquire()
-        started = time.perf_counter()
         try:
             value = compute()
         except BaseException:
@@ -202,11 +196,9 @@ class MatViewRegistry:
             self._gate.release()
             flight.event.set()
             raise
-        seconds = time.perf_counter() - started
         view = MaterializedView(
             key=key, value=value,
-            reads=frozenset(reads) if reads is not None else None,
-            compute_seconds=seconds)
+            reads=frozenset(reads) if reads is not None else None)
         with self._lock:
             self._inflight.pop(key, None)
             if self._generation == flight.generation:
@@ -245,10 +237,6 @@ class MatViewRegistry:
             dropped = len(victims)
             self.stats["invalidations"] += 1
             self.stats["views_dropped"] += dropped
-        metrics = get_recorder().metrics
-        metrics.counter("matview.invalidations").inc()
-        if dropped:
-            metrics.counter("matview.views_dropped").inc(dropped)
         return dropped
 
     # -- introspection ----------------------------------------------------

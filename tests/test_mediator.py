@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import AccessPatternError, MediatorError, SourceLoadError
 from repro.graph import Atom, Graph, Oid
 from repro.mediator import DataSource, LimitedAccessSource, Mediator
@@ -33,6 +34,12 @@ output data
 """
 
 
+def _builds(recorder, kind: str) -> int:
+    """The ``mediator.builds{kind}`` count ``recorder`` collected."""
+    counters = recorder.metrics.as_dict()["counters"]
+    return counters.get(f'mediator.builds{{kind="{kind}"}}', 0)
+
+
 @pytest.fixture
 def mediator():
     med = Mediator("data")
@@ -50,14 +57,16 @@ class TestMediator:
         assert data.name == "data"
 
     def test_warehouse_cached(self, mediator):
-        assert mediator.warehouse() is mediator.warehouse()
-        assert mediator.stats["warehouse_builds"] == 1
+        with obs.recording() as recorder:
+            assert mediator.warehouse() is mediator.warehouse()
+        assert _builds(recorder, "warehouse") == 1
 
     def test_virtual_always_fresh(self, mediator):
-        one = mediator.virtual_view()
-        two = mediator.virtual_view()
+        with obs.recording() as recorder:
+            one = mediator.virtual_view()
+            two = mediator.virtual_view()
         assert one is not two
-        assert mediator.stats["virtual_builds"] == 2
+        assert _builds(recorder, "virtual") == 2
 
     def test_staleness_counts_source_updates(self, mediator):
         mediator.warehouse()
@@ -70,10 +79,11 @@ class TestMediator:
         assert mediator.staleness() == 0
 
     def test_refresh_rebuilds(self, mediator):
-        mediator.warehouse()
-        before = mediator.stats["warehouse_builds"]
-        mediator.refresh()
-        assert mediator.stats["warehouse_builds"] == before + 1
+        with obs.recording() as recorder:
+            mediator.warehouse()
+            before = _builds(recorder, "warehouse")
+            mediator.refresh()
+        assert _builds(recorder, "warehouse") == before + 1
 
     def test_failed_refresh_keeps_the_warehouse(self, mediator):
         """A source that raises mid-refresh leaves the previous
@@ -91,13 +101,15 @@ class TestMediator:
         beta.load = flaky_load
         mediator.source("alpha").touch()
         beta.touch()
-        with pytest.raises(SourceLoadError, match="'beta'") as info:
-            mediator.refresh()
+        with obs.recording() as recorder:
+            with pytest.raises(SourceLoadError, match="'beta'") as info:
+                mediator.refresh()
         assert info.value.source == "beta"
         assert isinstance(info.value.__cause__, OSError)
         assert mediator.warehouse() is before
         assert mediator.staleness() == 2
-        assert mediator.stats["warehouse_builds"] == 1
+        assert _builds(recorder, "warehouse") == 0
+        assert _builds(recorder, "failed") == 1
         failing[0] = False
         assert mediator.refresh() is not before
         assert mediator.staleness() == 0
@@ -106,7 +118,6 @@ class TestMediator:
         """A loader that returns records, not a graph, ends in
         SourceLoadError, keeps the warehouse and counts a failed
         build."""
-        from repro import obs
         before = mediator.warehouse()
         mediator.source("beta")._loader = lambda: [
             {"key": "c", "value": 3}]
@@ -116,9 +127,8 @@ class TestMediator:
         assert isinstance(info.value.__cause__, MediatorError)
         assert "list" in str(info.value.__cause__)
         assert mediator.warehouse() is before
-        assert mediator.stats["failed_builds"] == 1
+        assert _builds(recorder, "failed") == 1
         counters = recorder.metrics.as_dict()["counters"]
-        assert counters['mediator.builds{kind="failed"}'] == 1
         assert 'mediator.builds{kind="warehouse"}' not in counters
 
     def test_store_warehouse(self, mediator):
@@ -182,9 +192,11 @@ class TestMediator:
 class TestSources:
     def test_load_counts(self):
         source = _make_source("s", [("a", 1)])
-        source.load()
-        source.load()
-        assert source.load_count == 2
+        with obs.recording() as recorder:
+            source.load()
+            source.load()
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters["mediator.source_loads"] == 2
 
     def test_nameless_rejected(self):
         with pytest.raises(MediatorError):

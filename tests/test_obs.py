@@ -145,6 +145,20 @@ class TestMetrics:
         assert data["counters"]["hits"] == 5
         assert data["gauges"]["depth"] == 7
 
+    def test_published_counts_are_read_when_exported(self):
+        registry = MetricsRegistry()
+        counts = {"hits": 0, "misses": 2}
+        registry.publish("view", counts)
+        counts["hits"] += 3
+        assert registry.as_dict()["counters"] == {
+            "view.hits": 3, "view.misses": 2}
+        registry.publish("view", {"hits": 9})  # replaces the first
+        assert registry.as_dict()["counters"] == {"view.hits": 9}
+        registry.reset()
+        assert registry.as_dict()["counters"] == {}
+        NULL_RECORDER.metrics.publish("view", counts)
+        assert NULL_RECORDER.metrics.as_dict()["counters"] == {}
+
     def test_counter_thread_safety(self):
         counter = MetricsRegistry().counter("n")
 

@@ -36,6 +36,7 @@ from repro.obs.trace import (
     TailSampler,
     TraceRecorder,
 )
+from repro.graph import Atom, Oid
 from repro.site import DynamicSiteServer
 from repro.sites.homepage import (
     FIG2_DDL,
@@ -736,11 +737,41 @@ class TestDebugMatviews:
         assert document["matviews"]["enabled"] is True
         assert document["matviews"]["views"] >= 1
 
+    @staticmethod
+    def _drive(site):
+        """Evict body views, then crawl across one data update."""
+        site.matviews.max_views = 2
+        site.crawl()
+        site.crawl()
+        site.update(lambda data: data.add_edge(
+            Oid("pub1"), "note", Atom.string("revised")))
+        site.crawl()
+
+    @staticmethod
+    def _owner_series(site) -> dict:
+        """Each owner count under the /metrics name it must reach."""
+        return {f"strudel_{prefix}_{key}_total": value
+                for prefix, counts in (("matview", site.matviews.stats),
+                                       ("site", site.site.stats))
+                for key, value in counts.items()}
+
     def test_counters_reach_metrics_endpoint(self, plane):
+        """Every click-time owner count reaches /metrics as it stands,
+        and equals what the same requests count with recording off."""
+        site = plane.site_server
         _get(plane.url + "/")
-        _get(plane.url + "/")
+        self._drive(site)
         _, _, text = _get(plane.url + "/metrics")
-        names = {n for n, _, _ in obs.parse_prometheus(text)["samples"]}
-        assert "strudel_matview_hits_total" in names, sorted(
-            n for n in names if "matview" in n)
-        assert "strudel_matview_misses_total" in names
+        scraped = {name: value for name, _, value
+                   in obs.parse_prometheus(text)["samples"]}
+        expected = self._owner_series(site)
+        assert site.matviews.stats["evictions"] > 0
+        assert {name: scraped.get(name) for name in expected} == expected
+
+        obs.disable()
+        unrecorded = DynamicSiteServer(FIG3_QUERY, fig2_data(),
+                                       fig7_templates())
+        unrecorded.warm()
+        unrecorded.request(unrecorded.roots()[0])
+        self._drive(unrecorded)
+        assert self._owner_series(unrecorded) == expected
